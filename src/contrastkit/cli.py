@@ -34,20 +34,11 @@ EXIT_PARTIAL = 3
 METHOD_NAMES = ("he", "bbhe", "mmbebhe", "fuzzy")
 
 _MASK64 = (1 << 64) - 1
-_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-_SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
-_SPLITMIX_MUL2 = 0x94D049BB133111EB
-
-
-def _splitmix64(state: int):
-    """Infinite stream of 64-bit outputs from the splitmix64 generator."""
-    state &= _MASK64
-    while True:
-        state = (state + _SPLITMIX_GAMMA) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * _SPLITMIX_MUL1) & _MASK64
-        z = ((z ^ (z >> 27)) * _SPLITMIX_MUL2) & _MASK64
-        yield z ^ (z >> 31)
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_SPLITMIX_MUL2 = np.uint64(0x94D049BB133111EB)
+# elements per generator block: bounds each uint64 temporary to 512 KiB
+_SYNTH_BLOCK = 1 << 16
 
 
 def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int) -> GrayImage:
@@ -55,16 +46,28 @@ def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int)
 
     Pixels are drawn row-major as lo + (splitmix64 output mod (hi-lo+1)),
     so the same arguments always reproduce the same image on any platform.
+    The generator state before output i (1-based) is seed + i * gamma
+    (mod 2**64), which lets each block of outputs be computed at once.
     """
     if not (0 <= lo <= hi <= 255):
         raise ValueError(f"need 0 <= lo <= hi <= 255, got lo={lo} hi={hi}")
-    span = hi - lo + 1
-    gen = _splitmix64(seed)
-    flat = np.fromiter(
-        (lo + next(gen) % span for _ in range(width * height)),
-        dtype=np.int64,
-        count=width * height,
-    )
+    count = width * height
+    seed64 = np.uint64(seed & _MASK64)
+    span = np.uint64(hi - lo + 1)
+    flat = np.empty(count, dtype=np.uint8)
+    for start in range(0, count, _SYNTH_BLOCK):
+        stop = min(start + _SYNTH_BLOCK, count)
+        z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        z *= _SPLITMIX_GAMMA
+        z += seed64
+        z ^= z >> np.uint64(30)
+        z *= _SPLITMIX_MUL1
+        z ^= z >> np.uint64(27)
+        z *= _SPLITMIX_MUL2
+        z ^= z >> np.uint64(31)
+        z %= span
+        flat[start:stop] = z
+    flat += lo
     return GrayImage.from_flat(width, height, flat)
 
 

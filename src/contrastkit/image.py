@@ -7,6 +7,7 @@ writes maxval 255.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -16,6 +17,20 @@ LEVELS = 256
 MAX_LEVEL = LEVELS - 1
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+_COMMENT = re.compile(rb"#[^\n\r]*")
+
+# Value of each byte in a P2 raster: a digit's value, or one of two
+# markers for whitespace and for any other byte.
+_SEPARATOR, _MALFORMED = 10, 11
+_BYTE_VALUE = np.full(256, _MALFORMED, dtype=np.uint16)
+_BYTE_VALUE[list(_WHITESPACE)] = _SEPARATOR
+_BYTE_VALUE[ord("0") : ord("9") + 1] = np.arange(10)
+
+# P2 sample tokens with their separator: index v is level v and a space,
+# index v + LEVELS is level v ending its line
+_P2_TOKENS = [f"{v} ".encode("ascii") for v in range(LEVELS)] + [
+    f"{v}\n".encode("ascii") for v in range(LEVELS)
+]
 
 
 class PgmDecodeError(ValueError):
@@ -192,13 +207,59 @@ def _parse_header(scanner: _HeaderScanner) -> tuple[int, int, int]:
     return width, height, maxval
 
 
+def _parse_ascii_raster(raster: bytes, count: int, maxval: int) -> np.ndarray:
+    """Parse a P2 raster (the bytes after maxval) into `count` samples.
+
+    Samples are runs of ASCII digits separated by whitespace or `#`
+    comments running to the next CR or LF. Errors come in the order a
+    token-at-a-time scan meets them: a malformed token among the first
+    `count`, then too few tokens, then too many.
+    """
+    raster = _COMMENT.sub(b" ", raster)
+    values = _BYTE_VALUE[np.frombuffer(raster, dtype=np.uint8)]
+    edges = np.flatnonzero(np.diff(values != _SEPARATOR, prepend=False, append=False))
+    starts, ends = edges[::2], edges[1::2]
+    bad = np.flatnonzero(values == _MALFORMED)
+    if bad.size:
+        k = int(np.searchsorted(starts, bad[0], side="right")) - 1
+        if k < count:
+            raise PgmDecodeError(f"malformed pixel sample: {raster[starts[k] : ends[k]]!r}")
+    if len(starts) < count:
+        raise PgmDecodeError(
+            f"truncated pixel data: expected {count} samples, got {len(starts)}"
+        )
+    if len(starts) > count:
+        raise PgmDecodeError("trailing data after ASCII raster")
+
+    # Every token is now all digits: sum its last three by place, masking
+    # the places a shorter token lacks.
+    lengths = ends - starts
+    samples = values[ends - 1]
+    samples += 10 * values.take(ends - 2, mode="clip") * (lengths > 1)
+    samples += 100 * values.take(ends - 3, mode="clip") * (lengths > 2)
+    oversized = []
+    for k in np.flatnonzero(lengths > 3).tolist():
+        token = raster[starts[k] : ends[k]].lstrip(b"0")
+        if len(token) > 3:
+            oversized.append(token)
+        else:
+            samples[k] = int(token or b"0")
+    if oversized:
+        # 4+ significant digits exceed any maxval; compare as decimal
+        # strings so the message is exact at any length
+        largest = max(oversized, key=lambda t: (len(t), t)).decode("ascii")
+        raise PgmDecodeError(f"pixel sample {largest} exceeds declared maxval {maxval}")
+    return samples
+
+
 def load_pgm(data: bytes) -> GrayImage:
     """Decode a P2 (ASCII) or P5 (binary) PGM byte stream.
 
     Header comments (`#` to end of line) are allowed; for P2 they are also
     allowed between samples. Raises :class:`PgmDecodeError` on a malformed
     magic number, maxval outside 1..255, zero dimensions, truncated or
-    trailing pixel data, or samples exceeding maxval.
+    trailing pixel data, P2 samples that are not runs of ASCII digits, or
+    samples exceeding maxval.
     """
     data = bytes(data)
     magic = data[:2]
@@ -221,26 +282,13 @@ def load_pgm(data: bytes) -> GrayImage:
             raise PgmDecodeError("trailing data after binary raster")
         samples = np.frombuffer(raster, dtype=np.uint8)
     else:
-        values = []
-        for _ in range(count):
-            scanner.skip_separators()
-            if scanner.pos >= len(data):
-                raise PgmDecodeError(
-                    f"truncated pixel data: expected {count} samples, got {len(values)}"
-                )
-            values.append(scanner.next_int("pixel sample"))
-        scanner.skip_separators()
-        if scanner.pos < len(data):
-            raise PgmDecodeError("trailing data after ASCII raster")
-        samples = np.asarray(values, dtype=np.int64)
-        if samples.min() < 0:
-            raise PgmDecodeError("negative pixel sample")
+        samples = _parse_ascii_raster(data[scanner.pos :], count, maxval)
 
     if int(samples.max()) > maxval:
         raise PgmDecodeError(
             f"pixel sample {int(samples.max())} exceeds declared maxval {maxval}"
         )
-    return GrayImage.from_flat(width, height, samples)
+    return GrayImage.from_flat(width, height, samples.astype(np.uint8, copy=False))
 
 
 def save_pgm(img: GrayImage, format: str = "P5") -> bytes:
@@ -254,10 +302,8 @@ def save_pgm(img: GrayImage, format: str = "P5") -> bytes:
     header = f"{format}\n{img.width} {img.height}\n{MAX_LEVEL}\n".encode("ascii")
     if format == "P5":
         return header + img.pixels.tobytes()
-    lines = []
-    for row in img.pixels:
-        # keep lines within Netpbm's 70-character guideline
-        for start in range(0, len(row), 17):
-            chunk = row[start : start + 17]
-            lines.append(" ".join(str(int(v)) for v in chunk))
-    return header + ("\n".join(lines) + "\n").encode("ascii")
+    # keep lines within Netpbm's 70-character guideline: at most 17 samples
+    col = np.arange(img.width)
+    codes = img.pixels.astype(np.uint16)
+    codes[:, (col % 17 == 16) | (col == img.width - 1)] += LEVELS
+    return header + b"".join([b"".join([_P2_TOKENS[v] for v in row.tolist()]) for row in codes])

@@ -88,3 +88,76 @@ def triangle_centroid_quadrature(a: float, b: float, c: float, points: int = 200
     num = np.trapezoid(xs * mu, xs)
     den = np.trapezoid(mu, xs)
     return float(num / den)
+
+
+# ---------------------------------------------------------------------------
+# PGM codec and synth generator references
+# ---------------------------------------------------------------------------
+
+PGM_WHITESPACE = b" \t\n\r\x0b\x0c"
+MASK64 = (1 << 64) - 1
+
+
+def p2_raster_samples(raster: bytes, count: int, maxval: int) -> list[int]:
+    """Token-at-a-time scan of a P2 raster (the bytes after maxval).
+
+    Tokens are runs of bytes other than whitespace and `#`; a `#` starts a
+    comment that ends after the next CR or LF. Each of the first `count`
+    tokens must be ASCII digits. Raises ValueError carrying the decoder's
+    message for the first problem met, in scan order.
+    """
+    pos, n = 0, len(raster)
+
+    def skip_separators(pos: int) -> int:
+        while pos < n:
+            ch = raster[pos : pos + 1]
+            if ch == b"#":
+                ends = [e for e in (raster.find(b"\n", pos), raster.find(b"\r", pos)) if e != -1]
+                pos = min(ends) + 1 if ends else n
+            elif ch in PGM_WHITESPACE:
+                pos += 1
+            else:
+                break
+        return pos
+
+    values = []
+    for _ in range(count):
+        pos = skip_separators(pos)
+        if pos >= n:
+            raise ValueError(f"truncated pixel data: expected {count} samples, got {len(values)}")
+        start = pos
+        while pos < n and raster[pos : pos + 1] not in PGM_WHITESPACE + b"#":
+            pos += 1
+        token = raster[start:pos]
+        if not all(ord("0") <= b <= ord("9") for b in token):
+            raise ValueError(f"malformed pixel sample: {token!r}")
+        values.append(int(token))
+    if skip_separators(pos) < n:
+        raise ValueError("trailing data after ASCII raster")
+    if max(values) > maxval:
+        raise ValueError(f"pixel sample {max(values)} exceeds declared maxval {maxval}")
+    return values
+
+
+def encode_p2(pixels) -> bytes:
+    """P2 file with maxval 255, each row wrapped into lines of at most 17
+    space-separated decimal samples."""
+    rows = [[int(v) for v in row] for row in pixels]
+    lines = []
+    for row in rows:
+        for start in range(0, len(row), 17):
+            lines.append(" ".join(str(v) for v in row[start : start + 17]))
+    header = f"P2\n{len(rows[0])} {len(rows)}\n255\n"
+    return (header + "\n".join(lines) + "\n").encode("ascii")
+
+
+def splitmix64(seed: int):
+    """Infinite stream of 64-bit outputs from the scalar splitmix64
+    generator; the seed is reduced mod 2**64 first."""
+    state = seed & MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)

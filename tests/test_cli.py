@@ -1,4 +1,5 @@
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from contrastkit import (
     load_pgm,
     save_pgm,
 )
-from contrastkit.cli import generate_uniform_image, main
+from contrastkit.cli import _SYNTH_BLOCK, generate_uniform_image, main
+
+from bruteforce import splitmix64
 
 FOUR_LEVELS = GrayImage.from_flat(2, 2, [0, 64, 128, 255])
 
@@ -58,6 +61,18 @@ def test_enhance_invalid_pgm_exits_2(tmp_path, capsys):
     code = main(["enhance", str(src), str(tmp_path / "out.pgm"), "--method", "he"])
     assert code == 2
     assert "magic" in capsys.readouterr().err
+
+
+def test_enhance_oversized_p2_sample_exits_2(tmp_path, capsys):
+    src = tmp_path / "huge.pgm"
+    src.write_bytes(b"P2\n1 1\n255\n99999999999999999999999\n")
+    dst = tmp_path / "out.pgm"
+    code = main(["enhance", str(src), str(dst), "--method", "he"])
+    assert code == 2
+    assert not dst.exists()
+    err = capsys.readouterr().err
+    assert "pixel sample 99999999999999999999999 exceeds declared maxval 255" in err
+    assert "Traceback" not in err
 
 
 def test_enhance_unknown_method_is_usage_error(tmp_path, capsys):
@@ -302,3 +317,18 @@ def test_generator_is_platform_stable():
     # first pixels for seed 0 pinned: catches accidental PRNG changes
     img = generate_uniform_image(4, 1, 0, 255, 0)
     assert img.pixels.ravel().tolist() == [175, 244, 79, 236]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 + 5, -1])
+def test_generator_matches_scalar_splitmix64(seed):
+    # pixel counts straddle the generator's block size
+    shapes = [(255, 257), (256, 256), (_SYNTH_BLOCK + 1, 1), (3 * _SYNTH_BLOCK + 5, 1)]
+    assert [w * h for w, h in shapes] == [
+        _SYNTH_BLOCK - 1, _SYNTH_BLOCK, _SYNTH_BLOCK + 1, 3 * _SYNTH_BLOCK + 5
+    ]
+    stream = list(islice(splitmix64(seed), 3 * _SYNTH_BLOCK + 5))
+    for width, height in shapes:
+        for lo, hi in [(77, 77), (0, 255)]:
+            img = generate_uniform_image(width, height, lo, hi, seed)
+            expected = [lo + x % (hi - lo + 1) for x in stream[: width * height]]
+            assert img.pixels.ravel().tolist() == expected, (width, height, lo, hi)

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contrastkit import GrayImage, PgmDecodeError, histogram, load_pgm, mean_intensity, save_pgm
 
-from bruteforce import tally_histogram
+from bruteforce import PGM_WHITESPACE, encode_p2, p2_raster_samples, tally_histogram
 from conftest import gray_images, pixel_arrays
 
 
@@ -151,6 +153,118 @@ def test_load_non_numeric_header_is_error():
         load_pgm(b"P2\nab 2\n255\n0 0\n")
 
 
+@pytest.mark.parametrize("token", [b"1_0", b"0_2", b"+1", b"-1", b"1e2", b"\xd9\xa1"])
+def test_load_p2_sample_must_be_ascii_digits(token):
+    expected = f"malformed pixel sample: {token!r}"
+    with pytest.raises(PgmDecodeError, match=f"^{re.escape(expected)}$"):
+        load_pgm(b"P2\n2 1\n255\n7 " + token + b"\n")
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [
+        (b"99999999999999999999999", "99999999999999999999999"),
+        (b"0000256", "256"),
+        (b"00" + b"9" * 5000, "9" * 5000),
+    ],
+    ids=["23-digits", "leading-zeros", "5000-digits"],
+)
+def test_load_p2_oversized_sample_reports_exact_value(token, value):
+    expected = f"pixel sample {value} exceeds declared maxval 255"
+    with pytest.raises(PgmDecodeError, match=f"^{re.escape(expected)}$"):
+        load_pgm(b"P2\n2 1\n255\n7 " + token + b"\n")
+
+
+def test_load_p2_leading_zeros_keep_value():
+    img = load_pgm(b"P2\n4 1\n255\n007 0000000000255 0000 00\n")
+    assert img.pixels.ravel().tolist() == [7, 255, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # a malformed token among the first `count` wins over a short raster
+        (b"P2 3 1 255 1 x", "malformed pixel sample: b'x'"),
+        # one past `count` is trailing data, malformed or not
+        (b"P2 1 1 255 1 x", "trailing data after ASCII raster"),
+        (b"P2 2 1 255 1 2 3", "trailing data after ASCII raster"),
+        (b"P2 2 1 255 1#2\r", "truncated pixel data: expected 2 samples, got 1"),
+    ],
+)
+def test_load_p2_error_order(data, message):
+    with pytest.raises(PgmDecodeError, match=f"^{re.escape(message)}$"):
+        load_pgm(data)
+
+
+_P2_JUNK = st.sampled_from([b"1_0", b"+1", b"-1", b"x", b"\xff", b"\x00", b"1e3"])
+_P2_DIGITS = st.text("0123456789", min_size=1, max_size=7).map(str.encode)  # leading zeros, long runs
+_P2_SAMPLE = st.integers(0, 255).map(lambda v: str(v).encode())
+# mostly plain samples, so that many files decode
+_P2_TOKEN = st.integers(0, 19).flatmap(
+    lambda k: _P2_JUNK if k == 0 else _P2_DIGITS if k < 3 else _P2_SAMPLE
+)
+_P2_SEPARATOR = st.lists(
+    st.one_of(
+        st.sampled_from([bytes([b]) for b in PGM_WHITESPACE]),
+        st.builds(
+            lambda body, end: b"#" + body + end,
+            st.binary(max_size=6),
+            # a comment with no line end runs to the end of the file: keep it rare
+            st.sampled_from([b"\n", b"\r", b"\r\n", b"\n", b"\r", b""]),
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+).map(b"".join)
+# now and then no separator, so that neighbouring tokens merge
+_P2_GAP = st.integers(0, 19).flatmap(lambda k: st.just(b"") if k == 0 else _P2_SEPARATOR)
+
+
+@st.composite
+def p2_files(draw):
+    """A valid P2 header and a raster of digit runs, junk tokens,
+    whitespace and comments, with about as many tokens as samples."""
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    maxval = draw(st.one_of(st.just(255), st.integers(1, 255)))
+    count = width * height
+    extra = draw(st.sampled_from([0, 0, 0, -1, 1]))
+    tokens = draw(st.lists(_P2_TOKEN, min_size=count + extra, max_size=count + extra))
+    seps = draw(st.lists(_P2_GAP, min_size=len(tokens), max_size=len(tokens)))
+    lead = draw(_P2_SEPARATOR)  # ends the maxval token
+    raster = lead + b"".join(t + s for t, s in zip(tokens, seps))
+    return f"P2 {width} {height} {maxval}".encode(), raster, count, maxval
+
+
+@settings(max_examples=300)
+@given(p2_files())
+def test_p2_decoder_matches_token_scanner(case):
+    header, raster, count, maxval = case
+    try:
+        expected = p2_raster_samples(raster, count, maxval)
+    except ValueError as exc:
+        with pytest.raises(PgmDecodeError) as info:
+            load_pgm(header + raster)
+        assert str(info.value) == str(exc)
+    else:
+        assert load_pgm(header + raster).pixels.ravel().tolist() == expected
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.tuples(
+            st.sampled_from([b"P2", b"P5", b"P2 2 2 255", b"P5 2 2 255", b"P2 1 1 9\n"]),
+            st.binary(max_size=48),
+        ).map(b"".join),
+    )
+)
+def test_load_arbitrary_bytes_raises_only_decode_error(data):
+    try:
+        load_pgm(data)
+    except PgmDecodeError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # PGM encoding and round trips
 # ---------------------------------------------------------------------------
@@ -188,6 +302,15 @@ def test_roundtrip_wide_image_p2_line_lengths():
     encoded = save_pgm(img, "P2")
     assert all(len(line) <= 70 for line in encoded.decode("ascii").splitlines())
     assert load_pgm(encoded) == img
+
+
+@pytest.mark.parametrize("width", [1, 16, 17, 18, 34, 35, 100])
+def test_save_p2_bytes_match_reference_encoder(width):
+    height = -(-256 // width)
+    pixels = (np.arange(width * height) % 256).reshape(height, width)
+    img = GrayImage(pixels.astype(np.uint8))
+    assert set(img.pixels.ravel().tolist()) == set(range(256))
+    assert save_pgm(img, "P2") == encode_p2(img.pixels)
 
 
 # ---------------------------------------------------------------------------
