@@ -17,6 +17,8 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 from pathlib import Path
 
@@ -103,10 +105,10 @@ def cmd_enhance(args: argparse.Namespace) -> int:
     try:
         img = _read_image(args.input)
         config = _load_fuzzy_config(args.fuzzy_config)
+        out = enhance_image(img, args.method, config)
     except (OSError, PgmDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    out = enhance_image(img, args.method, config)
     try:
         Path(args.output).write_bytes(save_pgm(out, args.format))
     except OSError as exc:
@@ -155,14 +157,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         except (OSError, PgmDecodeError, ValueError) as exc:
             print(f"skipping {path}: {exc}", file=sys.stderr)
             failed = True
-    lines = ["image,method,mse,psnr,entropy,ambe"]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")  # minimal quoting: plain paths stay bare
+    writer.writerow(["image", "method", "mse", "psnr", "entropy", "ambe"])
     for path, method, rep in rows:
-        lines.append(
-            f"{path},{method},{_fmt(rep.mse)},{_fmt(rep.psnr)},"
-            f"{_fmt(rep.entropy)},{_fmt(rep.ambe)}"
-        )
+        writer.writerow([path, method, *map(_fmt, (rep.mse, rep.psnr, rep.entropy, rep.ambe))])
     try:
-        Path(args.output).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+        Path(args.output).write_text(text.getvalue(), encoding="ascii", newline="\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -19,6 +19,7 @@ toward the full scale.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +41,8 @@ class MembershipFunction:
     c: float
 
     def __post_init__(self) -> None:
-        if not (self.a <= self.b <= self.c):
-            raise ValueError(f"breakpoints must satisfy a <= b <= c, got {self}")
+        if not (math.isfinite(self.a) and math.isfinite(self.c) and self.a <= self.b <= self.c):
+            raise ValueError(f"breakpoints must be finite and satisfy a <= b <= c, got {self}")
 
     def grade(self, x: float) -> float:
         """Membership degree of `x`, in [0, 1]."""
@@ -90,8 +91,9 @@ class FuzzyConfig:
             raise ValueError("expected exactly three input and three output sets")
         object.__setattr__(self, "input_sets", tuple(self.input_sets))
         object.__setattr__(self, "output_sets", tuple(self.output_sets))
-        if self.resolution < 2:
-            raise ValueError(f"resolution must be >= 2, got {self.resolution}")
+        r = self.resolution  # at most 2**16, so no LUT-compile temporary exceeds 2**16 floats
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 2 <= r <= 65536:
+            raise ValueError(f"resolution must be an integer in [2, 65536], got {r!r}")
 
     def to_json(self) -> str:
         def sets(fns):
@@ -116,8 +118,8 @@ class FuzzyConfig:
                 MembershipFunction(float(s["a"]), float(s["b"]), float(s["c"]))
                 for s in doc["output_sets"]
             )
-            resolution = int(doc.get("resolution", 256))
-        except (KeyError, TypeError) as exc:
+            resolution = doc.get("resolution", 256)
+        except (AttributeError, KeyError, OverflowError, TypeError) as exc:
             raise ValueError(f"malformed fuzzy config document: {exc}") from exc
         return cls(inputs, outputs, resolution)  # type: ignore[arg-type]
 
@@ -192,15 +194,31 @@ def membership_plane(cfg: FuzzyConfig) -> np.ndarray:
 
 
 def fuzzy_lut(img: GrayImage, cfg: FuzzyConfig) -> IntensityLut:
-    """Compile the pipeline into a LUT: fuzzify, infer, and defuzzify every
-    gray level. A degenerate config yields the identity LUT."""
+    """Compile the pipeline into a LUT: fuzzify, infer, and defuzzify all
+    gray levels at once, in blocks of at most 2**16 aggregate samples. A
+    degenerate config yields the identity LUT."""
     if cfg.degenerate:
         return identity_lut()
     plane = membership_plane(cfg)
-    out = np.empty(LEVELS, dtype=np.uint8)
-    for g in range(LEVELS):
-        crisp = defuzzify_centroid(infer(tuple(plane[g]), cfg))
-        out[g] = g if crisp is None else crisp
+    # a level with no positive activation fires no rule and passes through
+    active = np.flatnonzero((plane > 0.0).any(axis=1))
+    grid = sample_grid(cfg.resolution)
+    out_sets = [mf.sample(grid) for mf in cfg.output_sets]
+    out = np.arange(LEVELS)
+    rows = max(1, 2**16 // cfg.resolution)
+    for start in range(0, len(active), rows):
+        levels = active[start : start + rows]
+        acts = plane[levels]
+        agg = np.zeros((len(levels), cfg.resolution))
+        clipped = np.empty_like(agg)
+        for rule, out_set in enumerate(out_sets):
+            np.minimum(acts[:, rule, None], out_set, out=clipped)
+            clipped[~(acts[:, rule] > 0.0)] = 0.0  # a rule fires only above 0
+            np.maximum(agg, clipped, out=agg)
+        total = agg.sum(axis=1)
+        fired = total > 0.0
+        centroid = (agg @ grid)[fired] / total[fired]
+        out[levels[fired]] = np.clip(np.floor(centroid + 0.5), 0, MAX_LEVEL)
     return IntensityLut(out, "FUZZY")
 
 

@@ -4,7 +4,8 @@ Every method compiles to a 256-entry lookup table which is then applied
 per pixel. Classical HE stretches the cumulative distribution across the
 full range; BBHE splits the histogram at the mean and equalizes each half
 into its own sub-range; MMBEBHE searches all 256 split thresholds for the
-one whose output mean is closest to the input mean.
+one whose output mean is closest to the input mean. All maps round in
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -64,17 +65,21 @@ def apply_lut(img: GrayImage, lut: IntensityLut) -> GrayImage:
     return GrayImage(lut.map[img.pixels])
 
 
+def _round_ratio(num, den):
+    """num / den rounded half up in exact integers (num >= 0, den > 0)."""
+    return (2 * num + den) // (2 * den)
+
+
 def he_lut(hist: Histogram) -> IntensityLut:
     """Classical equalization table: level k maps to round(255 * CDF(k)).
 
-    Rounding is half away from zero. The map is non-decreasing and sends
-    every level at which the CDF has reached 1 to 255.
+    Rounding is half up, in exact integers. The map is non-decreasing and
+    sends every level at which the CDF has reached 1 to 255.
     """
     if hist.total == 0:
         raise ValueError("cannot equalize an empty histogram")
     cum = np.cumsum(hist.counts)  # int64, exact
-    mapped = np.floor(MAX_LEVEL * cum / hist.total + 0.5)
-    return IntensityLut(mapped.astype(np.uint8), "HE")
+    return IntensityLut(_round_ratio(MAX_LEVEL * cum, hist.total), "HE")
 
 
 def _segment_map(counts: np.ndarray, threshold: int) -> np.ndarray:
@@ -85,16 +90,15 @@ def _segment_map(counts: np.ndarray, threshold: int) -> np.ndarray:
     its segment.
     """
     t = threshold
+    cum = np.cumsum(counts)
     out = np.arange(LEVELS, dtype=np.int64)
-    low = counts[: t + 1]
-    n_low = int(low.sum())
+    n_low = int(cum[t])
+    n_high = int(cum[-1]) - n_low
     if n_low > 0:
-        out[: t + 1] = np.floor(t * np.cumsum(low) / n_low + 0.5)
-    high = counts[t + 1 :]
-    n_high = int(high.sum())
+        out[: t + 1] = _round_ratio(t * cum[: t + 1], n_low)
     if n_high > 0:
         width = MAX_LEVEL - (t + 1)
-        out[t + 1 :] = (t + 1) + np.floor(width * np.cumsum(high) / n_high + 0.5)
+        out[t + 1 :] = (t + 1) + _round_ratio(width * (cum[t + 1 :] - n_low), n_high)
     return out
 
 
@@ -111,25 +115,28 @@ def bbhe_lut(hist: Histogram) -> IntensityLut:
 
 
 def mmbebhe_threshold(hist: Histogram) -> int:
-    """Split threshold whose bi-equalized output mean is nearest the input
-    mean; ties go to the smallest threshold.
+    """Split threshold whose bi-equalized output sum is nearest the input
+    sum; ties go to the smallest threshold.
 
-    The candidate output means are computed from the histogram alone
-    (sum of counts[k] * map[k] / N), so no image pass is needed.
+    The output sums of all 256 candidate thresholds come from the histogram
+    alone, as one (threshold, occupied level) integer expression of the
+    `_segment_map` rule, so there is neither an image pass nor a float
+    comparison.
     """
     if hist.total == 0:
         raise ValueError("cannot equalize an empty histogram")
-    counts = hist.counts
-    in_mean = hist.mean()
-    best_t = 0
-    best_err = math.inf
-    for t in range(LEVELS):
-        out_map = _segment_map(counts, t)
-        out_mean = int(np.dot(counts, out_map)) / hist.total
-        err = abs(in_mean - out_mean)
-        if err < best_err:
-            best_t, best_err = t, err
-    return best_t
+    occupied = np.flatnonzero(hist.counts)
+    weights = hist.counts[occupied]
+    cum = np.cumsum(hist.counts)
+    cum_k = cum[occupied]
+    t = np.arange(LEVELS)[:, None]
+    n_low = cum[:, None]
+    n_high = hist.total - n_low
+    below = occupied <= t
+    num = np.where(below, t * cum_k, (MAX_LEVEL - 1 - t) * (cum_k - n_low))
+    den = np.where(below, n_low, n_high)  # an occupied level's side is never empty
+    out_sums = _round_ratio(num, den) @ weights + ((t + 1) * n_high)[:, 0]  # upper side from t + 1
+    return int(np.argmin(np.abs(out_sums - occupied @ weights)))  # first minimum
 
 
 def mmbebhe_lut(hist: Histogram) -> IntensityLut:

@@ -60,17 +60,63 @@ def apply_map(mapping: list[int], pixels) -> list[int]:
 
 def min_mean_error_threshold(pixels) -> int:
     """Materialize the bi-equalized image at every threshold, measure each
-    output mean directly, and pick the argmin (smallest t on ties)."""
+    output sum directly, and pick the argmin of |input sum - output sum|
+    (smallest t on ties). The pixel count is the same on both sides, so
+    this is the mean brightness error compared in exact integers."""
     pixels = [int(p) for p in pixels]
     counts = tally_histogram(pixels)
-    in_mean = sum(pixels) / len(pixels)
+    in_sum = sum(pixels)
     best_t, best_err = 0, float("inf")
     for t in range(256):
-        out = apply_map(segment_map(counts, t), pixels)
-        err = abs(in_mean - sum(out) / len(out))
+        err = abs(in_sum - sum(apply_map(segment_map(counts, t), pixels)))
         if err < best_err:
             best_t, best_err = t, err
     return best_t
+
+
+# Default fuzzy output sets (darker (0, 0, 128), mid (64, 128, 192),
+# brighter (128, 255, 255)) sampled at the 256 integer grid points, as
+# integer numerators over 16256 = lcm(128, 64, 127) of their slopes.
+_FUZZY_OUT_DEN = 16256
+_GRID = np.arange(256, dtype=np.int64)
+_FUZZY_OUT_NUMERATORS = np.stack(
+    [
+        np.maximum(0, 128 - _GRID) * (_FUZZY_OUT_DEN // 128),
+        np.maximum(0, 64 - np.abs(_GRID - 128)) * (_FUZZY_OUT_DEN // 64),
+        np.maximum(0, _GRID - 128) * (_FUZZY_OUT_DEN // 127),
+    ]
+)
+
+
+def fuzzy_default_map(lo: int, hi: int) -> list[int]:
+    """Default-config fuzzy LUT for an image with intensity range [lo, hi],
+    in exact integer arithmetic.
+
+    With D = hi - lo and m = (lo + hi) / 2, the dark (lo, lo, m), gray
+    (lo, m, hi) and bright (m, hi, hi) activations of a level g in [lo, hi]
+    are integers over D: max(0, lo + hi - 2g), max(0, min(2(g - lo),
+    2(hi - g))) and max(0, 2g - lo - hi). Clip (min) and aggregate (max)
+    compare numerators over the common denominator D * 16256; the centroid
+    is rounded half up. Levels outside [lo, hi] fire no rule and pass
+    through; a range below 2 levels gives the identity.
+    """
+    out = list(range(256))
+    span = hi - lo
+    if span < 2:
+        return out
+    g = np.arange(lo, hi + 1, dtype=np.int64)[:, None]
+    acts = (
+        np.maximum(0, lo + hi - 2 * g),
+        np.maximum(0, np.minimum(2 * (g - lo), 2 * (hi - g))),
+        np.maximum(0, 2 * g - lo - hi),
+    )
+    agg = np.zeros((hi - lo + 1, 256), dtype=np.int64)
+    for act, out_set in zip(acts, _FUZZY_OUT_NUMERATORS):
+        agg = np.maximum(agg, np.minimum(act * _FUZZY_OUT_DEN, out_set * span))
+    num = agg @ _GRID
+    den = agg.sum(axis=1)
+    out[lo : hi + 1] = [round_half_up_exact(int(n), int(d)) for n, d in zip(num, den)]
+    return out
 
 
 def triangle_centroid_quadrature(a: float, b: float, c: float, points: int = 200_001) -> float:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from itertools import islice
 
@@ -115,6 +117,47 @@ def test_enhance_bad_fuzzy_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+INVALID_CONFIG_EDITS = [
+    ("resolution", 2.9),
+    ("resolution", 1e12),
+    ("resolution", True),
+    ("breakpoint", float("-inf")),
+]
+
+
+def write_invalid_config(path, edit):
+    field, value = edit
+    doc = json.loads(default_config(FOUR_LEVELS).to_json())
+    if field == "resolution":
+        doc["resolution"] = value
+    else:
+        doc["input_sets"][0]["a"] = value
+    path.write_text(json.dumps(doc))  # json writes -Infinity for -inf
+    return str(path)
+
+
+@pytest.mark.parametrize("edit", INVALID_CONFIG_EDITS)
+def test_enhance_invalid_fuzzy_config_values_exit_2(tmp_path, capsys, edit):
+    src = write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
+    cfg = write_invalid_config(tmp_path / "cfg.json", edit)
+    dst = tmp_path / "out.pgm"
+    assert main(["enhance", src, str(dst), "--method", "fuzzy", "--fuzzy-config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not dst.exists()
+
+
+def test_enhance_compile_error_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    def failing_compiler(hist):
+        raise ValueError("cannot compile this histogram")
+
+    monkeypatch.setattr("contrastkit.histeq.he_lut", failing_compiler)
+    src = write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
+    dst = tmp_path / "out.pgm"
+    assert main(["enhance", src, str(dst), "--method", "he"]) == 2
+    assert capsys.readouterr().err == "error: cannot compile this histogram\n"
+    assert not dst.exists()
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -204,6 +247,28 @@ def test_report_deterministic_bytes(tmp_path):
     assert main(["report", src, "--methods", "he,bbhe,mmbebhe,fuzzy", "--output", str(out1)]) == 0
     assert main(["report", src, "--methods", "he,bbhe,mmbebhe,fuzzy", "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("edit", INVALID_CONFIG_EDITS)
+def test_report_invalid_fuzzy_config_values_exit_2(tmp_path, capsys, edit):
+    src = write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
+    cfg = write_invalid_config(tmp_path / "cfg.json", edit)
+    out = tmp_path / "r.csv"
+    code = main(["report", src, "--methods", "fuzzy", "--output", str(out), "--fuzzy-config", cfg])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_report_quotes_paths_with_commas(tmp_path):
+    src = write_pgm(tmp_path / "a,b.pgm", FOUR_LEVELS)
+    plain = write_pgm(tmp_path / "plain.pgm", FOUR_LEVELS)
+    out = tmp_path / "r.csv"
+    assert main(["report", src, plain, "--methods", "he", "--output", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert [len(row) for row in rows] == [6, 6, 6]
+    assert rows[1][:2] == [src, "he"]
+    assert out.read_text().splitlines()[2].startswith(f"{plain},he,")  # no quotes when not needed
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,3 +334,106 @@ def test_custom_config_drives_the_lut():
     out = apply_lut(TWO_LEVEL, fuzzy_lut(TWO_LEVEL, cfg))
     assert int(out.pixels.min()) >= 64
     assert int(out.pixels.max()) <= 192
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(resolution=2.9),
+        lambda d: d.update(resolution=1e12),
+        lambda d: d.update(resolution=True),
+        lambda d: d.update(resolution=65537),
+        lambda d: d.update(resolution="256"),
+        lambda d: d["input_sets"][0].update(a=float("-inf")),
+        lambda d: d["output_sets"][2].update(c=float("inf")),
+        lambda d: d["output_sets"][1].update(b=float("nan")),
+        lambda d: d["input_sets"][1].update(b=10**400),  # too large for a float
+    ],
+)
+def test_config_json_rejects_nonfinite_breakpoints_and_bad_resolution(mutate):
+    doc = json.loads(default_config(TWO_LEVEL).to_json())
+    mutate(doc)
+    with pytest.raises(ValueError):
+        FuzzyConfig.from_json(json.dumps(doc))
+
+
+def test_config_resolution_bounds_are_inclusive():
+    sets = default_config(TWO_LEVEL).input_sets, full_range_outputs()
+    assert FuzzyConfig(*sets, resolution=2).resolution == 2
+    assert FuzzyConfig(*sets, resolution=65536).resolution == 65536
+
+
+# ---------------------------------------------------------------------------
+# the whole-table LUT compiler against its references
+# ---------------------------------------------------------------------------
+
+
+def _span_lut(lo, hi):
+    img = GrayImage.from_flat(2, 1, [lo, hi])
+    return fuzzy_lut(img, default_config(img)).map.tolist()
+
+
+def _sampled_spans():
+    spans = {(lo, lo + d) for d in range(4) for lo in range(256 - d)}
+    spans |= {(0, hi) for hi in range(256)} | {(lo, 255) for lo in range(256)}
+    rng = np.random.default_rng(2024)
+    for _ in range(1000):
+        lo, hi = sorted(int(v) for v in rng.integers(0, 256, size=2))
+        spans.add((lo, hi))
+    return sorted(spans)
+
+
+def test_default_fuzzy_lut_matches_exact_oracle_on_sampled_spans():
+    mismatched = [s for s in _sampled_spans() if _span_lut(*s) != bruteforce.fuzzy_default_map(*s)]
+    assert mismatched == []
+
+
+@pytest.mark.slow
+def test_default_fuzzy_lut_matches_exact_oracle_on_every_span():
+    spans = [(lo, hi) for lo in range(256) for hi in range(lo, 256)]
+    assert len(spans) == 32896
+    mismatched = [s for s in spans if _span_lut(*s) != bruteforce.fuzzy_default_map(*s)]
+    assert mismatched == []
+
+
+breakpoints = st.one_of(
+    st.integers(-40, 300).map(float),
+    st.floats(-40, 300, allow_nan=False, allow_infinity=False),
+)
+membership_functions = st.tuples(breakpoints, breakpoints, breakpoints).map(
+    lambda abc: MembershipFunction(*sorted(abc))
+)
+
+
+@given(
+    st.tuples(membership_functions, membership_functions, membership_functions),
+    st.tuples(membership_functions, membership_functions, membership_functions),
+    st.integers(2, 1024),
+)
+@settings(max_examples=60, deadline=None)
+def test_fuzzy_lut_matches_per_level_composition(inputs, outputs, resolution):
+    cfg = FuzzyConfig(inputs, outputs, resolution)
+    lut = fuzzy_lut(TWO_LEVEL, cfg).map
+    grid = sample_grid(resolution)
+    for g in range(256):
+        agg = infer(fuzzify(g, cfg), cfg)
+        crisp = defuzzify_centroid(agg)
+        expected = g if crisp is None else crisp
+        if crisp is not None:
+            centroid = float(np.dot(grid, agg)) / float(agg.sum())
+            if abs(centroid - np.floor(centroid) - 0.5) < 1e-9:
+                assert abs(int(lut[g]) - expected) <= 1
+                continue
+        assert lut[g] == expected
+
+
+def test_fuzzy_lut_memory_is_bounded_at_max_resolution():
+    cfg = FuzzyConfig(default_config(TWO_LEVEL).input_sets, full_range_outputs(), 65536)
+    tracemalloc.start()
+    try:
+        lut = fuzzy_lut(TWO_LEVEL, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert lut.map[100] < 100 < 150 < lut.map[150]

@@ -16,6 +16,7 @@ from contrastkit import (
     histogram,
     identity_lut,
     mmbebhe,
+    mmbebhe_lut,
     mmbebhe_threshold,
 )
 from contrastkit.cli import generate_uniform_image
@@ -260,3 +261,54 @@ def test_equalize_small_images_match_from_scratch(values):
     counts = bruteforce.tally_histogram(values)
     expected = bruteforce.apply_map(bruteforce.he_map(counts), values)
     assert equalize(img).pixels.ravel().tolist() == expected
+
+
+def test_mmbebhe_threshold_float_tie_regression():
+    # thresholds 216 and 217 reach the same integer brightness error; the
+    # float means differed in the last bit and picked 217
+    counts = np.zeros(256, dtype=np.int64)
+    counts[[7, 147, 205]] = [2, 2, 8]
+    hist = Histogram(counts)
+    assert mmbebhe_threshold(hist) == 216
+    assert mmbebhe_lut(hist).map[205] == 216
+    pixels = [7] * 2 + [147] * 2 + [205] * 8
+    assert bruteforce.min_mean_error_threshold(pixels) == 216
+
+
+@given(st.dictionaries(st.integers(0, 255), st.integers(1, 12), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_mmbebhe_threshold_matches_exact_oracle_on_sparse_histograms(levels):
+    pixels = [level for level, n in levels.items() for _ in range(n)]
+    counts = np.zeros(256, dtype=np.int64)
+    counts[list(levels)] = list(levels.values())
+    assert mmbebhe_threshold(Histogram(counts)) == bruteforce.min_mean_error_threshold(pixels)
+
+
+@st.composite
+def large_histograms(draw):
+    """Histograms with up to 256 occupied levels and totals up to 2**32."""
+    levels = draw(st.lists(st.integers(0, 255), min_size=1, max_size=256, unique=True))
+    cap = 2**32 // len(levels)
+    counts = np.zeros(256, dtype=np.int64)
+    counts[levels] = draw(st.lists(st.integers(1, cap), min_size=len(levels), max_size=len(levels)))
+    return Histogram(counts)
+
+
+def _float_rounded_segment_map(counts, t):
+    # the float formula the integer rounding rule replaced
+    out = np.arange(256, dtype=np.int64)
+    low, high = counts[: t + 1], counts[t + 1 :]
+    if low.sum() > 0:
+        out[: t + 1] = np.floor(t * np.cumsum(low) / low.sum() + 0.5)
+    if high.sum() > 0:
+        out[t + 1 :] = (t + 1) + np.floor((254 - t) * np.cumsum(high) / high.sum() + 0.5)
+    return out
+
+
+@given(large_histograms())
+def test_integer_rounding_matches_float_formula(hist):
+    cum = np.cumsum(hist.counts)
+    float_he = np.floor(255 * cum / hist.total + 0.5)
+    assert he_lut(hist).map.tolist() == float_he.astype(np.int64).tolist()
+    t = int(np.floor(hist.mean()))
+    assert bbhe_lut(hist).map.tolist() == _float_rounded_segment_map(hist.counts, t).tolist()
