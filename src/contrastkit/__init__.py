@@ -37,7 +37,8 @@ from .image import (
     mean_intensity,
     save_pgm,
 )
-from .metrics import MetricsReport, ambe, entropy, evaluate, mse, psnr
+from .methods import LUT_COMPILERS
+from .metrics import MetricsReport, ambe, entropy, evaluate, evaluate_lut, mse, psnr
 
 __version__ = "0.1.0"
 
@@ -67,11 +68,13 @@ __all__ = [
     "defuzzify_centroid",
     "fuzzy_lut",
     "enhance_fuzzy",
+    "LUT_COMPILERS",
     "MetricsReport",
     "mse",
     "psnr",
     "entropy",
     "ambe",
     "evaluate",
+    "evaluate_lut",
     "__version__",
 ]

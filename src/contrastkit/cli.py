@@ -25,15 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from . import fuzzy as fz
-from . import histeq, metrics
+from . import metrics
+from .histeq import apply_lut
 from .image import GrayImage, PgmDecodeError, histogram, load_pgm, save_pgm
+from .methods import LUT_COMPILERS, lut_compilers
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_PARTIAL = 3
 
-METHOD_NAMES = ("he", "bbhe", "mmbebhe", "fuzzy")
+METHOD_NAMES = tuple(LUT_COMPILERS)
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -73,20 +75,6 @@ def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int)
     return GrayImage.from_flat(width, height, flat)
 
 
-def enhance_image(img: GrayImage, method: str, config: fz.FuzzyConfig | None = None) -> GrayImage:
-    """Apply one enhancement method; `config` is only consulted by fuzzy."""
-    if method == "he":
-        return histeq.equalize(img)
-    if method == "bbhe":
-        return histeq.bbhe(img)
-    if method == "mmbebhe":
-        return histeq.mmbebhe(img)
-    if method == "fuzzy":
-        cfg = config if config is not None else fz.default_config(img)
-        return fz.apply_lut(img, fz.fuzzy_lut(img, cfg))
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _fmt(value: float) -> str:
     return "inf" if value == float("inf") else f"{value:.4f}"
 
@@ -104,8 +92,8 @@ def _load_fuzzy_config(path: str | None) -> fz.FuzzyConfig | None:
 def cmd_enhance(args: argparse.Namespace) -> int:
     try:
         img = _read_image(args.input)
-        config = _load_fuzzy_config(args.fuzzy_config)
-        out = enhance_image(img, args.method, config)
+        compile_lut = lut_compilers(_load_fuzzy_config(args.fuzzy_config))[args.method]
+        out = apply_lut(img, compile_lut(histogram(img)))
     except (OSError, PgmDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -141,7 +129,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             print(f"error: unknown method {m!r}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        config = _load_fuzzy_config(args.fuzzy_config)
+        compilers = lut_compilers(_load_fuzzy_config(args.fuzzy_config))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -150,10 +138,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     failed = False
     for path in args.inputs:
         try:
-            img = _read_image(path)
+            hist = histogram(_read_image(path))
             for method in methods:
-                out = enhance_image(img, method, config)
-                rows.append((path, method, metrics.evaluate(img, out, method)))
+                lut = compilers[method](hist)
+                rows.append((path, method, metrics.evaluate_lut(hist, lut, method)))
         except (OSError, PgmDecodeError, ValueError) as exc:
             print(f"skipping {path}: {exc}", file=sys.stderr)
             failed = True
@@ -163,7 +151,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     for path, method, rep in rows:
         writer.writerow([path, method, *map(_fmt, (rep.mse, rep.psnr, rep.entropy, rep.ambe))])
     try:
-        Path(args.output).write_text(text.getvalue(), encoding="ascii", newline="\n")
+        # an undecodable argv path comes back as the bytes it was given
+        Path(args.output).write_text(
+            text.getvalue(), encoding="utf-8", errors="surrogateescape", newline="\n"
+        )
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

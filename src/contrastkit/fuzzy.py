@@ -1,10 +1,10 @@
 """Rule-based fuzzy contrast enhancement.
 
-Three stages, compiled per image into an intensity LUT:
+Three stages, compiled per histogram into an intensity LUT:
 
 1. fuzzification - each gray level gets membership degrees in three
    image-adaptive input sets (dark / gray / bright, triangles anchored at
-   the image's min, midpoint, and max intensity);
+   the lowest, middle, and highest occupied level of the histogram);
 2. inference - Mamdani style: each of the three rules (dark->darker,
    gray->mid, bright->brighter) clips its output set at the rule's
    activation degree (min), and the clipped sets are aggregated pointwise
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .histeq import IntensityLut, identity_lut, apply_lut, round_half_away
-from .image import LEVELS, MAX_LEVEL, GrayImage
+from .image import LEVELS, MAX_LEVEL, GrayImage, Histogram, histogram
 
 # Dynamic ranges narrower than this admit no meaningful input triangles;
 # the pipeline then falls back to the identity mapping.
@@ -108,8 +108,8 @@ class FuzzyConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "FuzzyConfig":
-        doc = json.loads(text)
         try:
+            doc = json.loads(text)  # RecursionError on deeply nested arrays
             inputs = tuple(
                 MembershipFunction(float(s["a"]), float(s["b"]), float(s["c"]))
                 for s in doc["input_sets"]
@@ -119,16 +119,20 @@ class FuzzyConfig:
                 for s in doc["output_sets"]
             )
             resolution = doc.get("resolution", 256)
-        except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+        except (AttributeError, KeyError, OverflowError, RecursionError, TypeError) as exc:
             raise ValueError(f"malformed fuzzy config document: {exc}") from exc
         return cls(inputs, outputs, resolution)  # type: ignore[arg-type]
 
 
-def default_config(img: GrayImage) -> FuzzyConfig:
+def default_config(hist: Histogram) -> FuzzyConfig:
     """Image-adaptive config: input triangles anchored at the image's min,
-    midpoint, and max intensity; fixed full-range output triangles."""
-    g_min = float(img.pixels.min())
-    g_max = float(img.pixels.max())
+    midpoint, and max intensity (the first and last non-zero bins of its
+    histogram); fixed full-range output triangles."""
+    occupied = np.flatnonzero(hist.counts)
+    if occupied.size == 0:
+        raise ValueError("empty histogram has no intensity range")
+    g_min = float(occupied[0])
+    g_max = float(occupied[-1])
     m = (g_min + g_max) / 2.0
     inputs = (
         MembershipFunction(g_min, g_min, m),
@@ -193,7 +197,7 @@ def membership_plane(cfg: FuzzyConfig) -> np.ndarray:
     return np.column_stack([mf.sample(levels) for mf in cfg.input_sets])
 
 
-def fuzzy_lut(img: GrayImage, cfg: FuzzyConfig) -> IntensityLut:
+def fuzzy_lut(cfg: FuzzyConfig) -> IntensityLut:
     """Compile the pipeline into a LUT: fuzzify, infer, and defuzzify all
     gray levels at once, in blocks of at most 2**16 aggregate samples. A
     degenerate config yields the identity LUT."""
@@ -224,4 +228,4 @@ def fuzzy_lut(img: GrayImage, cfg: FuzzyConfig) -> IntensityLut:
 
 def enhance_fuzzy(img: GrayImage) -> GrayImage:
     """Fuzzy enhancement of `img` with the image-adaptive default config."""
-    return apply_lut(img, fuzzy_lut(img, default_config(img)))
+    return apply_lut(img, fuzzy_lut(default_config(histogram(img))))

@@ -1,10 +1,11 @@
 """Global histogram equalization and its brightness-preserving variants.
 
-Every method compiles to a 256-entry lookup table which is then applied
-per pixel. Classical HE stretches the cumulative distribution across the
-full range; BBHE splits the histogram at the mean and equalizes each half
-into its own sub-range; MMBEBHE searches all 256 split thresholds for the
-one whose output mean is closest to the input mean. All maps round in
+Every method compiles a histogram to a 256-entry lookup table, which is
+then applied per pixel or scored from the histogram alone. Classical HE
+stretches the cumulative distribution across the full range; BBHE splits
+the histogram at the mean and equalizes each half into its own
+sub-range; MMBEBHE searches all 256 split thresholds for the one whose
+output mean is closest to the input mean. All maps round in
 exact integer arithmetic.
 """
 

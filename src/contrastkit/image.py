@@ -187,11 +187,14 @@ class _HeaderScanner:
         return data[start : self.pos]
 
     def next_int(self, what: str) -> int:
+        """A header field: a run of ASCII digits, like a P2 sample."""
         token = self.next_token(what)
-        try:
-            return int(token.decode("ascii"))
-        except (UnicodeDecodeError, ValueError):
-            raise PgmDecodeError(f"malformed {what}: {token!r}") from None
+        if not token.isdigit():  # bytes.isdigit accepts ASCII digits only
+            raise PgmDecodeError(f"malformed {what}: {token!r}")
+        digits = token.lstrip(b"0") or b"0"
+        if len(digits) > 18:  # far past any image, and within int()'s digit limit
+            raise PgmDecodeError(f"{what} out of range: {len(digits)} significant digits")
+        return int(digits)
 
 
 def _parse_header(scanner: _HeaderScanner) -> tuple[int, int, int]:

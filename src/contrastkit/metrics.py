@@ -3,6 +3,11 @@
 PSNR uses the 8-bit peak (L-1)^2 = 255^2 = 65025 and returns +inf for a
 zero MSE so that a perfect reconstruction is representable rather than an
 error. Entropy is in bits (log base 2), bounded by 8 for 8-bit images.
+
+`evaluate` scores two arbitrary images pixel by pixel. `evaluate_lut`
+scores an image against `lut` applied to it in O(256), from the image's
+histogram alone, with a report bit-identical to
+`evaluate(img, apply_lut(img, lut))`.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import GrayImage, histogram, mean_intensity
+from .histeq import IntensityLut
+from .image import LEVELS, GrayImage, Histogram, histogram, mean_intensity
 
 PSNR_PEAK_SQ = 255.0 * 255.0
 
@@ -45,7 +51,16 @@ def mse(original: GrayImage, processed: GrayImage) -> float:
 
 def psnr(original: GrayImage, processed: GrayImage) -> float:
     """Peak signal-to-noise ratio in dB; +inf when the images are identical."""
-    err = mse(original, processed)
+    return _psnr_from_mse(mse(original, processed))
+
+
+def _entropy_bits(hist: Histogram) -> float:
+    p = hist.probabilities()
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
+def _psnr_from_mse(err: float) -> float:
     if err == 0.0:
         return math.inf
     return 10.0 * math.log10(PSNR_PEAK_SQ / err)
@@ -53,9 +68,7 @@ def psnr(original: GrayImage, processed: GrayImage) -> float:
 
 def entropy(img: GrayImage) -> float:
     """Shannon entropy of the intensity distribution, in bits (0..8)."""
-    p = histogram(img).probabilities()
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+    return _entropy_bits(histogram(img))
 
 
 def ambe(original: GrayImage, processed: GrayImage) -> float:
@@ -76,4 +89,26 @@ def evaluate(original: GrayImage, processed: GrayImage, method: str) -> MetricsR
         psnr=psnr(original, processed),
         entropy=entropy(processed),
         ambe=ambe(original, processed),
+    )
+
+
+def evaluate_lut(hist: Histogram, lut: IntensityLut, method: str) -> MetricsReport:
+    """:func:`evaluate` of an image against `lut` applied to it, from the
+    image's histogram `hist` alone.
+
+    MSE and both means come from the same exact integer sums as the pixel
+    path, and entropy from the same output histogram, so the report is
+    bit-identical.
+    """
+    if hist.total == 0:
+        raise ValueError("cannot score an empty histogram")
+    diff = np.arange(LEVELS, dtype=np.int64) - lut.map
+    err = int((diff * diff) @ hist.counts) / hist.total
+    out_hist = Histogram(np.bincount(lut.map, weights=hist.counts, minlength=LEVELS))
+    return MetricsReport(
+        method=method,
+        mse=err,
+        psnr=_psnr_from_mse(err),
+        entropy=_entropy_bits(out_hist),
+        ambe=abs(hist.mean() - out_hist.mean()),
     )

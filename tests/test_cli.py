@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import sys
 from itertools import islice
 
 import numpy as np
@@ -12,6 +14,7 @@ from contrastkit import (
     apply_lut,
     default_config,
     fuzzy_lut,
+    histogram,
     load_pgm,
     save_pgm,
 )
@@ -99,12 +102,12 @@ def test_enhance_all_methods_run(tmp_path):
 def test_enhance_with_custom_fuzzy_config(tmp_path):
     img = generate_uniform_image(8, 8, 100, 150, 11)
     src = write_pgm(tmp_path / "in.pgm", img)
-    cfg = default_config(img)
+    cfg = default_config(histogram(img))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(cfg.to_json())
     dst = tmp_path / "out.pgm"
     assert main(["enhance", src, str(dst), "--method", "fuzzy", "--fuzzy-config", str(cfg_path)]) == 0
-    expected = apply_lut(img, fuzzy_lut(img, FuzzyConfig.from_json(cfg_path.read_text())))
+    expected = apply_lut(img, fuzzy_lut(FuzzyConfig.from_json(cfg_path.read_text())))
     assert load_pgm(dst.read_bytes()) == expected
 
 
@@ -127,7 +130,7 @@ INVALID_CONFIG_EDITS = [
 
 def write_invalid_config(path, edit):
     field, value = edit
-    doc = json.loads(default_config(FOUR_LEVELS).to_json())
+    doc = json.loads(default_config(histogram(FOUR_LEVELS)).to_json())
     if field == "resolution":
         doc["resolution"] = value
     else:
@@ -269,6 +272,63 @@ def test_report_quotes_paths_with_commas(tmp_path):
     assert [len(row) for row in rows] == [6, 6, 6]
     assert rows[1][:2] == [src, "he"]
     assert out.read_text().splitlines()[2].startswith(f"{plain},he,")  # no quotes when not needed
+
+
+def test_report_writes_non_ascii_paths_as_utf8(tmp_path):
+    src = write_pgm(tmp_path / "\u00e9.pgm", FOUR_LEVELS)
+    out = tmp_path / "r.csv"
+    assert main(["report", src, "--methods", "he", "--output", str(out)]) == 0
+    assert out.read_bytes().decode("utf-8").splitlines()[1].startswith(f"{src},he,")
+
+
+def test_report_writes_undecodable_path_bytes(tmp_path):
+    src = write_pgm(tmp_path / os.fsdecode(b"\xff.pgm"), FOUR_LEVELS)
+    out = tmp_path / "r.csv"
+    assert main(["report", src, "--methods", "he", "--output", str(out)]) == 0
+    assert out.read_bytes().splitlines()[1].startswith(os.fsencode(src) + b",he,")
+
+
+def test_report_builds_one_histogram_per_input(tmp_path, monkeypatch):
+    calls = []
+    original = sys.modules["contrastkit.image"].histogram
+
+    def counting_histogram(img):
+        calls.append(img.size)
+        return original(img)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("contrastkit") and getattr(module, "histogram", None) is original:
+            monkeypatch.setattr(module, "histogram", counting_histogram)
+    srcs = [
+        write_pgm(tmp_path / f"{i}.pgm", generate_uniform_image(8 + i, 8, 30 * i, 30 * i + 90, i))
+        for i in range(3)
+    ]
+    out = tmp_path / "r.csv"
+    assert main(["report", *srcs, "--methods", "he,bbhe,mmbebhe,fuzzy", "--output", str(out)]) == 0
+    assert calls == [64, 72, 80]
+
+
+def write_deeply_nested_config(path):
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
+def test_enhance_deeply_nested_fuzzy_config_exits_2(tmp_path, capsys):
+    src = write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
+    cfg = write_deeply_nested_config(tmp_path / "cfg.json")
+    dst = tmp_path / "out.pgm"
+    assert main(["enhance", src, str(dst), "--method", "fuzzy", "--fuzzy-config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not dst.exists()
+
+
+def test_report_deeply_nested_fuzzy_config_exits_2(tmp_path, capsys):
+    src = write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
+    cfg = write_deeply_nested_config(tmp_path / "cfg.json")
+    out = tmp_path / "r.csv"
+    assert main(["report", src, "--methods", "fuzzy", "--output", str(out), "--fuzzy-config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

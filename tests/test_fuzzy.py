@@ -16,6 +16,7 @@ from contrastkit import (
     enhance_fuzzy,
     fuzzify,
     fuzzy_lut,
+    histogram,
     infer,
 )
 from contrastkit.fuzzy import membership_plane, sample_grid
@@ -82,7 +83,7 @@ def test_sample_agrees_with_grade_and_stays_in_unit_interval(abc, xs):
 
 def test_default_config_breakpoints():
     img = GrayImage.from_flat(2, 1, [50, 200])
-    cfg = default_config(img)
+    cfg = default_config(histogram(img))
     dark, gray, bright = cfg.input_sets
     assert (dark.a, dark.b, dark.c) == (50.0, 50.0, 125.0)
     assert (gray.a, gray.b, gray.c) == (50.0, 125.0, 200.0)
@@ -93,19 +94,19 @@ def test_default_config_breakpoints():
 
 def test_default_config_full_range():
     img = GrayImage.from_flat(2, 1, [0, 255])
-    dark, _, bright = default_config(img).input_sets
+    dark, _, bright = default_config(histogram(img)).input_sets
     assert (dark.a, dark.b, dark.c) == (0.0, 0.0, 127.5)
     assert (bright.a, bright.b, bright.c) == (127.5, 255.0, 255.0)
 
 
 def test_default_config_degenerate_on_flat_images():
-    assert default_config(GrayImage.from_flat(2, 2, [9, 9, 9, 9])).degenerate
-    assert default_config(GrayImage.from_flat(2, 1, [9, 10])).degenerate
-    assert not default_config(GrayImage.from_flat(2, 1, [9, 11])).degenerate
+    assert default_config(histogram(GrayImage.from_flat(2, 2, [9, 9, 9, 9]))).degenerate
+    assert default_config(histogram(GrayImage.from_flat(2, 1, [9, 10]))).degenerate
+    assert not default_config(histogram(GrayImage.from_flat(2, 1, [9, 11]))).degenerate
 
 
 def test_fuzzify_at_anchors():
-    cfg = default_config(GrayImage.from_flat(2, 1, [50, 200]))
+    cfg = default_config(histogram(GrayImage.from_flat(2, 1, [50, 200])))
     assert fuzzify(50, cfg) == (1.0, 0.0, 0.0)
     assert fuzzify(125, cfg) == (0.0, 1.0, 0.0)
     d, g, b = fuzzify(87.5, cfg)  # halfway between g_min and the midpoint
@@ -116,13 +117,13 @@ def test_fuzzify_at_anchors():
 def test_partition_of_unity_on_dynamic_range(g_min, span, data):
     g_max = min(255, g_min + span)
     img = GrayImage.from_flat(2, 1, [g_min, g_max])
-    cfg = default_config(img)
+    cfg = default_config(histogram(img))
     g = data.draw(st.integers(g_min, g_max))
     assert sum(fuzzify(g, cfg)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_membership_plane_shape_and_bounds():
-    cfg = default_config(TWO_LEVEL)
+    cfg = default_config(histogram(TWO_LEVEL))
     plane = membership_plane(cfg)
     assert plane.shape == (256, 3)
     assert np.all(plane >= 0.0) and np.all(plane <= 1.0)
@@ -134,19 +135,19 @@ def test_membership_plane_shape_and_bounds():
 
 
 def test_infer_single_full_rule_returns_its_output_set():
-    cfg = default_config(TWO_LEVEL)
+    cfg = default_config(histogram(TWO_LEVEL))
     grid = sample_grid(cfg.resolution)
     agg = infer((1.0, 0.0, 0.0), cfg)
     assert np.array_equal(agg, cfg.output_sets[0].sample(grid))
 
 
 def test_infer_nothing_active_is_zero():
-    cfg = default_config(TWO_LEVEL)
+    cfg = default_config(histogram(TWO_LEVEL))
     assert not np.any(infer((0.0, 0.0, 0.0), cfg))
 
 
 def test_infer_two_clipped_rules_pointwise():
-    cfg = default_config(TWO_LEVEL)
+    cfg = default_config(histogram(TWO_LEVEL))
     grid = sample_grid(cfg.resolution)
     agg = infer((0.5, 0.5, 0.0), cfg)
     darker, mid, _ = cfg.output_sets
@@ -159,7 +160,7 @@ def test_infer_two_clipped_rules_pointwise():
     st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
 )
 def test_aggregate_bounded_by_max_activation(triple):
-    cfg = default_config(TWO_LEVEL)
+    cfg = default_config(histogram(TWO_LEVEL))
     agg = infer(triple, cfg)
     assert np.all(agg >= 0.0)
     assert np.all(agg <= max(triple) + 1e-12)
@@ -212,14 +213,14 @@ def test_centroid_lies_within_support(values):
 
 def test_fuzzy_lut_degenerate_config_is_identity():
     img = GrayImage.from_flat(2, 2, [7, 7, 7, 7])
-    lut = fuzzy_lut(img, default_config(img))
+    lut = fuzzy_lut(default_config(histogram(img)))
     assert lut.method == "IDENTITY"
     assert lut.map.tolist() == list(range(256))
 
 
 def test_fuzzy_lut_anchor_values():
-    cfg = default_config(TWO_LEVEL)
-    lut = fuzzy_lut(TWO_LEVEL, cfg)
+    cfg = default_config(histogram(TWO_LEVEL))
+    lut = fuzzy_lut(cfg)
     assert lut.method == "FUZZY"
     assert lut.map[100] == 42  # full Darker activation
     assert lut.map[150] == 213  # full Brighter activation
@@ -227,7 +228,7 @@ def test_fuzzy_lut_anchor_values():
 
 
 def test_fuzzy_lut_outside_range_falls_back_to_identity():
-    lut = fuzzy_lut(TWO_LEVEL, default_config(TWO_LEVEL))
+    lut = fuzzy_lut(default_config(histogram(TWO_LEVEL)))
     assert lut.map[0] == 0
     assert lut.map[99] == 99
     assert lut.map[151] == 151
@@ -239,7 +240,7 @@ def test_fuzzy_lut_outside_range_falls_back_to_identity():
 def test_fuzzy_lut_monotone_on_dynamic_range(img):
     flat = img.pixels.ravel()
     g_min, g_max = int(flat.min()), int(flat.max())
-    lut = fuzzy_lut(img, default_config(img)).map.astype(np.int64)
+    lut = fuzzy_lut(default_config(histogram(img))).map.astype(np.int64)
     assert np.all(np.diff(lut[g_min : g_max + 1]) >= 0)
 
 
@@ -283,7 +284,7 @@ def test_enhance_fuzzy_mid_window_pushes_past_both_ends():
 
 
 def test_config_json_round_trip():
-    cfg = default_config(TWO_LEVEL)
+    cfg = default_config(histogram(TWO_LEVEL))
     restored = FuzzyConfig.from_json(cfg.to_json())
     assert restored.input_sets == cfg.input_sets
     assert restored.output_sets == cfg.output_sets
@@ -291,7 +292,7 @@ def test_config_json_round_trip():
 
 
 def test_config_json_document_shape():
-    doc = json.loads(default_config(TWO_LEVEL).to_json())
+    doc = json.loads(default_config(histogram(TWO_LEVEL)).to_json())
     assert set(doc) == {"input_sets", "output_sets", "resolution"}
     assert len(doc["input_sets"]) == 3
     assert len(doc["output_sets"]) == 3
@@ -299,7 +300,7 @@ def test_config_json_document_shape():
 
 
 def test_config_json_resolution_is_optional():
-    doc = json.loads(default_config(TWO_LEVEL).to_json())
+    doc = json.loads(default_config(histogram(TWO_LEVEL)).to_json())
     del doc["resolution"]
     assert FuzzyConfig.from_json(json.dumps(doc)).resolution == 256
 
@@ -314,7 +315,7 @@ def test_config_json_resolution_is_optional():
     ],
 )
 def test_config_json_malformed_documents_raise(mutate):
-    doc = json.loads(default_config(TWO_LEVEL).to_json())
+    doc = json.loads(default_config(histogram(TWO_LEVEL)).to_json())
     mutate(doc)
     with pytest.raises(ValueError):
         FuzzyConfig.from_json(json.dumps(doc))
@@ -324,14 +325,14 @@ def test_custom_config_drives_the_lut():
     # squeeze the output sets into [64, 192]: enhancement then cannot leave
     # that window
     cfg = FuzzyConfig(
-        input_sets=default_config(TWO_LEVEL).input_sets,
+        input_sets=default_config(histogram(TWO_LEVEL)).input_sets,
         output_sets=(
             MembershipFunction(64.0, 64.0, 128.0),
             MembershipFunction(96.0, 128.0, 160.0),
             MembershipFunction(128.0, 192.0, 192.0),
         ),
     )
-    out = apply_lut(TWO_LEVEL, fuzzy_lut(TWO_LEVEL, cfg))
+    out = apply_lut(TWO_LEVEL, fuzzy_lut(cfg))
     assert int(out.pixels.min()) >= 64
     assert int(out.pixels.max()) <= 192
 
@@ -351,14 +352,48 @@ def test_custom_config_drives_the_lut():
     ],
 )
 def test_config_json_rejects_nonfinite_breakpoints_and_bad_resolution(mutate):
-    doc = json.loads(default_config(TWO_LEVEL).to_json())
+    doc = json.loads(default_config(histogram(TWO_LEVEL)).to_json())
     mutate(doc)
     with pytest.raises(ValueError):
         FuzzyConfig.from_json(json.dumps(doc))
 
 
+def test_config_json_deeply_nested_document_is_value_error():
+    with pytest.raises(ValueError, match="malformed fuzzy config"):
+        FuzzyConfig.from_json("[" * 100_000 + "]" * 100_000)
+
+
+_CONFIG_KEYS = st.sampled_from(["input_sets", "output_sets", "resolution", "a", "b", "c"])
+_json_documents = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_CONFIG_KEYS | st.text(max_size=4), children, max_size=4),
+    max_leaves=24,
+)
+_config_like = st.fixed_dictionaries(
+    {
+        "input_sets": st.lists(st.dictionaries(_CONFIG_KEYS, _json_documents), max_size=4),
+        "output_sets": st.lists(st.dictionaries(_CONFIG_KEYS, _json_documents), max_size=4),
+    },
+    optional={"resolution": _json_documents},
+)
+
+
+@given(st.one_of(_json_documents.map(json.dumps), _config_like.map(json.dumps), st.text()))
+@settings(max_examples=300)
+def test_config_from_arbitrary_json_raises_only_value_error(text):
+    try:
+        FuzzyConfig.from_json(text)
+    except ValueError:
+        pass
+
+
 def test_config_resolution_bounds_are_inclusive():
-    sets = default_config(TWO_LEVEL).input_sets, full_range_outputs()
+    sets = default_config(histogram(TWO_LEVEL)).input_sets, full_range_outputs()
     assert FuzzyConfig(*sets, resolution=2).resolution == 2
     assert FuzzyConfig(*sets, resolution=65536).resolution == 65536
 
@@ -370,7 +405,7 @@ def test_config_resolution_bounds_are_inclusive():
 
 def _span_lut(lo, hi):
     img = GrayImage.from_flat(2, 1, [lo, hi])
-    return fuzzy_lut(img, default_config(img)).map.tolist()
+    return fuzzy_lut(default_config(histogram(img))).map.tolist()
 
 
 def _sampled_spans():
@@ -413,7 +448,7 @@ membership_functions = st.tuples(breakpoints, breakpoints, breakpoints).map(
 @settings(max_examples=60, deadline=None)
 def test_fuzzy_lut_matches_per_level_composition(inputs, outputs, resolution):
     cfg = FuzzyConfig(inputs, outputs, resolution)
-    lut = fuzzy_lut(TWO_LEVEL, cfg).map
+    lut = fuzzy_lut(cfg).map
     grid = sample_grid(resolution)
     for g in range(256):
         agg = infer(fuzzify(g, cfg), cfg)
@@ -428,10 +463,10 @@ def test_fuzzy_lut_matches_per_level_composition(inputs, outputs, resolution):
 
 
 def test_fuzzy_lut_memory_is_bounded_at_max_resolution():
-    cfg = FuzzyConfig(default_config(TWO_LEVEL).input_sets, full_range_outputs(), 65536)
+    cfg = FuzzyConfig(default_config(histogram(TWO_LEVEL)).input_sets, full_range_outputs(), 65536)
     tracemalloc.start()
     try:
-        lut = fuzzy_lut(TWO_LEVEL, cfg)
+        lut = fuzzy_lut(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

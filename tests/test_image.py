@@ -149,8 +149,22 @@ def test_load_sample_above_maxval_is_error():
 
 
 def test_load_non_numeric_header_is_error():
-    with pytest.raises(PgmDecodeError, match="malformed"):
-        load_pgm(b"P2\nab 2\n255\n0 0\n")
+    # header fields are ASCII digit runs: no int() syntax (underscore, sign)
+    for data in [
+        b"P2\nab 2\n255\n0 0\n",
+        b"P5\n1_0 1\n255\n",
+        b"P5\n+10 1\n255\n",
+        b"P5\n1 1\n0_255\n",
+    ]:
+        with pytest.raises(PgmDecodeError, match="malformed"):
+            load_pgm(data)
+
+
+def test_load_oversized_header_field_is_decode_error():
+    # past int()'s 4,300-digit limit, which raises a bare ValueError
+    with pytest.raises(PgmDecodeError, match="^width out of range: 5000 significant digits$"):
+        load_pgm(b"P5\n" + b"9" * 5000 + b" 1\n255\n")
+    assert load_pgm(b"P5\n0001 0001\n000255\n\x07").pixels.tolist() == [[7]]
 
 
 @pytest.mark.parametrize("token", [b"1_0", b"0_2", b"+1", b"-1", b"1e2", b"\xd9\xa1"])

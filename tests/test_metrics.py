@@ -5,7 +5,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from contrastkit import GrayImage, ambe, entropy, equalize, evaluate, mse, psnr
+from contrastkit import (
+    LUT_COMPILERS,
+    FuzzyConfig,
+    GrayImage,
+    Histogram,
+    IntensityLut,
+    MembershipFunction,
+    ambe,
+    apply_lut,
+    entropy,
+    equalize,
+    evaluate,
+    evaluate_lut,
+    histogram,
+    identity_lut,
+    mse,
+    psnr,
+)
+from contrastkit.methods import lut_compilers
 
 from conftest import gray_images, low_contrast_images, pixel_arrays
 
@@ -193,3 +211,75 @@ def test_evaluate_equalized_low_contrast_in_range(img):
     assert rep.psnr > 0.0 and math.isfinite(rep.psnr) or rep.psnr == math.inf
     assert 0.0 <= rep.entropy <= 8.0
     assert 0.0 <= rep.ambe <= 255.0
+
+
+# ---------------------------------------------------------------------------
+# evaluate_lut: scoring from the histogram and the LUT
+# ---------------------------------------------------------------------------
+
+
+def bits(report):
+    """The report's fields, with every float as its exact bit pattern."""
+    return (report.method, *(float(v).hex() for v in (report.mse, report.psnr, report.entropy, report.ambe)))
+
+
+def assert_scores_match(img, lut, method):
+    expected = evaluate(img, apply_lut(img, lut), method)
+    assert bits(evaluate_lut(histogram(img), lut, method)) == bits(expected)
+
+
+METHOD_NAMES = sorted(LUT_COMPILERS)
+
+
+@given(gray_images(max_side=24) | low_contrast_images(), st.sampled_from(METHOD_NAMES))
+def test_evaluate_lut_is_bit_identical_to_pixel_path(img, method):
+    assert_scores_match(img, LUT_COMPILERS[method](histogram(img)), method)
+
+
+_breakpoints = st.floats(-40, 300, allow_nan=False, allow_infinity=False)
+_triangles = st.tuples(_breakpoints, _breakpoints, _breakpoints).map(
+    lambda abc: MembershipFunction(*sorted(abc))
+)
+_fuzzy_configs = st.builds(
+    FuzzyConfig,
+    st.tuples(_triangles, _triangles, _triangles),
+    st.tuples(_triangles, _triangles, _triangles),
+    st.integers(2, 512),
+)
+
+
+@given(gray_images(max_side=16), _fuzzy_configs)
+def test_evaluate_lut_is_bit_identical_for_custom_fuzzy_configs(img, cfg):
+    assert_scores_match(img, lut_compilers(cfg)["fuzzy"](histogram(img)), "fuzzy")
+
+
+@given(gray_images(max_side=16), pixel_arrays(max_side=16).map(lambda a: a.ravel()))
+def test_evaluate_lut_is_bit_identical_for_arbitrary_luts(img, values):
+    lut = IntensityLut(np.resize(values, 256), "IDENTITY")
+    assert_scores_match(img, lut, "any")
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+@pytest.mark.parametrize("value", [0, 1, 128, 254, 255])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5)])
+def test_evaluate_lut_on_constant_images(method, value, shape):
+    img = GrayImage(np.full(shape, value, dtype=np.uint8))
+    lut = LUT_COMPILERS[method](histogram(img))
+    assert_scores_match(img, lut, method)
+    rep = evaluate_lut(histogram(img), lut, method)
+    assert rep.entropy == 0.0
+    if method == "fuzzy":  # the identity fallback
+        assert (rep.mse, rep.psnr, rep.ambe) == (0.0, math.inf, 0.0)
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_evaluate_lut_is_bit_identical_on_large_images(method):
+    rng = np.random.default_rng(404)
+    for shape in [(517, 389), (1024, 1024)]:
+        img = GrayImage(np.minimum(rng.gamma(3.0, 20.0, size=shape), 255).astype(np.uint8))
+        assert_scores_match(img, LUT_COMPILERS[method](histogram(img)), method)
+
+
+def test_evaluate_lut_rejects_an_empty_histogram():
+    with pytest.raises(ValueError, match="empty"):
+        evaluate_lut(Histogram(np.zeros(256, dtype=np.int64)), identity_lut(), "he")
