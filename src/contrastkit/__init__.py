@@ -10,6 +10,7 @@ from .fuzzy import (
     FuzzyConfig,
     MembershipFunction,
     default_config,
+    default_lut,
     defuzzify_centroid,
     enhance_fuzzy,
     fuzzify,
@@ -63,6 +64,7 @@ __all__ = [
     "MembershipFunction",
     "FuzzyConfig",
     "default_config",
+    "default_lut",
     "fuzzify",
     "infer",
     "defuzzify_centroid",

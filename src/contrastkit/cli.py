@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from pathlib import Path
@@ -110,7 +111,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     try:
         original = _read_image(args.original)
         processed = _read_image(args.processed)
-        report = metrics.evaluate(original, processed, "pair")
+        report = metrics.evaluate(original, processed)
     except (OSError, PgmDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -141,7 +142,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             hist = histogram(_read_image(path))
             for method in methods:
                 lut = compilers[method](hist)
-                rows.append((path, method, metrics.evaluate_lut(hist, lut, method)))
+                rows.append((path, method, metrics.evaluate_lut(hist, lut)))
         except (OSError, PgmDecodeError, ValueError) as exc:
             print(f"skipping {path}: {exc}", file=sys.stderr)
             failed = True
@@ -207,6 +208,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # one parser per process: building it costs more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="contrastkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,25 +10,26 @@ Three stages, compiled per histogram into an intensity LUT:
    activation degree (min), and the clipped sets are aggregated pointwise
    by max;
 3. defuzzification - center of gravity of the aggregate, sampled on a
-   uniform grid over [0, 255], rounded half away from zero.
+   uniform grid over [0, 255], rounded half up.
 
 The fixed full-range output sets are what stretch a narrow input range
-toward the full scale.
+toward the full scale. The image-adaptive method, `default_lut`, maps an
+image whose range is narrower than `MIN_USEFUL_SPAN` by the identity.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .histeq import IntensityLut, identity_lut, apply_lut, round_half_away
+from .histeq import IntensityLut, identity_lut, apply_lut
 from .image import LEVELS, MAX_LEVEL, GrayImage, Histogram, histogram
 
 # Dynamic ranges narrower than this admit no meaningful input triangles;
-# the pipeline then falls back to the identity mapping.
+# `default_lut` then falls back to the identity mapping.
 MIN_USEFUL_SPAN = 2
 
 
@@ -44,20 +45,8 @@ class MembershipFunction:
         if not (math.isfinite(self.a) and math.isfinite(self.c) and self.a <= self.b <= self.c):
             raise ValueError(f"breakpoints must be finite and satisfy a <= b <= c, got {self}")
 
-    def grade(self, x: float) -> float:
-        """Membership degree of `x`, in [0, 1]."""
-        if x == self.b:
-            return 1.0
-        if x < self.b:
-            if x <= self.a:
-                return 0.0
-            return (x - self.a) / (self.b - self.a)
-        if x >= self.c:
-            return 0.0
-        return (self.c - x) / (self.c - self.b)
-
     def sample(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`grade` over an array of points."""
+        """Membership degree of each point of `xs`, in [0, 1]."""
         xs = np.asarray(xs, dtype=np.float64)
         out = np.zeros_like(xs)
         if self.b > self.a:
@@ -76,15 +65,12 @@ class FuzzyConfig:
 
     `input_sets` holds the (dark, gray, bright) sets over the intensity
     domain, `output_sets` the (darker, mid, brighter) sets; rule i pairs
-    input_sets[i] with output_sets[i]. `degenerate` marks configs built
-    from images whose dynamic range is too narrow to enhance; downstream
-    they short-circuit to an identity LUT.
+    input_sets[i] with output_sets[i].
     """
 
     input_sets: tuple[MembershipFunction, MembershipFunction, MembershipFunction]
     output_sets: tuple[MembershipFunction, MembershipFunction, MembershipFunction]
     resolution: int = 256
-    degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.input_sets) != 3 or len(self.output_sets) != 3:
@@ -94,6 +80,7 @@ class FuzzyConfig:
         r = self.resolution  # at most 2**16, so no LUT-compile temporary exceeds 2**16 floats
         if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 2 <= r <= 65536:
             raise ValueError(f"resolution must be an integer in [2, 65536], got {r!r}")
+        object.__setattr__(self, "resolution", int(r))
 
     def to_json(self) -> str:
         def sets(fns):
@@ -144,13 +131,13 @@ def default_config(hist: Histogram) -> FuzzyConfig:
         MembershipFunction(64.0, 128.0, 192.0),
         MembershipFunction(128.0, 255.0, 255.0),
     )
-    return FuzzyConfig(inputs, outputs, degenerate=(g_max - g_min) < MIN_USEFUL_SPAN)
+    return FuzzyConfig(inputs, outputs)
 
 
 def fuzzify(g: float, cfg: FuzzyConfig) -> tuple[float, float, float]:
     """Membership degrees of gray level `g` in the (dark, gray, bright) sets."""
-    dark, gray, bright = cfg.input_sets
-    return (dark.grade(g), gray.grade(g), bright.grade(g))
+    dark, gray, bright = (float(mf.sample(g)) for mf in cfg.input_sets)
+    return (dark, gray, bright)
 
 
 def sample_grid(resolution: int) -> np.ndarray:
@@ -188,7 +175,7 @@ def defuzzify_centroid(agg: np.ndarray) -> int | None:
         return None
     grid = sample_grid(agg.size)
     centroid = float(np.dot(grid, agg)) / total
-    return min(MAX_LEVEL, max(0, round_half_away(centroid)))
+    return min(MAX_LEVEL, max(0, math.floor(centroid + 0.5)))
 
 
 def membership_plane(cfg: FuzzyConfig) -> np.ndarray:
@@ -199,10 +186,7 @@ def membership_plane(cfg: FuzzyConfig) -> np.ndarray:
 
 def fuzzy_lut(cfg: FuzzyConfig) -> IntensityLut:
     """Compile the pipeline into a LUT: fuzzify, infer, and defuzzify all
-    gray levels at once, in blocks of at most 2**16 aggregate samples. A
-    degenerate config yields the identity LUT."""
-    if cfg.degenerate:
-        return identity_lut()
+    gray levels at once, in blocks of at most 2**16 aggregate samples."""
     plane = membership_plane(cfg)
     # a level with no positive activation fires no rule and passes through
     active = np.flatnonzero((plane > 0.0).any(axis=1))
@@ -223,9 +207,19 @@ def fuzzy_lut(cfg: FuzzyConfig) -> IntensityLut:
         fired = total > 0.0
         centroid = (agg @ grid)[fired] / total[fired]
         out[levels[fired]] = np.clip(np.floor(centroid + 0.5), 0, MAX_LEVEL)
-    return IntensityLut(out, "FUZZY")
+    return IntensityLut(out)
+
+
+def default_lut(hist: Histogram) -> IntensityLut:
+    """The image-adaptive fuzzy LUT: `fuzzy_lut(default_config(hist))`, or
+    the identity when the image's range is narrower than MIN_USEFUL_SPAN."""
+    cfg = default_config(hist)
+    dark, _, bright = cfg.input_sets
+    if bright.b - dark.b < MIN_USEFUL_SPAN:
+        return identity_lut()
+    return fuzzy_lut(cfg)
 
 
 def enhance_fuzzy(img: GrayImage) -> GrayImage:
     """Fuzzy enhancement of `img` with the image-adaptive default config."""
-    return apply_lut(img, fuzzy_lut(default_config(histogram(img))))
+    return apply_lut(img, default_lut(histogram(img)))

@@ -18,22 +18,11 @@ import numpy as np
 
 from .image import LEVELS, MAX_LEVEL, GrayImage, Histogram, histogram
 
-METHODS = ("HE", "BBHE", "MMBEBHE", "FUZZY", "IDENTITY")
-
-
-def round_half_away(x: float) -> int:
-    """Round to the nearest integer, halves away from zero."""
-    if x >= 0:
-        return math.floor(x + 0.5)
-    return math.ceil(x - 0.5)
-
-
 @dataclass(frozen=True, eq=False)
 class IntensityLut:
     """A gray-level -> gray-level mapping: the compiled form of a method."""
 
     map: np.ndarray
-    method: str
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.map)
@@ -48,17 +37,15 @@ class IntensityLut:
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "map", arr)
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntensityLut):
             return NotImplemented
-        return self.method == other.method and bool(np.array_equal(self.map, other.map))
+        return bool(np.array_equal(self.map, other.map))
 
 
-def identity_lut(method: str = "IDENTITY") -> IntensityLut:
-    return IntensityLut(np.arange(LEVELS, dtype=np.uint8), method)
+def identity_lut() -> IntensityLut:
+    return IntensityLut(np.arange(LEVELS, dtype=np.uint8))
 
 
 def apply_lut(img: GrayImage, lut: IntensityLut) -> GrayImage:
@@ -80,7 +67,7 @@ def he_lut(hist: Histogram) -> IntensityLut:
     if hist.total == 0:
         raise ValueError("cannot equalize an empty histogram")
     cum = np.cumsum(hist.counts)  # int64, exact
-    return IntensityLut(_round_ratio(MAX_LEVEL * cum, hist.total), "HE")
+    return IntensityLut(_round_ratio(MAX_LEVEL * cum, hist.total))
 
 
 def _segment_map(counts: np.ndarray, threshold: int) -> np.ndarray:
@@ -112,7 +99,7 @@ def bbhe_lut(hist: Histogram) -> IntensityLut:
     if hist.total == 0:
         raise ValueError("cannot equalize an empty histogram")
     t = math.floor(hist.mean())
-    return IntensityLut(_segment_map(hist.counts, t), "BBHE")
+    return IntensityLut(_segment_map(hist.counts, t))
 
 
 def mmbebhe_threshold(hist: Histogram) -> int:
@@ -143,7 +130,7 @@ def mmbebhe_threshold(hist: Histogram) -> int:
 def mmbebhe_lut(hist: Histogram) -> IntensityLut:
     """Bi-equalization table at the minimum-brightness-error threshold."""
     t = mmbebhe_threshold(hist)
-    return IntensityLut(_segment_map(hist.counts, t), "MMBEBHE")
+    return IntensityLut(_segment_map(hist.counts, t))
 
 
 def equalize(img: GrayImage) -> GrayImage:

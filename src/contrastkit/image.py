@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -42,7 +41,6 @@ class GrayImage:
     """Immutable 8-bit grayscale image backed by a (height, width) array."""
 
     pixels: np.ndarray
-    levels: ClassVar[int] = LEVELS
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.pixels)

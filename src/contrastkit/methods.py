@@ -21,7 +21,7 @@ LUT_COMPILERS: dict[str, LutCompiler] = {
     "he": lambda hist: histeq.he_lut(hist),
     "bbhe": lambda hist: histeq.bbhe_lut(hist),
     "mmbebhe": lambda hist: histeq.mmbebhe_lut(hist),
-    "fuzzy": lambda hist: fuzzy.fuzzy_lut(fuzzy.default_config(hist)),
+    "fuzzy": lambda hist: fuzzy.default_lut(hist),
 }
 
 

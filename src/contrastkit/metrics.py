@@ -33,9 +33,8 @@ def _check_same_dims(original: GrayImage, processed: GrayImage) -> None:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """One comparison row: method tag plus the four quality measures."""
+    """The four quality measures of one enhancement result."""
 
-    method: str
     mse: float
     psnr: float
     entropy: float
@@ -77,14 +76,13 @@ def ambe(original: GrayImage, processed: GrayImage) -> float:
     return abs(mean_intensity(original) - mean_intensity(processed))
 
 
-def evaluate(original: GrayImage, processed: GrayImage, method: str) -> MetricsReport:
+def evaluate(original: GrayImage, processed: GrayImage) -> MetricsReport:
     """Bundle the four measures for one enhancement result.
 
     Entropy is measured on the processed image (detail richness of the
     output); the other three compare processed against original.
     """
     return MetricsReport(
-        method=method,
         mse=mse(original, processed),
         psnr=psnr(original, processed),
         entropy=entropy(processed),
@@ -92,7 +90,7 @@ def evaluate(original: GrayImage, processed: GrayImage, method: str) -> MetricsR
     )
 
 
-def evaluate_lut(hist: Histogram, lut: IntensityLut, method: str) -> MetricsReport:
+def evaluate_lut(hist: Histogram, lut: IntensityLut) -> MetricsReport:
     """:func:`evaluate` of an image against `lut` applied to it, from the
     image's histogram `hist` alone.
 
@@ -106,7 +104,6 @@ def evaluate_lut(hist: Histogram, lut: IntensityLut, method: str) -> MetricsRepo
     err = int((diff * diff) @ hist.counts) / hist.total
     out_hist = Histogram(np.bincount(lut.map, weights=hist.counts, minlength=LEVELS))
     return MetricsReport(
-        method=method,
         mse=err,
         psnr=_psnr_from_mse(err),
         entropy=_entropy_bits(out_hist),

@@ -74,6 +74,20 @@ def min_mean_error_threshold(pixels) -> int:
     return best_t
 
 
+def triangle_grade(mf, x: float) -> float:
+    """Membership degree of `x` in the triangle with feet `mf.a`, `mf.c`
+    and peak `mf.b`, one point at a time."""
+    if x == mf.b:
+        return 1.0
+    if x < mf.b:
+        if x <= mf.a:
+            return 0.0
+        return (x - mf.a) / (mf.b - mf.a)
+    if x >= mf.c:
+        return 0.0
+    return (mf.c - x) / (mf.c - mf.b)
+
+
 # Default fuzzy output sets (darker (0, 0, 128), mid (64, 128, 192),
 # brighter (128, 255, 255)) sampled at the 256 integer grid points, as
 # integer numerators over 16256 = lcm(128, 64, 127) of their slopes.

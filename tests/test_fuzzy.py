@@ -1,5 +1,7 @@
 import json
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,11 +14,13 @@ from contrastkit import (
     MembershipFunction,
     apply_lut,
     default_config,
+    default_lut,
     defuzzify_centroid,
     enhance_fuzzy,
     fuzzify,
     fuzzy_lut,
     histogram,
+    identity_lut,
     infer,
 )
 from contrastkit.fuzzy import membership_plane, sample_grid
@@ -40,22 +44,27 @@ def full_range_outputs():
 # ---------------------------------------------------------------------------
 
 
+def grade(mf, x):
+    """`mf.sample` at the single point `x`."""
+    return float(mf.sample(x))
+
+
 def test_triangle_grades():
     mf = MembershipFunction(50.0, 125.0, 200.0)
-    assert mf.grade(125.0) == 1.0
-    assert mf.grade(50.0) == 0.0
-    assert mf.grade(200.0) == 0.0
-    assert mf.grade(87.5) == pytest.approx(0.5)
-    assert mf.grade(162.5) == pytest.approx(0.5)
-    assert mf.grade(0.0) == 0.0
-    assert mf.grade(255.0) == 0.0
+    assert grade(mf, 125.0) == 1.0
+    assert grade(mf, 50.0) == 0.0
+    assert grade(mf, 200.0) == 0.0
+    assert grade(mf, 87.5) == pytest.approx(0.5)
+    assert grade(mf, 162.5) == pytest.approx(0.5)
+    assert grade(mf, 0.0) == 0.0
+    assert grade(mf, 255.0) == 0.0
 
 
 def test_left_shoulder_triangle():
     mf = MembershipFunction(50.0, 50.0, 125.0)
-    assert mf.grade(50.0) == 1.0
-    assert mf.grade(49.0) == 0.0
-    assert mf.grade(87.5) == pytest.approx(0.5)
+    assert grade(mf, 50.0) == 1.0
+    assert grade(mf, 49.0) == 0.0
+    assert grade(mf, 87.5) == pytest.approx(0.5)
 
 
 def test_breakpoint_order_enforced():
@@ -71,7 +80,7 @@ def test_sample_agrees_with_grade_and_stays_in_unit_interval(abc, xs):
     mf = MembershipFunction(*abc)
     sampled = mf.sample(np.array(xs))
     for x, s in zip(xs, sampled):
-        g = mf.grade(x)
+        g = bruteforce.triangle_grade(mf, x)
         assert 0.0 <= g <= 1.0
         assert s == pytest.approx(g, abs=1e-12)
 
@@ -89,7 +98,7 @@ def test_default_config_breakpoints():
     assert (gray.a, gray.b, gray.c) == (50.0, 125.0, 200.0)
     assert (bright.a, bright.b, bright.c) == (125.0, 200.0, 200.0)
     assert cfg.resolution == 256
-    assert not cfg.degenerate
+    assert default_lut(histogram(img)) == fuzzy_lut(cfg)
 
 
 def test_default_config_full_range():
@@ -100,9 +109,10 @@ def test_default_config_full_range():
 
 
 def test_default_config_degenerate_on_flat_images():
-    assert default_config(histogram(GrayImage.from_flat(2, 2, [9, 9, 9, 9]))).degenerate
-    assert default_config(histogram(GrayImage.from_flat(2, 1, [9, 10]))).degenerate
-    assert not default_config(histogram(GrayImage.from_flat(2, 1, [9, 11]))).degenerate
+    for span, identity in ((0, True), (1, True), (2, False)):
+        for lo in range(256 - span):
+            lut = default_lut(histogram(GrayImage.from_flat(2, 1, [lo, lo + span])))
+            assert (lut == identity_lut()) == identity, (lo, span)
 
 
 def test_fuzzify_at_anchors():
@@ -152,7 +162,9 @@ def test_infer_two_clipped_rules_pointwise():
     agg = infer((0.5, 0.5, 0.0), cfg)
     darker, mid, _ = cfg.output_sets
     for i, x in enumerate(grid):
-        expected = max(min(0.5, darker.grade(x)), min(0.5, mid.grade(x)))
+        expected = max(
+            min(0.5, bruteforce.triangle_grade(darker, x)), min(0.5, bruteforce.triangle_grade(mid, x))
+        )
         assert agg[i] == pytest.approx(expected, abs=1e-12)
 
 
@@ -197,6 +209,16 @@ def test_centroid_degenerate_and_invalid_inputs():
         defuzzify_centroid(np.array([1.0]))
 
 
+@pytest.mark.parametrize("x,expected", [(0.5, 1), (1.5, 2), (2.4, 2), (2.5, 3), (63.75, 64), (127.5, 128)])
+def test_centroid_rounds_half_up(x, expected):
+    # weight the grid points either side of x so that the centroid is x
+    k = math.floor(x)
+    upper = Fraction(x - k).limit_denominator(8)
+    agg = np.zeros(256)
+    agg[k], agg[k + 1] = upper.denominator - upper.numerator, upper.numerator
+    assert defuzzify_centroid(agg) == expected
+
+
 @given(st.lists(st.floats(0, 1), min_size=2, max_size=64).filter(lambda v: sum(v) > 1e-9))
 def test_centroid_lies_within_support(values):
     agg = np.array(values)
@@ -213,15 +235,13 @@ def test_centroid_lies_within_support(values):
 
 def test_fuzzy_lut_degenerate_config_is_identity():
     img = GrayImage.from_flat(2, 2, [7, 7, 7, 7])
-    lut = fuzzy_lut(default_config(histogram(img)))
-    assert lut.method == "IDENTITY"
+    lut = default_lut(histogram(img))
     assert lut.map.tolist() == list(range(256))
 
 
 def test_fuzzy_lut_anchor_values():
     cfg = default_config(histogram(TWO_LEVEL))
     lut = fuzzy_lut(cfg)
-    assert lut.method == "FUZZY"
     assert lut.map[100] == 42  # full Darker activation
     assert lut.map[150] == 213  # full Brighter activation
     assert lut.map[125] == 128  # midpoint -> symmetric Mid aggregate
@@ -289,6 +309,33 @@ def test_config_json_round_trip():
     assert restored.input_sets == cfg.input_sets
     assert restored.output_sets == cfg.output_sets
     assert restored.resolution == cfg.resolution
+
+
+def _round_trip_spans():
+    """Every span of at most 3 levels, plus 200 more drawn with a fixed seed."""
+    narrow = {(lo, lo + d) for d in range(4) for lo in range(256 - d)}
+    spans = set(narrow)
+    rng = np.random.default_rng(2025)
+    while len(spans) < len(narrow) + 200:
+        lo, hi = sorted(int(v) for v in rng.integers(0, 256, size=2))
+        spans.add((lo, hi))
+    return sorted(spans)
+
+
+def test_equal_configs_compile_to_equal_luts():
+    for lo, hi in _round_trip_spans():
+        cfg = default_config(histogram(GrayImage.from_flat(2, 1, [lo, hi])))
+        restored = FuzzyConfig.from_json(cfg.to_json())
+        assert restored == cfg
+        assert fuzzy_lut(restored) == fuzzy_lut(cfg), (lo, hi)
+
+
+def test_config_normalises_resolution_to_int():
+    sets = default_config(histogram(TWO_LEVEL)).input_sets, full_range_outputs()
+    cfg = FuzzyConfig(*sets, resolution=np.int64(300))
+    assert type(cfg.resolution) is int
+    assert json.loads(cfg.to_json())["resolution"] == 300
+    assert FuzzyConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_config_json_document_shape():
@@ -405,7 +452,7 @@ def test_config_resolution_bounds_are_inclusive():
 
 def _span_lut(lo, hi):
     img = GrayImage.from_flat(2, 1, [lo, hi])
-    return fuzzy_lut(default_config(histogram(img))).map.tolist()
+    return default_lut(histogram(img)).map.tolist()
 
 
 def _sampled_spans():

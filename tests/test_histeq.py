@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from contrastkit import (
     mmbebhe_threshold,
 )
 from contrastkit.cli import generate_uniform_image
-from contrastkit.histeq import round_half_away
 
 import bruteforce
 from conftest import gray_images
@@ -30,30 +31,19 @@ FOUR_LEVELS = GrayImage.from_flat(2, 2, [0, 64, 128, 255])
 
 
 # ---------------------------------------------------------------------------
-# rounding and LUT container
+# LUT container
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "x,expected",
-    [(0.5, 1), (1.5, 2), (2.4, 2), (2.5, 3), (-0.5, -1), (-1.5, -2), (63.75, 64), (127.5, 128)],
-)
-def test_round_half_away(x, expected):
-    assert round_half_away(x) == expected
 
 
 def test_lut_validation():
     with pytest.raises(ValueError):
-        IntensityLut(np.arange(255), "HE")
+        IntensityLut(np.arange(255))
     with pytest.raises(ValueError):
-        IntensityLut(np.full(256, 300), "HE")
-    with pytest.raises(ValueError):
-        IntensityLut(np.arange(256), "NOPE")
+        IntensityLut(np.full(256, 300))
 
 
 def test_identity_lut_maps_everything_to_itself():
     lut = identity_lut()
-    assert lut.method == "IDENTITY"
     assert lut.map.tolist() == list(range(256))
 
 
@@ -64,8 +54,7 @@ def test_identity_lut_maps_everything_to_itself():
 
 def test_he_lut_four_levels():
     lut = he_lut(histogram(FOUR_LEVELS))
-    assert lut.method == "HE"
-    # 255 * {1/4, 2/4, 3/4, 4/4} = {63.75, 127.5, 191.25, 255}, halves away
+    # 255 * {1/4, 2/4, 3/4, 4/4} = {63.75, 127.5, 191.25, 255}, halves up
     assert lut.map[0] == 64
     assert lut.map[64] == 128
     assert lut.map[128] == 191
@@ -98,7 +87,7 @@ def test_he_lut_monotone_and_range(img):
     occupied = np.flatnonzero(hist.counts)
     assert lut[occupied[-1]] == 255
     first = occupied[0]
-    assert lut[first] == round_half_away(255 * hist.counts[first] / hist.total)
+    assert lut[first] == math.floor(255 * hist.counts[first] / hist.total + 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +100,7 @@ def test_apply_identity_lut_is_noop():
 
 
 def test_apply_constant_lut_zeroes_image():
-    lut = IntensityLut(np.zeros(256, dtype=np.uint8), "IDENTITY")
+    lut = IntensityLut(np.zeros(256, dtype=np.uint8))
     out = apply_lut(FOUR_LEVELS, lut)
     assert np.all(out.pixels == 0)
 

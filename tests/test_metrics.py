@@ -186,8 +186,7 @@ def test_ambe_triangle_inequality(pair):
 
 def test_evaluate_identical_pair():
     a = img_of(10, 20, 30, 40)
-    rep = evaluate(a, a, "identity")
-    assert rep.method == "identity"
+    rep = evaluate(a, a)
     assert rep.mse == 0.0
     assert rep.psnr == math.inf
     assert rep.ambe == 0.0
@@ -197,7 +196,7 @@ def test_evaluate_identical_pair():
 @given(paired_images())
 def test_evaluate_couples_psnr_to_mse(pair):
     a, b = pair
-    rep = evaluate(a, b, "x")
+    rep = evaluate(a, b)
     if rep.mse > 0:
         assert rep.psnr == pytest.approx(10 * math.log10(65025.0 / rep.mse), abs=1e-9)
     else:
@@ -206,7 +205,7 @@ def test_evaluate_couples_psnr_to_mse(pair):
 
 @given(low_contrast_images())
 def test_evaluate_equalized_low_contrast_in_range(img):
-    rep = evaluate(img, equalize(img), "he")
+    rep = evaluate(img, equalize(img))
     assert 0.0 <= rep.mse <= 65025.0
     assert rep.psnr > 0.0 and math.isfinite(rep.psnr) or rep.psnr == math.inf
     assert 0.0 <= rep.entropy <= 8.0
@@ -220,12 +219,12 @@ def test_evaluate_equalized_low_contrast_in_range(img):
 
 def bits(report):
     """The report's fields, with every float as its exact bit pattern."""
-    return (report.method, *(float(v).hex() for v in (report.mse, report.psnr, report.entropy, report.ambe)))
+    return tuple(float(v).hex() for v in (report.mse, report.psnr, report.entropy, report.ambe))
 
 
-def assert_scores_match(img, lut, method):
-    expected = evaluate(img, apply_lut(img, lut), method)
-    assert bits(evaluate_lut(histogram(img), lut, method)) == bits(expected)
+def assert_scores_match(img, lut):
+    expected = evaluate(img, apply_lut(img, lut))
+    assert bits(evaluate_lut(histogram(img), lut)) == bits(expected)
 
 
 METHOD_NAMES = sorted(LUT_COMPILERS)
@@ -233,7 +232,7 @@ METHOD_NAMES = sorted(LUT_COMPILERS)
 
 @given(gray_images(max_side=24) | low_contrast_images(), st.sampled_from(METHOD_NAMES))
 def test_evaluate_lut_is_bit_identical_to_pixel_path(img, method):
-    assert_scores_match(img, LUT_COMPILERS[method](histogram(img)), method)
+    assert_scores_match(img, LUT_COMPILERS[method](histogram(img)))
 
 
 _breakpoints = st.floats(-40, 300, allow_nan=False, allow_infinity=False)
@@ -250,13 +249,13 @@ _fuzzy_configs = st.builds(
 
 @given(gray_images(max_side=16), _fuzzy_configs)
 def test_evaluate_lut_is_bit_identical_for_custom_fuzzy_configs(img, cfg):
-    assert_scores_match(img, lut_compilers(cfg)["fuzzy"](histogram(img)), "fuzzy")
+    assert_scores_match(img, lut_compilers(cfg)["fuzzy"](histogram(img)))
 
 
 @given(gray_images(max_side=16), pixel_arrays(max_side=16).map(lambda a: a.ravel()))
 def test_evaluate_lut_is_bit_identical_for_arbitrary_luts(img, values):
-    lut = IntensityLut(np.resize(values, 256), "IDENTITY")
-    assert_scores_match(img, lut, "any")
+    lut = IntensityLut(np.resize(values, 256))
+    assert_scores_match(img, lut)
 
 
 @pytest.mark.parametrize("method", METHOD_NAMES)
@@ -265,8 +264,8 @@ def test_evaluate_lut_is_bit_identical_for_arbitrary_luts(img, values):
 def test_evaluate_lut_on_constant_images(method, value, shape):
     img = GrayImage(np.full(shape, value, dtype=np.uint8))
     lut = LUT_COMPILERS[method](histogram(img))
-    assert_scores_match(img, lut, method)
-    rep = evaluate_lut(histogram(img), lut, method)
+    assert_scores_match(img, lut)
+    rep = evaluate_lut(histogram(img), lut)
     assert rep.entropy == 0.0
     if method == "fuzzy":  # the identity fallback
         assert (rep.mse, rep.psnr, rep.ambe) == (0.0, math.inf, 0.0)
@@ -277,9 +276,9 @@ def test_evaluate_lut_is_bit_identical_on_large_images(method):
     rng = np.random.default_rng(404)
     for shape in [(517, 389), (1024, 1024)]:
         img = GrayImage(np.minimum(rng.gamma(3.0, 20.0, size=shape), 255).astype(np.uint8))
-        assert_scores_match(img, LUT_COMPILERS[method](histogram(img)), method)
+        assert_scores_match(img, LUT_COMPILERS[method](histogram(img)))
 
 
 def test_evaluate_lut_rejects_an_empty_histogram():
     with pytest.raises(ValueError, match="empty"):
-        evaluate_lut(Histogram(np.zeros(256, dtype=np.int64)), identity_lut(), "he")
+        evaluate_lut(Histogram(np.zeros(256, dtype=np.int64)), identity_lut())
