@@ -44,6 +44,8 @@ _SPLITMIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_MUL2 = np.uint64(0x94D049BB133111EB)
 # elements per generator block: bounds each uint64 temporary to 512 KiB
 _SYNTH_BLOCK = 1 << 16
+# largest image `synth` writes, 16384 x 16384: checked before any allocation
+SYNTH_MAX_PIXELS = 1 << 28
 
 
 def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int) -> GrayImage:
@@ -190,6 +192,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if args.width < 1 or args.height < 1:
         print("error: width and height must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.width * args.height > SYNTH_MAX_PIXELS:
+        print(f"error: width x height must not exceed {SYNTH_MAX_PIXELS} pixels", file=sys.stderr)
         return EXIT_USAGE
     img = generate_uniform_image(args.width, args.height, args.lo, args.hi, args.seed)
     try:

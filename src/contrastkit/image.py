@@ -14,6 +14,11 @@ import numpy as np
 
 LEVELS = 256
 MAX_LEVEL = LEVELS - 1
+# largest histogram total: the tightest integer kernel, MSE's sum of
+# 65025 * N, stays below 2**63
+MAX_TOTAL = 1 << 47
+# pixels per bincount block: bounds its intp temporary to 512 KiB
+_HIST_BLOCK = 1 << 16
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\n\r]*")
@@ -92,7 +97,7 @@ class Histogram:
     """Per-level pixel counts (256 bins) with derived probability views.
 
     Counts are raw integers; probabilities and the CDF are computed on
-    demand in double precision.
+    demand in double precision. The total may not exceed `MAX_TOTAL`.
     """
 
     counts: np.ndarray
@@ -104,10 +109,16 @@ class Histogram:
             raise ValueError(f"counts must have {LEVELS} bins, got shape {arr.shape}")
         if arr.min() < 0:
             raise ValueError("counts must be non-negative")
+        total = int(arr.sum())  # exact once no bin exceeds MAX_TOTAL
+        if arr.max() > MAX_TOTAL or total > MAX_TOTAL:
+            raise ValueError(
+                f"histogram total exceeds {MAX_TOTAL} (2**47) pixels, "
+                "past which the integer kernels overflow int64"
+            )
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "total", int(arr.sum()))
+        object.__setattr__(self, "total", total)
 
     def probabilities(self) -> np.ndarray:
         """Occurrence probability of each level (counts / total)."""
@@ -135,8 +146,14 @@ class Histogram:
 
 
 def histogram(img: GrayImage) -> Histogram:
-    """Count the pixels of `img` at each of the 256 gray levels."""
-    counts = np.bincount(img.pixels.ravel(), minlength=LEVELS)
+    """Count the pixels of `img` at each of the 256 gray levels.
+
+    Counts block by block, so the extra memory is bounded at any image size.
+    """
+    flat = img.pixels.ravel()  # a view: the pixels are C-contiguous
+    counts = np.zeros(LEVELS, dtype=np.int64)
+    for start in range(0, flat.size, _HIST_BLOCK):
+        counts += np.bincount(flat[start : start + _HIST_BLOCK], minlength=LEVELS)
     return Histogram(counts)
 
 
@@ -262,7 +279,7 @@ def load_pgm(data: bytes) -> GrayImage:
     trailing pixel data, P2 samples that are not runs of ASCII digits, or
     samples exceeding maxval.
     """
-    data = bytes(data)
+    data = bytes(data)  # copies a mutable buffer, so the image never aliases one
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise PgmDecodeError(f"malformed magic number {magic!r}; expected P2 or P5")
@@ -274,14 +291,14 @@ def load_pgm(data: bytes) -> GrayImage:
         if scanner.pos >= len(data) or data[scanner.pos : scanner.pos + 1] not in _WHITESPACE:
             raise PgmDecodeError("missing whitespace after maxval before binary raster")
         start = scanner.pos + 1
-        raster = data[start : start + count]
-        if len(raster) < count:
+        if len(data) < start + count:
             raise PgmDecodeError(
-                f"truncated pixel data: expected {count} bytes, got {len(raster)}"
+                f"truncated pixel data: expected {count} bytes, got {len(data) - start}"
             )
         if len(data) > start + count:
             raise PgmDecodeError("trailing data after binary raster")
-        samples = np.frombuffer(raster, dtype=np.uint8)
+        # a read-only view of the file bytes, which nothing can mutate
+        samples = np.frombuffer(data, dtype=np.uint8, count=count, offset=start)
     else:
         samples = _parse_ascii_raster(data[scanner.pos :], count, maxval)
 

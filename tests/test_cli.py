@@ -420,6 +420,19 @@ def test_synth_rejects_out_of_range_bounds(tmp_path):
     assert main(["synth", str(tmp_path / "x.pgm"), "--width", "0", "--height", "4"]) == 1
 
 
+@pytest.mark.parametrize(
+    "width, height",
+    [("1000000000", "1000000000"), ("10000000000", "10000000000"), ("16385", "16384")],
+)
+def test_synth_over_pixel_cap_is_usage_error(tmp_path, capsys, width, height):
+    # the cap is checked first, so these sizes allocate nothing
+    out = tmp_path / "x.pgm"
+    assert main(["synth", str(out), "--width", width, "--height", height]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: width x height must not exceed 268435456 pixels\n"  # 16384**2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 # ---------------------------------------------------------------------------

@@ -1,11 +1,21 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contrastkit import GrayImage, PgmDecodeError, histogram, load_pgm, mean_intensity, save_pgm
+from contrastkit import (
+    GrayImage,
+    Histogram,
+    PgmDecodeError,
+    histogram,
+    load_pgm,
+    mean_intensity,
+    save_pgm,
+)
+from contrastkit.image import _HIST_BLOCK
 
 from bruteforce import PGM_WHITESPACE, encode_p2, p2_raster_samples, tally_histogram
 from conftest import gray_images, pixel_arrays
@@ -54,8 +64,6 @@ def test_image_equality():
 
 
 def test_histogram_rejects_bad_counts():
-    from contrastkit import Histogram
-
     with pytest.raises(ValueError):
         Histogram(np.zeros(255, dtype=np.int64))
     counts = np.zeros(256, dtype=np.int64)
@@ -64,9 +72,29 @@ def test_histogram_rejects_bad_counts():
         Histogram(counts)
 
 
-def test_empty_histogram_has_no_derived_views():
-    from contrastkit import Histogram
+def test_histogram_total_bound_is_inclusive():
+    counts = np.zeros(256, dtype=np.int64)
+    counts[[3, 250]] = [2**46, 2**46]
+    assert Histogram(counts).total == 2**47
 
+
+@pytest.mark.parametrize(
+    "bins",
+    [
+        {3: 2**46, 250: 2**46, 7: 1},  # one past 2**47
+        {0: 2**62, 1: 2**62, 2: 2**62, 3: 2**62},  # an int64 sum wraps to 0
+        # these once scored an MSE of 751.0 where the true one is about 25,327
+        {10: 2**53, 200: 2**53 // 3 + 1, 100: 7},
+    ],
+)
+def test_histogram_rejects_totals_past_2_47(bins):
+    counts = np.zeros(256, dtype=np.int64)
+    counts[list(bins)] = list(bins.values())
+    with pytest.raises(ValueError, match=r"^histogram total exceeds 140737488355328 \(2\*\*47\)"):
+        Histogram(counts)
+
+
+def test_empty_histogram_has_no_derived_views():
     empty = Histogram(np.zeros(256, dtype=np.int64))
     assert empty.total == 0
     with pytest.raises(ValueError):
@@ -126,6 +154,43 @@ def test_load_truncated_raster_is_error():
         load_pgm(b"P5\n2 2\n255\n" + bytes([1, 2, 3]))
     with pytest.raises(PgmDecodeError, match="truncated"):
         load_pgm(b"P2\n2 2\n255\n1 2 3\n")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5\n2 2\n255\n\x01\x02\x03", "truncated pixel data: expected 4 bytes, got 3"),
+        (b"P5\n2 2\n255\n", "truncated pixel data: expected 4 bytes, got 0"),
+        (b"P5\n2 2\n255\n\x01\x02\x03\x04\x05", "trailing data after binary raster"),
+    ],
+)
+def test_load_p5_raster_length_messages(data, message):
+    with pytest.raises(PgmDecodeError, match=f"^{re.escape(message)}$"):
+        load_pgm(data)
+
+
+def test_load_p5_does_not_alias_a_mutable_buffer():
+    buf = bytearray(b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4]))
+    img = load_pgm(buf)
+    buf[-4:] = bytes([9, 9, 9, 9])
+    assert img.pixels.ravel().tolist() == [1, 2, 3, 4]
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced while `fn(*args)` runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_p5_views_the_file_bytes():
+    data = b"P5\n2048 2048\n255\n" + bytes(range(256)) * (2048 * 2048 // 256)
+    assert _traced_peak(load_pgm, data) < 64 * 1024
 
 
 def test_load_trailing_data_is_error():
@@ -351,6 +416,29 @@ def test_histogram_constant_image():
 def test_histogram_matches_naive_tally(arr):
     counts = histogram(GrayImage(arr)).counts
     assert counts.tolist() == tally_histogram(arr.ravel())
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (1, 1),
+        (255, 257),  # one pixel short of a block
+        (64, 1024),  # exactly one block
+        (_HIST_BLOCK + 1, 1),  # one pixel into a second block
+        (1, 3 * _HIST_BLOCK + 5),
+    ],
+)
+def test_histogram_block_edges(shape):
+    rng = np.random.default_rng(sum(shape))
+    arr = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    hist = histogram(GrayImage(arr))
+    assert hist.counts.tolist() == tally_histogram(arr.ravel())
+    assert hist.total == arr.size
+
+
+def test_histogram_memory_is_bounded():
+    img = GrayImage(np.zeros((2048, 2048), dtype=np.uint8))
+    assert _traced_peak(histogram, img) < 1024 * 1024
 
 
 def test_mean_constant():

@@ -63,6 +63,15 @@ def test_mse_maximal():
     assert mse(img_of(0, 255), img_of(255, 0)) == 65025.0
 
 
+def test_evaluate_lut_exact_at_the_histogram_total_bound():
+    # the largest total with the largest squared error: 65025 * 2**47 < 2**63
+    counts = np.zeros(256, dtype=np.int64)
+    counts[0] = 2**47
+    lut = IntensityLut(np.full(256, 255, dtype=np.uint8))
+    rep = evaluate_lut(Histogram(counts), lut)
+    assert (rep.mse, rep.psnr, rep.entropy, rep.ambe) == (65025.0, 0.0, 0.0, 255.0)
+
+
 def test_mse_dimension_mismatch():
     with pytest.raises(ValueError, match="2x2.*3x3"):
         mse(GrayImage.from_flat(2, 2, [0] * 4), GrayImage.from_flat(3, 3, [0] * 9))
