@@ -20,6 +20,8 @@ import argparse
 import csv
 import functools
 import io
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -28,7 +30,7 @@ import numpy as np
 from . import fuzzy as fz
 from . import metrics
 from .histeq import apply_lut
-from .image import GrayImage, PgmDecodeError, histogram, load_pgm, save_pgm
+from .image import GrayImage, histogram, load_pgm, save_pgm
 from .methods import LUT_COMPILERS, lut_compilers
 
 EXIT_OK = 0
@@ -75,11 +77,18 @@ def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int)
         z %= span
         flat[start:stop] = z
     flat += lo
+    flat.setflags(write=False)  # fresh, so the image keeps it without a copy
     return GrayImage.from_flat(width, height, flat)
 
 
-def _fmt(value: float) -> str:
-    return "inf" if value == float("inf") else f"{value:.4f}"
+class UsageError(Exception):
+    """A command-line value the command rejects: exit code 1."""
+
+
+def _scores(rep: metrics.MetricsReport) -> list[str]:
+    """MSE, PSNR, entropy and AMBE to 4 places; the PSNR of a zero MSE is `inf`."""
+    values = (rep.mse, rep.psnr, rep.entropy, rep.ambe)
+    return ["inf" if v == float("inf") else f"{v:.4f}" for v in values]
 
 
 def _read_image(path: str) -> GrayImage:
@@ -92,116 +101,104 @@ def _load_fuzzy_config(path: str | None) -> fz.FuzzyConfig | None:
     return fz.FuzzyConfig.from_json(Path(path).read_text(encoding="ascii"))
 
 
-def cmd_enhance(args: argparse.Namespace) -> int:
+def _write_output(path: str, data: bytes) -> None:
+    """Replace the file at `path` (through a symlink) with `data` whole, via a
+    new file renamed over it, so a failed write leaves the old file intact; an
+    existing file keeps its permission bits. What is not a writable regular
+    file once links are followed (/dev/null, /dev/stdout on a pipe, a read-only
+    file) or lies in an unwritable folder is written in place, as a plain
+    write would. Errors name `path`."""
+    path = os.fspath(Path(path))  # as `Path` reads it: "out.pgm/" is out.pgm, "" is "."
     try:
-        img = _read_image(args.input)
-        compile_lut = lut_compilers(_load_fuzzy_config(args.fuzzy_config))[args.method]
-        out = apply_lut(img, compile_lut(histogram(img)))
-    except (OSError, PgmDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        Path(args.output).write_bytes(save_pgm(out, args.format))
+        try:
+            mode = os.stat(path).st_mode  # of the file that `open` would reach
+        except FileNotFoundError:
+            mode = None  # a new file, or the missing target of a dangling link
+        # the file a link leads to is replaced; a new path is taken as the kernel reads it
+        target = os.path.realpath(path) if mode is not None or os.path.islink(path) else path
+        folder = os.path.dirname(target) or "."
+        in_place = mode is not None and not (stat.S_ISREG(mode) and os.access(path, os.W_OK))
+        if in_place or not os.access(folder, os.W_OK | os.X_OK):
+            with open(path, "wb") as f:
+                f.write(data)
+            return
+        temp = os.path.join(folder, f".contrastkit-{os.urandom(4).hex()}.tmp")
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies
+        try:
+            with open(fd, "wb") as f:
+                if mode is not None:  # before any byte is written
+                    os.fchmod(fd, stat.S_IMODE(mode))
+                f.write(data)
+            os.replace(temp, target)
+        except BaseException:
+            os.unlink(temp)
+            raise
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
+def cmd_enhance(args: argparse.Namespace) -> int:
+    img = _read_image(args.input)
+    compile_lut = lut_compilers(_load_fuzzy_config(args.fuzzy_config))[args.method]
+    out = apply_lut(img, compile_lut(histogram(img)))
+    _write_output(args.output, save_pgm(out, args.format))
     print(f"{args.method}: {img.width}x{img.height} {args.input} -> {args.output}")
     return EXIT_OK
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    try:
-        original = _read_image(args.original)
-        processed = _read_image(args.processed)
-        report = metrics.evaluate(original, processed)
-    except (OSError, PgmDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    report = metrics.evaluate(_read_image(args.original), _read_image(args.processed))
     print("mse,psnr,entropy,ambe")
-    print(f"{_fmt(report.mse)},{_fmt(report.psnr)},{_fmt(report.entropy)},{_fmt(report.ambe)}")
+    print(",".join(_scores(report)))
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     methods = [m for m in args.methods.split(",") if m]
     if not methods:
-        print("error: empty methods list", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("empty methods list")
     for m in methods:
         if m not in METHOD_NAMES:
-            print(f"error: unknown method {m!r}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        compilers = lut_compilers(_load_fuzzy_config(args.fuzzy_config))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+            raise UsageError(f"unknown method {m!r}")
+    compilers = lut_compilers(_load_fuzzy_config(args.fuzzy_config))
 
-    rows = []
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")  # minimal quoting: plain paths stay bare
+    writer.writerow(["image", "method", "mse", "psnr", "entropy", "ambe"])
     failed = False
     for path in args.inputs:
         try:
             hist = histogram(_read_image(path))
             for method in methods:
-                lut = compilers[method](hist)
-                rows.append((path, method, metrics.evaluate_lut(hist, lut)))
-        except (OSError, PgmDecodeError, ValueError) as exc:
+                report = metrics.evaluate_lut(hist, compilers[method](hist))
+                writer.writerow([path, method, *_scores(report)])
+        except (OSError, ValueError) as exc:  # PgmDecodeError is a ValueError
             print(f"skipping {path}: {exc}", file=sys.stderr)
             failed = True
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")  # minimal quoting: plain paths stay bare
-    writer.writerow(["image", "method", "mse", "psnr", "entropy", "ambe"])
-    for path, method, rep in rows:
-        writer.writerow([path, method, *map(_fmt, (rep.mse, rep.psnr, rep.entropy, rep.ambe))])
-    try:
-        # an undecodable argv path comes back as the bytes it was given
-        Path(args.output).write_text(
-            text.getvalue(), encoding="utf-8", errors="surrogateescape", newline="\n"
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    # an undecodable argv path comes back as the bytes it was given
+    _write_output(args.output, text.getvalue().encode("utf-8", "surrogateescape"))
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_histogram(args: argparse.Namespace) -> int:
-    try:
-        img = _read_image(args.input)
-    except (OSError, PgmDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    hist = histogram(img)
-    probs = hist.probabilities()
-    lines = ["level,count,probability"]
-    for level in range(256):
-        lines.append(f"{level},{int(hist.counts[level])},{float(probs[level])!r}")
-    try:
-        Path(args.output).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    hist = histogram(_read_image(args.input))
+    pairs = zip(hist.counts, hist.probabilities())
+    rows = [f"{level},{int(n)},{float(p)!r}\n" for level, (n, p) in enumerate(pairs)]
+    _write_output(args.output, "".join(["level,count,probability\n", *rows]).encode("ascii"))
     return EXIT_OK
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.lo > args.hi:
-        print(f"error: lo ({args.lo}) must not exceed hi ({args.hi})", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"lo ({args.lo}) must not exceed hi ({args.hi})")
     if not (0 <= args.lo and args.hi <= 255):
-        print("error: lo and hi must lie in [0, 255]", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("lo and hi must lie in [0, 255]")
     if args.width < 1 or args.height < 1:
-        print("error: width and height must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("width and height must be >= 1")
     if args.width * args.height > SYNTH_MAX_PIXELS:
-        print(f"error: width x height must not exceed {SYNTH_MAX_PIXELS} pixels", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"width x height must not exceed {SYNTH_MAX_PIXELS} pixels")
     img = generate_uniform_image(args.width, args.height, args.lo, args.hi, args.seed)
-    try:
-        Path(args.output).write_bytes(save_pgm(img, "P5"))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_output(args.output, save_pgm(img, "P5"))
     print(f"synth: {args.width}x{args.height} [{args.lo},{args.hi}] seed={args.seed} -> {args.output}")
     return EXIT_OK
 
@@ -260,7 +257,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UsageError, OSError, ValueError) as exc:  # PgmDecodeError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_IO
 
 
 if __name__ == "__main__":

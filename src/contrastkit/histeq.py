@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import LEVELS, MAX_LEVEL, GrayImage, Histogram, histogram
+from .image import LEVELS, MAX_LEVEL, GrayImage, Histogram, _frozen_levels, histogram
 
 @dataclass(frozen=True, eq=False)
 class IntensityLut:
@@ -28,15 +28,7 @@ class IntensityLut:
         arr = np.asarray(self.map)
         if arr.shape != (LEVELS,):
             raise ValueError(f"LUT must have {LEVELS} entries, got shape {arr.shape}")
-        if arr.dtype != np.uint8:
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise ValueError(f"LUT entries must be integers, got dtype {arr.dtype}")
-            if arr.min() < 0 or arr.max() > MAX_LEVEL:
-                raise ValueError("LUT entries must lie in [0, 255]")
-            arr = arr.astype(np.uint8)
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "map", arr)
+        object.__setattr__(self, "map", _frozen_levels(arr, "LUT entries"))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntensityLut):
@@ -50,7 +42,9 @@ def identity_lut() -> IntensityLut:
 
 def apply_lut(img: GrayImage, lut: IntensityLut) -> GrayImage:
     """Map each pixel through the LUT; dimensions are unchanged."""
-    return GrayImage(lut.map[img.pixels])
+    pixels = lut.map[img.pixels]
+    pixels.setflags(write=False)  # fresh, so the image keeps it without a copy
+    return GrayImage(pixels)
 
 
 def _round_ratio(num, den):

@@ -41,6 +41,23 @@ class PgmDecodeError(ValueError):
     """Raised when a byte stream is not a decodable P2/P5 PGM file."""
 
 
+def _frozen_levels(values, what: str) -> np.ndarray:
+    """`values`, checked to be integers in [0, 255], as a read-only C-contiguous
+    uint8 array. A writable input is copied, so the caller's array is neither
+    frozen nor aliased; a read-only uint8 one is kept as it is."""
+    arr = np.asarray(values)
+    if arr.dtype != np.uint8:
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+        if arr.min() < 0 or arr.max() > MAX_LEVEL:
+            raise ValueError(f"{what} must lie in [0, 255]")
+        arr = arr.astype(np.uint8, order="C")
+    elif arr.flags.writeable or not arr.flags.c_contiguous:
+        arr = np.array(arr, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class GrayImage:
     """Immutable 8-bit grayscale image backed by a (height, width) array."""
@@ -53,15 +70,7 @@ class GrayImage:
             raise ValueError(f"pixels must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"image dimensions must be >= 1, got {arr.shape}")
-        if arr.dtype != np.uint8:
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise ValueError(f"pixel values must be integers, got dtype {arr.dtype}")
-            if arr.min() < 0 or arr.max() > MAX_LEVEL:
-                raise ValueError("pixel values must lie in [0, 255]")
-            arr = arr.astype(np.uint8)
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "pixels", arr)
+        object.__setattr__(self, "pixels", _frozen_levels(arr, "pixel values"))
 
     @classmethod
     def from_flat(cls, width: int, height: int, values) -> "GrayImage":
@@ -104,7 +113,7 @@ class Histogram:
     total: int = field(init=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.counts, dtype=np.int64)
+        arr = np.array(self.counts, dtype=np.int64, order="C")  # a copy the caller cannot touch
         if arr.shape != (LEVELS,):
             raise ValueError(f"counts must have {LEVELS} bins, got shape {arr.shape}")
         if arr.min() < 0:
@@ -115,7 +124,6 @@ class Histogram:
                 f"histogram total exceeds {MAX_TOTAL} (2**47) pixels, "
                 "past which the integer kernels overflow int64"
             )
-        arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
         object.__setattr__(self, "total", total)
@@ -306,7 +314,9 @@ def load_pgm(data: bytes) -> GrayImage:
         raise PgmDecodeError(
             f"pixel sample {int(samples.max())} exceeds declared maxval {maxval}"
         )
-    return GrayImage.from_flat(width, height, samples.astype(np.uint8, copy=False))
+    samples = samples.astype(np.uint8, copy=False)  # P2's uint16 samples become a fresh array
+    samples.setflags(write=False)  # so the image keeps it without a copy
+    return GrayImage.from_flat(width, height, samples)
 
 
 def save_pgm(img: GrayImage, format: str = "P5") -> bytes:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .histeq import IntensityLut
-from .image import LEVELS, GrayImage, Histogram, histogram, mean_intensity
+from .image import _HIST_BLOCK, LEVELS, GrayImage, Histogram, histogram, mean_intensity
 
 PSNR_PEAK_SQ = 255.0 * 255.0
 
@@ -42,10 +42,15 @@ class MetricsReport:
 
 
 def mse(original: GrayImage, processed: GrayImage) -> float:
-    """Mean squared pixel difference; lower is better."""
+    """Mean squared pixel difference; lower is better. Exact integer squares
+    are summed block by block, so the extra memory is bounded."""
     _check_same_dims(original, processed)
-    diff = original.pixels.astype(np.int64) - processed.pixels.astype(np.int64)
-    return int((diff * diff).sum()) / original.size
+    a, b = original.pixels.ravel(), processed.pixels.ravel()
+    total = 0
+    for start in range(0, a.size, _HIST_BLOCK):
+        diff = a[start : start + _HIST_BLOCK].astype(np.int64) - b[start : start + _HIST_BLOCK]
+        total += int(diff @ diff)
+    return total / original.size
 
 
 def psnr(original: GrayImage, processed: GrayImage) -> float:

@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import errno
 import io
 import json
 import os
+import stat
 import sys
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contrastkit import (
     FuzzyConfig,
@@ -18,6 +23,7 @@ from contrastkit import (
     load_pgm,
     save_pgm,
 )
+from contrastkit import cli
 from contrastkit.cli import _SYNTH_BLOCK, generate_uniform_image, main
 
 from bruteforce import splitmix64
@@ -470,3 +476,255 @@ def test_generator_matches_scalar_splitmix64(seed):
             img = generate_uniform_image(width, height, lo, hi, seed)
             expected = [lo + x % (hi - lo + 1) for x in stream[: width * height]]
             assert img.pixels.ravel().tolist() == expected, (width, height, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# one error boundary: every failure is an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "{nul}", "--width", "4", "--height", "4"],
+        ["histogram", "{nul}", "{out}"],
+        ["histogram", "{src}", "{nul}"],
+        ["enhance", "{src}", "{nul}", "--method", "he"],
+        ["report", "{src}", "--methods", "he", "--output", "{nul}"],
+    ],
+    ids=["synth output", "histogram input", "histogram output", "enhance output", "report output"],
+)
+def test_nul_byte_path_exits_2(tmp_path, capsys, argv):
+    paths = {"nul": str(tmp_path / "a\0b"), "out": str(tmp_path / "out"),
+             "src": write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err == "error: embedded null byte\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.pgm"]
+
+
+# subcommand -> (positional count, options it requires, optional ones)
+GRAMMAR = {
+    "enhance": (2, ("--method",), ("--fuzzy-config", "--format")),
+    "metrics": (2, (), ()),
+    "report": (2, ("--methods", "--output"), ("--fuzzy-config",)),
+    "histogram": (2, (), ()),
+    "synth": (1, ("--width", "--height"), ("--lo", "--hi", "--seed")),
+}
+NUMBERS = ["0", "3", "-2", "255", "300", "99999999999", "x"]
+VALUES = {
+    "--method": ["he", "bbhe", "mmbebhe", "fuzzy", "nope"],
+    "--methods": ["he,bbhe,mmbebhe,fuzzy", "fuzzy", ",", "he,nope"],
+    "--format": ["P2", "P5", "P7"],
+    **{flag: NUMBERS for flag in ("--width", "--height", "--lo", "--hi", "--seed")},
+}
+
+
+def _path_pool(root):
+    """Write a small pool of good, bad and missing files into `root`; return
+    the paths naming them."""
+    write_pgm(root / "good.pgm", generate_uniform_image(5, 4, 90, 160, 7))
+    write_pgm(root / "flat.pgm", generate_uniform_image(3, 3, 9, 9, 0), "P2")
+    (root / "bad.pgm").write_bytes(b"P5\n4 4\n255\n\x00")
+    (root / "cfg.json").write_text(default_config(histogram(FOUR_LEVELS)).to_json())
+    (root / "badcfg.json").write_text('{"input_sets": [[]]}')
+    (root / "dir").mkdir(exist_ok=True)
+    names = ["good.pgm", "flat.pgm", "bad.pgm", "cfg.json", "badcfg.json", "dir",
+             "missing.pgm", "no/such/out.csv", "nul\0.pgm"]
+    return [str(root / name) for name in names] + [os.devnull]
+
+
+@st.composite
+def argvs(draw, paths):
+    """A subcommand with its positionals and required options, some optional
+    ones, and sometimes a few stray tokens, drawn from the pool."""
+    text = st.text(st.characters(exclude_characters="./\\"), max_size=4)
+    path = st.one_of(*map(st.just, paths), text)
+    command = draw(st.sampled_from(list(GRAMMAR)))
+    count, required, optional = GRAMMAR[command]
+    argv = [command, *(draw(path) for _ in range(count))]
+    for flag in required + tuple(f for f in optional if draw(st.booleans())):
+        argv += [flag, draw(st.sampled_from(VALUES[flag]) if flag in VALUES else path)]
+    if draw(st.integers(0, 3)):
+        return argv
+    return argv + draw(st.lists(st.sampled_from([*GRAMMAR, *VALUES, *NUMBERS]) | path, max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_main_maps_every_argv_to_an_exit_code(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("argv")
+    argv = data.draw(argvs(_path_pool(root)))
+    previous = os.getcwd()
+    os.chdir(root)  # a drawn relative path lands in the pool directory
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.chdir(previous)
+    assert code in (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# outputs are replaced whole
+# ---------------------------------------------------------------------------
+
+
+def test_failed_rename_keeps_old_output_and_leaves_no_temporary(tmp_path, capsys, monkeypatch):
+    src = write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
+    dst = tmp_path / "out.pgm"
+    dst.write_bytes(b"old output")
+
+    def failing_replace(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(["enhance", src, str(dst), "--method", "he"]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 28] No space left on device: {str(dst)!r}\n"
+    assert dst.read_bytes() == b"old output"
+    assert sorted(os.listdir(tmp_path)) == ["in.pgm", "out.pgm"]
+
+
+@pytest.mark.parametrize("command", ["enhance", "report", "histogram", "synth"])
+def test_write_failing_midway_keeps_old_output(tmp_path, capsys, monkeypatch, command):
+    src = write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
+    dst = tmp_path / "out"
+    dst.write_bytes(b"old output")
+    real_open = open
+
+    class HalfWriter:
+        def __init__(self, file):
+            self.file = file
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, data):
+            self.file.write(data[: len(data) // 2])
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(cli, "open", lambda *a: HalfWriter(real_open(*a)), raising=False)
+    argv = {
+        "enhance": ["enhance", src, str(dst), "--method", "fuzzy"],
+        "report": ["report", src, "--methods", "he", "--output", str(dst)],
+        "histogram": ["histogram", src, str(dst)],
+        "synth": ["synth", str(dst), "--width", "30", "--height", "20"],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: [Errno 5] Input/output error: {str(dst)!r}\n"
+    assert dst.read_bytes() == b"old output"
+    assert sorted(os.listdir(tmp_path)) == ["in.pgm", "out"]
+
+
+def test_dev_null_is_a_valid_output(tmp_path, capsys):
+    src = write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
+    assert main(["synth", os.devnull, "--width", "4", "--height", "4"]) == 0
+    assert main(["enhance", src, os.devnull, "--method", "mmbebhe"]) == 0
+    assert main(["report", src, "--methods", "he", "--output", os.devnull]) == 0
+    assert main(["histogram", src, os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_output_symlink_is_written_through(tmp_path):
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "image.pgm"
+    target.write_bytes(b"old output")
+    link = tmp_path / "link.pgm"
+    link.symlink_to(os.path.join("real", "image.pgm"))
+    assert main(["synth", str(link), "--width", "4", "--height", "3", "--seed", "5"]) == 0
+    assert link.is_symlink() and os.readlink(link) == os.path.join("real", "image.pgm")
+    assert load_pgm(target.read_bytes()) == generate_uniform_image(4, 3, 100, 156, 5)
+    assert sorted(os.listdir(tmp_path / "real")) == ["image.pgm"]
+
+
+def test_dangling_output_symlink_creates_its_target(tmp_path):
+    link = tmp_path / "link.pgm"
+    link.symlink_to(tmp_path / "new.pgm")
+    assert main(["synth", str(link), "--width", "2", "--height", "2"]) == 0
+    assert link.is_symlink() and (tmp_path / "new.pgm").is_file()
+
+
+def test_new_output_mode_follows_umask_and_old_mode_is_kept(tmp_path):
+    new, old = tmp_path / "new.pgm", tmp_path / "old.pgm"
+    old.write_bytes(b"old output")
+    old.chmod(0o640)
+    umask = os.umask(0o027)
+    try:
+        for path in (new, old):
+            assert main(["synth", str(path), "--width", "2", "--height", "2"]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~0o027
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert load_pgm(old.read_bytes()).size == 4
+
+
+def test_output_in_an_unwritable_folder_is_written_in_place(tmp_path, monkeypatch):
+    # where no temporary file can be made beside it, a writable file is
+    # overwritten as a plain write would, not refused
+    dst = tmp_path / "out.pgm"
+    dst.write_bytes(b"old output")
+    real_access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: p != str(tmp_path) and real_access(p, mode))
+    monkeypatch.setattr(os, "replace", None)  # the rename path must not run
+    assert main(["synth", str(dst), "--width", "2", "--height", "2"]) == 0
+    assert load_pgm(dst.read_bytes()).size == 4
+    assert sorted(os.listdir(tmp_path)) == ["out.pgm"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_output_link_to_a_pipe_is_written_into_the_pipe(tmp_path):
+    # /dev/stdout is such a link when stdout is a pipe: it is written in place
+    src = write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
+    r, w = os.pipe()
+    with os.fdopen(r, "rb") as reader:
+        try:
+            assert main(["report", src, "--methods", "he", "--output", f"/proc/self/fd/{w}"]) == 0
+        finally:
+            os.close(w)
+        assert reader.read().startswith(b"image,method,mse,psnr,entropy,ambe\n")
+    assert sorted(os.listdir(tmp_path)) == ["in.pgm"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_output_link_to_an_open_file_fills_that_file(tmp_path):
+    # /dev/stdout when stdout is redirected to a file
+    src = write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
+    dst = tmp_path / "out.csv"
+    with open(dst, "wb") as f:
+        assert main(["histogram", src, f"/proc/self/fd/{f.fileno()}"]) == 0
+    assert dst.read_text().startswith("level,count,probability\n0,1,0.25\n")
+    assert sorted(os.listdir(tmp_path)) == ["in.pgm", "out.csv"]
+
+
+def test_output_with_a_250_byte_name(tmp_path):
+    dst = tmp_path / ("o" * 250)
+    dst.write_bytes(b"old output")
+    assert main(["synth", str(dst), "--width", "3", "--height", "2"]) == 0
+    assert load_pgm(dst.read_bytes()) == generate_uniform_image(3, 2, 100, 156, 0)
+    assert os.listdir(tmp_path) == [dst.name]
+
+
+def test_replacement_of_a_private_output_is_never_wider(tmp_path, monkeypatch):
+    dst = tmp_path / "out.pgm"
+    dst.write_bytes(b"old output")
+    dst.chmod(0o600)
+    seen = []
+    real_open = open
+
+    def recording_open(file, *args):
+        f = real_open(file, *args)
+        if isinstance(file, int):  # the temporary file's descriptor
+            real_write = f.write
+            f.write = lambda data: seen.append(stat.S_IMODE(os.fstat(file).st_mode)) or real_write(data)
+        return f
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    umask = os.umask(0o022)
+    try:
+        assert main(["synth", str(dst), "--width", "2", "--height", "2"]) == 0
+    finally:
+        os.umask(umask)
+    assert seen == [0o600] and stat.S_IMODE(dst.stat().st_mode) == 0o600

@@ -42,6 +42,21 @@ def test_lut_validation():
         IntensityLut(np.full(256, 300))
 
 
+def test_lut_neither_aliases_nor_freezes_a_writable_map():
+    m = np.arange(256, dtype=np.uint8)
+    lut = IntensityLut(m)
+    m[0] = 9  # raised while the LUT froze the caller's array
+    assert lut.map[0] == 0
+    assert not lut.map.flags.writeable
+
+
+def test_apply_lut_result_owns_its_pixels():
+    img = GrayImage.from_flat(2, 2, [0, 64, 128, 255])
+    out = apply_lut(img, identity_lut())
+    assert out == img and not np.shares_memory(out.pixels, img.pixels)
+    assert not out.pixels.flags.writeable
+
+
 def test_identity_lut_maps_everything_to_itself():
     lut = identity_lut()
     assert lut.map.tolist() == list(range(256))

@@ -105,6 +105,25 @@ def test_empty_histogram_has_no_derived_views():
         empty.mean()
 
 
+def test_image_neither_aliases_nor_freezes_a_writable_array():
+    a = np.zeros((2, 3), dtype=np.uint8)
+    img = GrayImage(a[:])
+    a[0, 0] = 9
+    assert img.pixels[0, 0] == 0
+    assert a.flags.writeable and not img.pixels.flags.writeable
+    converted = GrayImage(np.zeros((3, 4), dtype=np.int64).T)  # an F-ordered input
+    assert converted.pixels.dtype == np.uint8 and converted.pixels.flags.c_contiguous
+
+
+def test_histogram_neither_aliases_nor_freezes_its_counts():
+    counts = np.zeros(256, dtype=np.int64)
+    counts[3] = 5
+    hist = Histogram(counts)
+    counts[7] = 1  # raised while the histogram froze the caller's array
+    assert hist.counts[7] == 0 and hist.total == 5
+    assert not hist.counts.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # PGM decoding
 # ---------------------------------------------------------------------------

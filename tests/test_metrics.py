@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from contrastkit import (
     mse,
     psnr,
 )
+from contrastkit.cli import generate_uniform_image
+from contrastkit.image import _HIST_BLOCK
 from contrastkit.methods import lut_compilers
 
 from conftest import gray_images, low_contrast_images, pixel_arrays
@@ -61,6 +64,30 @@ def test_mse_single_pixel():
 
 def test_mse_maximal():
     assert mse(img_of(0, 255), img_of(255, 0)) == 65025.0
+
+
+@pytest.mark.parametrize("count", [_HIST_BLOCK - 1, _HIST_BLOCK, _HIST_BLOCK + 1, 3 * _HIST_BLOCK + 5])
+def test_mse_is_the_exact_mean_across_block_edges(count):
+    a = generate_uniform_image(count, 1, 0, 255, 1)
+    b = generate_uniform_image(count, 1, 0, 255, 2)
+    exact = sum((x - y) ** 2 for x, y in zip(a.pixels.ravel().tolist(), b.pixels.ravel().tolist()))
+    assert mse(a, b) == exact / count
+
+
+def test_evaluate_memory_is_bounded_at_2048_squared():
+    a = generate_uniform_image(2048, 2048, 0, 255, 3)
+    b = generate_uniform_image(2048, 2048, 0, 255, 4)
+    diff = a.pixels.astype(np.int64) - b.pixels
+    expected_mse = int((diff * diff).sum()) / a.size
+    del diff
+    tracemalloc.start()
+    try:
+        report = evaluate(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mse == expected_mse
+    assert peak < 4 * 2**20  # the pixels alone are 8 MiB
 
 
 def test_evaluate_lut_exact_at_the_histogram_total_bound():
