@@ -4,11 +4,13 @@ rewrite the manifest.
 Each case is one `contrastkit.cli.main(argv)` call in a scratch directory,
 with relative paths so that messages do not depend on where it runs. The
 manifest records its exit code, stdout, stderr and the SHA-256 of every
-file it writes. The inputs are seeded `synth` images (themselves cases)
-and a few hand-written P2 files.
+file it writes. The inputs are seeded `synth` images (themselves cases),
+a few hand-written P2 files and hand-written headers that probe the PGM
+header grammar. The `report corpus` CSV is also kept in readable form as
+report.csv, the paper's comparison table.
 
     python tests/golden/regen.py           # compare; exit 1 on any difference
-    python tests/golden/regen.py --write   # rewrite manifest.json
+    python tests/golden/regen.py --write   # rewrite manifest.json and report.csv
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import sys
 from pathlib import Path
 
 MANIFEST = Path(__file__).with_name("manifest.json")
+REPORT = Path(__file__).with_name("report.csv")
 METHODS = ("he", "bbhe", "mmbebhe", "fuzzy")
 
 # name -> (width, height, lo, hi, seed): spans 0, 1, 2, 56 and 255
@@ -44,6 +47,27 @@ HAND_INPUTS = {
     "oversample.pgm": b"P2\n2 1\n15\n3 16\n",
 }
 
+# The header grammar: fields are runs of bytes other than ASCII whitespace
+# and `#`, and a comment ends at the next CR or LF. These decode...
+HEADER_INPUTS = {
+    "hdr_comments_p2.pgm": b"P2#cr\r3#lf\n2#crlf\r\n255#\n1 2 3\n4 5 6\n",
+    "hdr_comments_p5.pgm": b"P5#cr\r3#lf\n2#crlf\r\n255\n\x01\x02\x03\x04\x05\x06",
+    "hdr_tab_vt_ff_p2.pgm": b"P2\x0c3\t2\x0b255\x0c1\t2\x0b3\x0c4 5 6\n",
+    "hdr_tab_vt_ff_p5.pgm": b"P5\t3\x0b2\x0c255\t\x07\x08\x09\x0a\x0b\x0c",
+    "hdr_leading_zeros.pgm": b"P2 0003 002 000255\n0 128 255 9 99 199\n",
+}
+# ... and these fail, each with its own message.
+BAD_HEADER_INPUTS = {
+    "hdr_comment_after_maxval.pgm": b"P5 2 1 255#x\n\x01\x02",
+    "hdr_eof.pgm": b"P5 3 2 # no maxval",
+    "hdr_bad_height.pgm": b"P2 3 2x 255\n",
+    "hdr_19_digit_width.pgm": b"P5 1000000000000000000 1 255\n",
+    "hdr_zero_dimension.pgm": b"P5 3 0 255\n",
+    "hdr_maxval0.pgm": b"P2 1 1 0\n0\n",
+    "hdr_maxval256.pgm": b"P2 1 1 256\n0\n",
+    "hdr_nbsp.pgm": b"P2 1\xa01 255\n0\n",
+}
+
 FUZZY_CONFIG = {
     "input_sets": [
         {"a": 100.0, "b": 100.0, "c": 128.0},
@@ -58,8 +82,25 @@ FUZZY_CONFIG = {
     "resolution": 64,
 }
 
+# input sets over [110, 146] only: the levels of span56 outside them fire
+# no rule and pass through
+NARROW_CONFIG = {
+    "input_sets": [
+        {"a": 110.0, "b": 110.0, "c": 128.0},
+        {"a": 110.0, "b": 128.0, "c": 146.0},
+        {"a": 128.0, "b": 146.0, "c": 146.0},
+    ],
+    "output_sets": [
+        {"a": 0.0, "b": 0.0, "c": 128.0},
+        {"a": 64.0, "b": 128.0, "c": 192.0},
+        {"a": 128.0, "b": 255.0, "c": 255.0},
+    ],
+    "resolution": 100,
+}
+
 CONFIG_INPUTS = {
     "fuzzy.json": json.dumps(FUZZY_CONFIG).encode("ascii"),
+    "narrow.json": json.dumps(NARROW_CONFIG).encode("ascii"),
     "notjson.json": b"{input_sets",
     "badvalues.json": json.dumps({**FUZZY_CONFIG, "resolution": 1}).encode("ascii"),
 }
@@ -85,6 +126,12 @@ def cases() -> list[tuple[str, list[str], list[str]]]:
             out.append((f"enhance {method} {src}", ["enhance", src, dst, "--method", method], [dst]))
     argv = "enhance span56.pgm span56.cfg.pgm --method fuzzy --fuzzy-config fuzzy.json"
     out.append(("enhance fuzzy config", argv.split(), ["span56.cfg.pgm"]))
+    argv = "enhance span56.pgm span56.narrow.pgm --method fuzzy --fuzzy-config narrow.json"
+    out.append(("enhance fuzzy narrow config", argv.split(), ["span56.narrow.pgm"]))
+    for src in HEADER_INPUTS:
+        dst = f"{src[:-4]}.he.pgm"
+        argv = ["enhance", src, dst, "--method", "he", "--format", "P2"]
+        out.append((f"header: {src}", argv, [dst]))
 
     argv = ["report", *corpus, "--methods", ",".join(METHODS), "--output", "report.csv"]
     out.append(("report corpus", argv, ["report.csv"]))
@@ -132,6 +179,7 @@ def cases() -> list[tuple[str, list[str], list[str]]]:
         "histogram write fails": "histogram span56.pgm outdir",
         "synth write fails": "synth outdir --width 4 --height 4",
     }
+    errors.update({f"header {src}": f"histogram {src} h.csv" for src in BAD_HEADER_INPUTS})
     out += [(f"error: {name}", argv.split(), ["e.pgm", "h.csv", "r.csv"]) for name, argv in errors.items()]
     return out
 
@@ -144,7 +192,7 @@ def run_cases(workdir: Path) -> dict:
     """Run every case in `workdir` (an empty directory); returns the manifest."""
     from contrastkit.cli import main
 
-    for name, data in {**HAND_INPUTS, **CONFIG_INPUTS}.items():
+    for name, data in {**HAND_INPUTS, **HEADER_INPUTS, **BAD_HEADER_INPUTS, **CONFIG_INPUTS}.items():
         (workdir / name).write_bytes(data)
     (workdir / "outdir").mkdir()
     results = {}
@@ -177,18 +225,22 @@ def main(argv: list[str] | None = None) -> int:
     import tempfile
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", help="rewrite manifest.json from this run")
+    parser.add_argument(
+        "--write", action="store_true", help="rewrite manifest.json and report.csv from this run"
+    )
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         text = dumps(run_cases(Path(tmp)))
+        table = (Path(tmp) / "report.csv").read_bytes()
     if args.write:
         MANIFEST.write_text(text, encoding="utf-8")
-        print(f"wrote {MANIFEST}")
+        REPORT.write_bytes(table)
+        print(f"wrote {MANIFEST} and {REPORT}")
         return 0
-    if MANIFEST.read_text(encoding="utf-8") != text:
-        print("golden outputs differ from manifest.json", file=sys.stderr)
+    if MANIFEST.read_text(encoding="utf-8") != text or REPORT.read_bytes() != table:
+        print("golden outputs differ from manifest.json or report.csv", file=sys.stderr)
         return 1
-    print("golden outputs match manifest.json")
+    print("golden outputs match manifest.json and report.csv")
     return 0
 
 

@@ -1,5 +1,7 @@
 """Tier-1 gate on the golden CLI outputs in tests/golden/manifest.json."""
 
+import csv
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -31,3 +33,27 @@ def test_golden_case(actual, case):
 
 def test_manifest_is_byte_identical(actual):
     assert regen.dumps(actual) == regen.MANIFEST.read_text(encoding="utf-8")
+
+
+def test_paper_table_is_the_report_case_output():
+    digest = hashlib.sha256(regen.REPORT.read_bytes()).hexdigest()
+    assert digest == EXPECTED["report corpus"]["files"]["report.csv"]
+
+
+def _ambe_by_image() -> dict[str, dict[str, float]]:
+    table: dict[str, dict[str, float]] = {}
+    with regen.REPORT.open(newline="", encoding="utf-8") as f:
+        for row in csv.DictReader(f):
+            table.setdefault(row["image"], {})[row["method"]] = float(row["ambe"])
+    return table
+
+
+def test_paper_table_orderings():
+    table = _ambe_by_image()
+    assert len(table) == 8
+    # BBHE's threshold, the floor of the mean, is one of MMBEBHE's candidates
+    assert all(ambe["mmbebhe"] <= ambe["bbhe"] for ambe in table.values())
+    # splitting at the mean does not always beat HE's brightness error
+    worse = {image for image, ambe in table.items() if ambe["bbhe"] > ambe["he"]}
+    assert worse == {"span56.pgm"}
+    assert (table["span56.pgm"]["bbhe"], table["span56.pgm"]["he"]) == (2.2461, 1.7695)
