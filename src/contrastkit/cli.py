@@ -107,8 +107,8 @@ def _write_output(path: str, data: bytes) -> None:
     existing file keeps its permission bits. What is not a writable regular
     file once links are followed (/dev/null, /dev/stdout on a pipe, a read-only
     file) or lies in an unwritable folder is written in place, as a plain
-    write would. Errors name `path`."""
-    path = os.fspath(Path(path))  # as `Path` reads it: "out.pgm/" is out.pgm, "" is "."
+    write would. `path` is used as given, so "out.pgm/" names a folder, and
+    errors name it as given."""
     try:
         try:
             mode = os.stat(path).st_mode  # of the file that `open` would reach
@@ -169,9 +169,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     for path in args.inputs:
         try:
             hist = histogram(_read_image(path))
-            for method in methods:
-                report = metrics.evaluate_lut(hist, compilers[method](hist))
-                writer.writerow([path, method, *_scores(report)])
+            scores = [_scores(metrics.evaluate_lut(hist, compilers[m](hist))) for m in methods]
+            # written only once every method has scored: an input is reported whole or skipped
+            writer.writerows([path, m, *row] for m, row in zip(methods, scores))
         except (OSError, ValueError) as exc:  # PgmDecodeError is a ValueError
             print(f"skipping {path}: {exc}", file=sys.stderr)
             failed = True

@@ -22,6 +22,11 @@ _HIST_BLOCK = 1 << 16
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\n\r]*")
+# A header field is a run of bytes other than ASCII whitespace and `#`.
+# `finditer` matches one field or comment at a time and skips whitespace
+# without a repeated group, so a header of any padding is read in linear
+# time and constant memory.
+_TOKEN_OR_COMMENT = re.compile(rb"[^\s#]+|" + _COMMENT.pattern)
 
 # Value of each byte in a P2 raster: a digit's value, or one of two
 # markers for whitespace and for any other byte.
@@ -175,62 +180,19 @@ def mean_intensity(img: GrayImage) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _HeaderScanner:
-    """Token scanner for the PGM header: whitespace-separated fields with
-    `#` comments running to end of line."""
-
-    def __init__(self, data: bytes, pos: int):
-        self.data = data
-        self.pos = pos
-
-    def skip_separators(self) -> None:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            ch = self.data[self.pos : self.pos + 1]
-            if ch in (b"#",):
-                nl = data.find(b"\n", self.pos)
-                cr = data.find(b"\r", self.pos)
-                ends = [e for e in (nl, cr) if e != -1]
-                self.pos = min(ends) + 1 if ends else n
-            elif ch in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
-
-    def next_token(self, what: str) -> bytes:
-        self.skip_separators()
-        if self.pos >= len(self.data):
-            raise PgmDecodeError(f"unexpected end of file while reading {what}")
-        start = self.pos
-        data, n = self.data, len(self.data)
-        while self.pos < n and data[self.pos : self.pos + 1] not in _WHITESPACE:
-            if data[self.pos : self.pos + 1] == b"#":
-                break
-            self.pos += 1
-        return data[start : self.pos]
-
-    def next_int(self, what: str) -> int:
-        """A header field: a run of ASCII digits, like a P2 sample."""
-        token = self.next_token(what)
-        if not token.isdigit():  # bytes.isdigit accepts ASCII digits only
-            raise PgmDecodeError(f"malformed {what}: {token!r}")
-        digits = token.lstrip(b"0") or b"0"
-        if len(digits) > 18:  # far past any image, and within int()'s digit limit
-            raise PgmDecodeError(f"{what} out of range: {len(digits)} significant digits")
-        return int(digits)
-
-
-def _parse_header(scanner: _HeaderScanner) -> tuple[int, int, int]:
-    width = scanner.next_int("width")
-    height = scanner.next_int("height")
-    if width <= 0 or height <= 0:
-        raise PgmDecodeError(f"zero or negative dimension: {width} x {height}")
-    maxval = scanner.next_int("maxval")
-    if maxval <= 0:
-        raise PgmDecodeError(f"maxval must be positive, got {maxval}")
-    if maxval > MAX_LEVEL:
-        raise PgmDecodeError(f"maxval {maxval} exceeds 255; only 8-bit PGM is supported")
-    return width, height, maxval
+def _header_field(tokens, what: str) -> tuple[int, int]:
+    """The next header field, a run of ASCII digits like a P2 sample, as
+    (value, offset just past it)."""
+    match = next(tokens, None)
+    if match is None:
+        raise PgmDecodeError(f"unexpected end of file while reading {what}")
+    token = match.group()
+    if not token.isdigit():  # bytes.isdigit accepts ASCII digits only
+        raise PgmDecodeError(f"malformed {what}: {token!r}")
+    digits = token.lstrip(b"0") or b"0"
+    if len(digits) > 18:  # far past any image, and within int()'s digit limit
+        raise PgmDecodeError(f"{what} out of range: {len(digits)} significant digits")
+    return int(digits), match.end()
 
 
 def _parse_ascii_raster(raster: bytes, count: int, maxval: int) -> np.ndarray:
@@ -291,14 +253,22 @@ def load_pgm(data: bytes) -> GrayImage:
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise PgmDecodeError(f"malformed magic number {magic!r}; expected P2 or P5")
-    scanner = _HeaderScanner(data, 2)
-    width, height, maxval = _parse_header(scanner)
+    tokens = (m for m in _TOKEN_OR_COMMENT.finditer(data, 2) if data[m.start()] != ord("#"))
+    width, _ = _header_field(tokens, "width")
+    height, _ = _header_field(tokens, "height")
+    if width <= 0 or height <= 0:
+        raise PgmDecodeError(f"zero or negative dimension: {width} x {height}")
+    maxval, pos = _header_field(tokens, "maxval")
+    if maxval <= 0:
+        raise PgmDecodeError(f"maxval must be positive, got {maxval}")
+    if maxval > MAX_LEVEL:
+        raise PgmDecodeError(f"maxval {maxval} exceeds 255; only 8-bit PGM is supported")
     count = width * height
 
     if magic == b"P5":
-        if scanner.pos >= len(data) or data[scanner.pos : scanner.pos + 1] not in _WHITESPACE:
+        if not data[pos : pos + 1].isspace():
             raise PgmDecodeError("missing whitespace after maxval before binary raster")
-        start = scanner.pos + 1
+        start = pos + 1
         if len(data) < start + count:
             raise PgmDecodeError(
                 f"truncated pixel data: expected {count} bytes, got {len(data) - start}"
@@ -308,7 +278,7 @@ def load_pgm(data: bytes) -> GrayImage:
         # a read-only view of the file bytes, which nothing can mutate
         samples = np.frombuffer(data, dtype=np.uint8, count=count, offset=start)
     else:
-        samples = _parse_ascii_raster(data[scanner.pos :], count, maxval)
+        samples = _parse_ascii_raster(data[pos:], count, maxval)
 
     if int(samples.max()) > maxval:
         raise PgmDecodeError(

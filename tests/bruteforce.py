@@ -158,41 +158,84 @@ PGM_WHITESPACE = b" \t\n\r\x0b\x0c"
 MASK64 = (1 << 64) - 1
 
 
+def skip_separators(data: bytes, pos: int) -> int:
+    """Offset of the first byte at or after `pos` that is neither whitespace
+    nor inside a comment; a `#` starts a comment that ends after the next
+    CR or LF."""
+    n = len(data)
+    while pos < n:
+        ch = data[pos : pos + 1]
+        if ch == b"#":
+            ends = [e for e in (data.find(b"\n", pos), data.find(b"\r", pos)) if e != -1]
+            pos = min(ends) + 1 if ends else n
+        elif ch in PGM_WHITESPACE:
+            pos += 1
+        else:
+            break
+    return pos
+
+
+def next_token(data: bytes, pos: int) -> tuple[bytes | None, int]:
+    """The next token at or after `pos` (a run of bytes other than whitespace
+    and `#`) and the offset just past it; None at the end of `data`."""
+    pos = skip_separators(data, pos)
+    if pos >= len(data):
+        return None, pos
+    start = pos
+    while pos < len(data) and data[pos : pos + 1] not in PGM_WHITESPACE + b"#":
+        pos += 1
+    return data[start:pos], pos
+
+
+def pgm_header(data: bytes) -> tuple[int, int, int, int]:
+    """Token-at-a-time scan of a PGM header: (width, height, maxval, offset
+    of the raster). A P5 raster starts one whitespace byte after maxval, a
+    P2 raster right after it. Raises ValueError carrying the decoder's
+    message for the first problem met, in scan order."""
+    magic = data[:2]
+    if magic not in (b"P2", b"P5"):
+        raise ValueError(f"malformed magic number {magic!r}; expected P2 or P5")
+    pos, fields = 2, []
+    for what in ("width", "height", "maxval"):
+        token, pos = next_token(data, pos)
+        if token is None:
+            raise ValueError(f"unexpected end of file while reading {what}")
+        if not all(ord("0") <= b <= ord("9") for b in token):
+            raise ValueError(f"malformed {what}: {token!r}")
+        digits = token.lstrip(b"0")
+        if len(digits) > 18:
+            raise ValueError(f"{what} out of range: {len(digits)} significant digits")
+        fields.append(int(digits or b"0"))  # within int()'s digit limit
+        if what == "height" and min(fields) == 0:
+            raise ValueError(f"zero or negative dimension: {fields[0]} x {fields[1]}")
+    width, height, maxval = fields
+    if maxval == 0:
+        raise ValueError("maxval must be positive, got 0")
+    if maxval > 255:
+        raise ValueError(f"maxval {maxval} exceeds 255; only 8-bit PGM is supported")
+    if magic == b"P5":
+        if pos >= len(data) or data[pos] not in PGM_WHITESPACE:
+            raise ValueError("missing whitespace after maxval before binary raster")
+        pos += 1
+    return width, height, maxval, pos
+
+
 def p2_raster_samples(raster: bytes, count: int, maxval: int) -> list[int]:
     """Token-at-a-time scan of a P2 raster (the bytes after maxval).
 
-    Tokens are runs of bytes other than whitespace and `#`; a `#` starts a
-    comment that ends after the next CR or LF. Each of the first `count`
-    tokens must be ASCII digits. Raises ValueError carrying the decoder's
-    message for the first problem met, in scan order.
+    Each of the first `count` tokens must be ASCII digits. Raises
+    ValueError carrying the decoder's message for the first problem met,
+    in scan order.
     """
-    pos, n = 0, len(raster)
-
-    def skip_separators(pos: int) -> int:
-        while pos < n:
-            ch = raster[pos : pos + 1]
-            if ch == b"#":
-                ends = [e for e in (raster.find(b"\n", pos), raster.find(b"\r", pos)) if e != -1]
-                pos = min(ends) + 1 if ends else n
-            elif ch in PGM_WHITESPACE:
-                pos += 1
-            else:
-                break
-        return pos
-
-    values = []
+    pos, values = 0, []
     for _ in range(count):
-        pos = skip_separators(pos)
-        if pos >= n:
+        token, pos = next_token(raster, pos)
+        if token is None:
             raise ValueError(f"truncated pixel data: expected {count} samples, got {len(values)}")
-        start = pos
-        while pos < n and raster[pos : pos + 1] not in PGM_WHITESPACE + b"#":
-            pos += 1
-        token = raster[start:pos]
         if not all(ord("0") <= b <= ord("9") for b in token):
             raise ValueError(f"malformed pixel sample: {token!r}")
         values.append(int(token))
-    if skip_separators(pos) < n:
+    if skip_separators(raster, pos) < len(raster):
         raise ValueError("trailing data after ASCII raster")
     if max(values) > maxval:
         raise ValueError(f"pixel sample {max(values)} exceeds declared maxval {maxval}")

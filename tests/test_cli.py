@@ -250,6 +250,19 @@ def test_report_skips_bad_images_and_exits_3(tmp_path, capsys):
     assert "missing.pgm" in capsys.readouterr().err
 
 
+def test_report_skips_an_input_whole_when_a_later_method_fails(tmp_path, capsys, monkeypatch):
+    src = write_pgm(tmp_path / "a.pgm", FOUR_LEVELS)
+    out = tmp_path / "report.csv"
+
+    def failing_compiler(hist):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("contrastkit.histeq.mmbebhe_lut", failing_compiler)
+    assert main(["report", src, "--methods", "he,mmbebhe", "--output", str(out)]) == 3
+    assert out.read_text() == "image,method,mse,psnr,entropy,ambe\n"
+    assert capsys.readouterr().err == f"skipping {src}: boom\n"
+
+
 def test_report_deterministic_bytes(tmp_path):
     src = write_pgm(tmp_path / "a.pgm", generate_uniform_image(12, 12, 100, 150, 9))
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -616,6 +629,22 @@ def test_write_failing_midway_keeps_old_output(tmp_path, capsys, monkeypatch, co
     assert capsys.readouterr().err == f"error: [Errno 5] Input/output error: {str(dst)!r}\n"
     assert dst.read_bytes() == b"old output"
     assert sorted(os.listdir(tmp_path)) == ["in.pgm", "out"]
+
+
+@pytest.mark.parametrize(
+    "output, message",
+    [("old.pgm/", "[Errno 20] Not a directory"), ("new/.", "[Errno 2] No such file or directory")],
+)
+def test_output_path_is_used_as_typed(tmp_path, capsys, monkeypatch, output, message):
+    # "old.pgm/" names a folder and "new/." a file in a folder that does
+    # not exist: both are refused, as a plain open refuses them
+    monkeypatch.chdir(tmp_path)
+    write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
+    (tmp_path / "old.pgm").write_bytes(b"old output")
+    assert main(["enhance", "in.pgm", output, "--method", "he"]) == 2
+    assert capsys.readouterr().err == f"error: {message}: {output!r}\n"
+    assert (tmp_path / "old.pgm").read_bytes() == b"old output"
+    assert sorted(os.listdir(tmp_path)) == ["in.pgm", "old.pgm"]
 
 
 def test_dev_null_is_a_valid_output(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Tier-1 gate on the golden CLI outputs in tests/golden/manifest.json."""
+"""Tier-1 gate on the golden CLI outputs in tests/golden/manifest.json, and
+on the comparison table tests/golden/report.csv."""
 
 import csv
 import hashlib
@@ -40,16 +41,11 @@ def test_paper_table_is_the_report_case_output():
     assert digest == EXPECTED["report corpus"]["files"]["report.csv"]
 
 
-def _ambe_by_image() -> dict[str, dict[str, float]]:
-    table: dict[str, dict[str, float]] = {}
+def test_paper_table_orderings():
+    table: dict[str, dict[str, float]] = {}  # image -> method -> AMBE
     with regen.REPORT.open(newline="", encoding="utf-8") as f:
         for row in csv.DictReader(f):
             table.setdefault(row["image"], {})[row["method"]] = float(row["ambe"])
-    return table
-
-
-def test_paper_table_orderings():
-    table = _ambe_by_image()
     assert len(table) == 8
     # BBHE's threshold, the floor of the mean, is one of MMBEBHE's candidates
     assert all(ambe["mmbebhe"] <= ambe["bbhe"] for ambe in table.values())

@@ -1,4 +1,5 @@
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from contrastkit import (
 )
 from contrastkit.image import _HIST_BLOCK
 
-from bruteforce import PGM_WHITESPACE, encode_p2, p2_raster_samples, tally_histogram
+from bruteforce import PGM_WHITESPACE, encode_p2, p2_raster_samples, pgm_header, tally_histogram
 from conftest import gray_images, pixel_arrays
 
 
@@ -345,6 +346,66 @@ def test_p2_decoder_matches_token_scanner(case):
         assert str(info.value) == str(exc)
     else:
         assert load_pgm(header + raster).pixels.ravel().tolist() == expected
+
+
+_HEADER_EDGE = st.sampled_from(
+    [b"0", b"256", b"9" * 18, b"1" + b"0" * 18, b"0" * 30 + b"3", b"1\xa01", b"\x85", b"\x00"]
+)
+# mostly small fields, so that many headers decode
+_HEADER_FIELD = st.integers(0, 19).flatmap(
+    lambda k: _P2_JUNK if k == 0
+    else _HEADER_EDGE if k == 1
+    else st.binary(min_size=1, max_size=3) if k == 2
+    else _P2_DIGITS if k < 6
+    else st.integers(1, 4).map(lambda v: str(v).encode())
+)
+
+
+@st.composite
+def pgm_headers(draw):
+    """P2/P5 headers of up to four fields (mostly three) and the gaps around
+    them: digit runs and junk, joined by whitespace, comments ending at CR,
+    LF, CRLF or the end of the file, or nothing."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 3, 3, 3, 3, 3, 4]))
+    fields = draw(st.lists(_HEADER_FIELD, min_size=n, max_size=n))
+    gaps = draw(st.lists(_P2_GAP, min_size=n + 1, max_size=n + 1))
+    magic = draw(st.sampled_from([b"P2", b"P5"]))
+    return magic + b"".join(g + f for g, f in zip(gaps, fields)) + gaps[-1]
+
+
+@settings(max_examples=500)
+@given(pgm_headers())
+def test_header_decoder_matches_token_scanner(header):
+    try:
+        width, height, maxval, start = pgm_header(header)
+    except ValueError as exc:
+        with pytest.raises(PgmDecodeError) as info:
+            load_pgm(header)
+        assert str(info.value) == str(exc)
+        return
+    # the header up to its raster, then a raster of zeros that fits it
+    count, p5 = width * height, header[:2] == b"P5"
+    if count > 64:
+        message = f"truncated pixel data: expected {count} {'bytes' if p5 else 'samples'}, got 0"
+        with pytest.raises(PgmDecodeError, match=f"^{message}$"):
+            load_pgm(header[:start])
+        return
+    raster = bytes(count) if p5 else b"\n" + b"0 " * count
+    img = load_pgm(header[:start] + raster)
+    assert (img.width, img.height) == (width, height)
+
+
+def test_whitespace_padded_header_decodes_in_constant_memory():
+    pad = b" \t" * 700_000  # 4.2 MB in all
+    data = b"P5" + pad + b"2" + pad + b"2" + pad + b"255\n\x01\x02\x03\x04"
+    assert _traced_peak(load_pgm, data) < 1024 * 1024
+
+
+def test_a_million_header_comments_decode_in_linear_time():
+    data = b"P5" + b"#c\n" * 1_000_000 + b"2 2 255\n\x01\x02\x03\x04"
+    start = time.perf_counter()
+    assert load_pgm(data).pixels.tolist() == [[1, 2], [3, 4]]
+    assert time.perf_counter() - start < 5.0
 
 
 @given(
