@@ -41,7 +41,7 @@ EXIT_PARTIAL = 3
 METHOD_NAMES = tuple(LUT_COMPILERS)
 
 _MASK64 = (1 << 64) - 1
-_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_MUL2 = np.uint64(0x94D049BB133111EB)
 # elements per generator block: bounds each uint64 temporary to 512 KiB
@@ -61,21 +61,27 @@ def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int)
     if not (0 <= lo <= hi <= 255):
         raise ValueError(f"need 0 <= lo <= hi <= 255, got lo={lo} hi={hi}")
     count = width * height
-    seed64 = np.uint64(seed & _MASK64)
     span = np.uint64(hi - lo + 1)
     flat = np.empty(count, dtype=np.uint8)
+    # i * gamma for i = 1..block; the block from `start` adds seed + start * gamma
+    steps = np.arange(1, min(count, _SYNTH_BLOCK) + 1, dtype=np.uint64)
+    steps *= np.uint64(_SPLITMIX_GAMMA)
+    z, q = np.empty_like(steps), np.empty_like(steps)  # reused by every block
     for start in range(0, count, _SYNTH_BLOCK):
-        stop = min(start + _SYNTH_BLOCK, count)
-        z = np.arange(start + 1, stop + 1, dtype=np.uint64)
-        z *= _SPLITMIX_GAMMA
-        z += seed64
-        z ^= z >> np.uint64(30)
-        z *= _SPLITMIX_MUL1
-        z ^= z >> np.uint64(27)
-        z *= _SPLITMIX_MUL2
-        z ^= z >> np.uint64(31)
-        z %= span
-        flat[start:stop] = z
+        n = min(_SYNTH_BLOCK, count - start)
+        zb, qb = z[:n], q[:n]
+        np.add(steps[:n], np.uint64((seed + start * _SPLITMIX_GAMMA) & _MASK64), out=zb)
+        zb ^= np.right_shift(zb, np.uint64(30), out=qb)
+        zb *= _SPLITMIX_MUL1
+        zb ^= np.right_shift(zb, np.uint64(27), out=qb)
+        zb *= _SPLITMIX_MUL2
+        zb ^= np.right_shift(zb, np.uint64(31), out=qb)
+        # z mod span as z - (z // span) * span: a scalar floor_divide is
+        # much faster than a scalar remainder on uint64
+        np.floor_divide(zb, span, out=qb)
+        qb *= span
+        zb -= qb
+        flat[start : start + n] = zb
     flat += lo
     flat.setflags(write=False)  # fresh, so the image keeps it without a copy
     return GrayImage.from_flat(width, height, flat)

@@ -28,18 +28,20 @@ _COMMENT = re.compile(rb"#[^\n\r]*")
 # time and constant memory.
 _TOKEN_OR_COMMENT = re.compile(rb"[^\s#]+|" + _COMMENT.pattern)
 
-# Value of each byte in a P2 raster: a digit's value, or one of two
-# markers for whitespace and for any other byte.
+# Class of each byte in a P2 raster, as a `bytes.translate` table: a
+# digit's value, or one of two markers for whitespace and for any other byte.
 _SEPARATOR, _MALFORMED = 10, 11
-_BYTE_VALUE = np.full(256, _MALFORMED, dtype=np.uint16)
-_BYTE_VALUE[list(_WHITESPACE)] = _SEPARATOR
-_BYTE_VALUE[ord("0") : ord("9") + 1] = np.arange(10)
+_BYTE_CLASS = bytes(
+    b - ord("0") if b in b"0123456789" else _SEPARATOR if b in _WHITESPACE else _MALFORMED
+    for b in range(256)
+)
 
-# P2 sample tokens with their separator: index v is level v and a space,
-# index v + LEVELS is level v ending its line
-_P2_TOKENS = [f"{v} ".encode("ascii") for v in range(LEVELS)] + [
-    f"{v}\n".encode("ascii") for v in range(LEVELS)
-]
+# P2 sample tokens with their separator, NUL-padded to one 4-byte word:
+# index v is level v and a space, index v + LEVELS is level v ending its line
+_P2_WORDS = np.frombuffer(
+    b"".join(f"{v}{end}".encode("ascii").ljust(4, b"\0") for end in " \n" for v in range(LEVELS)),
+    dtype=np.uint32,
+)
 
 
 class PgmDecodeError(ValueError):
@@ -203,13 +205,15 @@ def _parse_ascii_raster(raster: bytes, count: int, maxval: int) -> np.ndarray:
     token-at-a-time scan meets them: a malformed token among the first
     `count`, then too few tokens, then too many.
     """
-    raster = _COMMENT.sub(b" ", raster)
-    values = _BYTE_VALUE[np.frombuffer(raster, dtype=np.uint8)]
+    if b"#" in raster:  # a C scan, much cheaper than the regex on a raster without comments
+        raster = _COMMENT.sub(b" ", raster)
+    classes = raster.translate(_BYTE_CLASS)
+    values = np.frombuffer(classes, dtype=np.uint8)
     edges = np.flatnonzero(np.diff(values != _SEPARATOR, prepend=False, append=False))
     starts, ends = edges[::2], edges[1::2]
-    bad = np.flatnonzero(values == _MALFORMED)
-    if bad.size:
-        k = int(np.searchsorted(starts, bad[0], side="right")) - 1
+    bad = classes.find(_MALFORMED)
+    if bad >= 0:
+        k = int(np.searchsorted(starts, bad, side="right")) - 1
         if k < count:
             raise PgmDecodeError(f"malformed pixel sample: {raster[starts[k] : ends[k]]!r}")
     if len(starts) < count:
@@ -222,9 +226,9 @@ def _parse_ascii_raster(raster: bytes, count: int, maxval: int) -> np.ndarray:
     # Every token is now all digits: sum its last three by place, masking
     # the places a shorter token lacks.
     lengths = ends - starts
-    samples = values[ends - 1]
-    samples += 10 * values.take(ends - 2, mode="clip") * (lengths > 1)
-    samples += 100 * values.take(ends - 3, mode="clip") * (lengths > 2)
+    samples = values[ends - 1].astype(np.uint16)  # wide enough for 999
+    samples += 10 * values.take(ends - 2, mode="clip").astype(np.uint16) * (lengths > 1)
+    samples += 100 * values.take(ends - 3, mode="clip").astype(np.uint16) * (lengths > 2)
     oversized = []
     for k in np.flatnonzero(lengths > 3).tolist():
         token = raster[starts[k] : ends[k]].lstrip(b"0")
@@ -299,9 +303,14 @@ def save_pgm(img: GrayImage, format: str = "P5") -> bytes:
         raise ValueError(f"format must be 'P2' or 'P5', got {format!r}")
     header = f"{format}\n{img.width} {img.height}\n{MAX_LEVEL}\n".encode("ascii")
     if format == "P5":
-        return header + img.pixels.tobytes()
+        return b"".join((header, img.pixels))  # the raster is copied once
     # keep lines within Netpbm's 70-character guideline: at most 17 samples
     col = np.arange(img.width)
-    codes = img.pixels.astype(np.uint16)
-    codes[:, (col % 17 == 16) | (col == img.width - 1)] += LEVELS
-    return header + b"".join([b"".join([_P2_TOKENS[v] for v in row.tolist()]) for row in codes])
+    line_end = np.where((col % 17 == 16) | (col == img.width - 1), LEVELS, 0).astype(np.uint16)
+    # each block of about _HIST_BLOCK pixels gathers its padded tokens, then drops the padding
+    rows = max(1, _HIST_BLOCK // img.width)
+    blocks = [
+        _P2_WORDS[img.pixels[top : top + rows] + line_end].tobytes().translate(None, b"\0")
+        for top in range(0, img.height, rows)
+    ]
+    return b"".join([header, *blocks])

@@ -145,9 +145,12 @@ def triangle_centroid_quadrature(a: float, b: float, c: float, points: int = 200
         falling = (xs > b) & (xs < c)
         mu[falling] = (c - xs[falling]) / (c - b)
     mu[xs == b] = 1.0
-    num = np.trapezoid(xs * mu, xs)
-    den = np.trapezoid(mu, xs)
-    return float(num / den)
+    return float(_trapezoid(xs * mu, xs) / _trapezoid(mu, xs))
+
+
+def _trapezoid(y, xs):
+    """Trapezoidal rule, as np.trapezoid (NumPy 2 only) computes it."""
+    return (np.diff(xs) * (y[1:] + y[:-1]) / 2.0).sum()
 
 
 # ---------------------------------------------------------------------------

@@ -485,7 +485,8 @@ def test_generator_matches_scalar_splitmix64(seed):
     ]
     stream = list(islice(splitmix64(seed), 3 * _SYNTH_BLOCK + 5))
     for width, height in shapes:
-        for lo, hi in [(77, 77), (0, 255)]:
+        # spans 1 and 256, and spans that are not powers of two
+        for lo, hi in [(77, 77), (0, 255), (10, 12), (100, 156), (0, 254)]:
             img = generate_uniform_image(width, height, lo, hi, seed)
             expected = [lo + x % (hi - lo + 1) for x in stream[: width * height]]
             assert img.pixels.ravel().tolist() == expected, (width, height, lo, hi)

@@ -472,6 +472,37 @@ def test_save_p2_bytes_match_reference_encoder(width):
     assert save_pgm(img, "P2") == encode_p2(img.pixels)
 
 
+@given(pixel_arrays(max_side=48))
+def test_save_p2_matches_reference_encoder(arr):
+    assert save_pgm(GrayImage(arr), "P2") == encode_p2(arr)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (1, _HIST_BLOCK + 3),  # one row wider than a block
+        (_HIST_BLOCK + 3, 1),  # three rows into a second block
+        (1000, 100),  # 655 rows per block: the last block is short
+    ],
+)
+def test_save_p2_block_edges(shape):
+    rng = np.random.default_rng(sum(shape))
+    arr = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    assert save_pgm(GrayImage(arr), "P2") == encode_p2(arr)
+
+
+def test_save_p2_memory_is_bounded():
+    img = GrayImage(np.random.default_rng(5).integers(0, 256, (2048, 2048), dtype=np.uint8))
+    size = len(save_pgm(img, "P2"))
+    # the encoded blocks and their join; no full-size temporary besides
+    assert _traced_peak(save_pgm, img, "P2") <= 2.2 * size
+
+
+def test_save_p5_copies_the_raster_once():
+    img = GrayImage(np.zeros((2048, 2048), dtype=np.uint8))
+    assert _traced_peak(save_pgm, img, "P5") <= 1.1 * img.size
+
+
 # ---------------------------------------------------------------------------
 # histogram() and mean_intensity()
 # ---------------------------------------------------------------------------
