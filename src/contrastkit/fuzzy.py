@@ -97,13 +97,9 @@ class FuzzyConfig:
     def from_json(cls, text: str) -> "FuzzyConfig":
         try:
             doc = json.loads(text)  # RecursionError on deeply nested arrays
-            inputs = tuple(
-                MembershipFunction(float(s["a"]), float(s["b"]), float(s["c"]))
-                for s in doc["input_sets"]
-            )
-            outputs = tuple(
-                MembershipFunction(float(s["a"]), float(s["b"]), float(s["c"]))
-                for s in doc["output_sets"]
+            inputs, outputs = (
+                tuple(MembershipFunction(float(s["a"]), float(s["b"]), float(s["c"])) for s in doc[key])
+                for key in ("input_sets", "output_sets")
             )
             resolution = doc.get("resolution", 256)
         except (AttributeError, KeyError, OverflowError, RecursionError, TypeError) as exc:
@@ -146,18 +142,10 @@ def sample_grid(resolution: int) -> np.ndarray:
 
 
 def infer(triple: tuple[float, float, float], cfg: FuzzyConfig) -> np.ndarray:
-    """Aggregated output membership function for the given activations.
-
-    Each rule clips its output set at the activation degree; the clipped
-    sets are combined pointwise by max. Returns the aggregate sampled at
-    `cfg.resolution` points over [0, 255].
-    """
-    grid = sample_grid(cfg.resolution)
-    agg = np.zeros(cfg.resolution)
-    for activation, out_set in zip(triple, cfg.output_sets):
-        if activation > 0.0:
-            np.maximum(agg, np.minimum(activation, out_set.sample(grid)), out=agg)
-    return agg
+    """The output sets clipped at the given activations (min) and combined
+    by max, sampled at `cfg.resolution` points over [0, 255]."""
+    out_sets = [mf.sample(sample_grid(cfg.resolution)) for mf in cfg.output_sets]
+    return _aggregate(np.array([triple], dtype=np.float64), out_sets)[0]
 
 
 def defuzzify_centroid(agg: np.ndarray) -> int | None:
@@ -165,17 +153,44 @@ def defuzzify_centroid(agg: np.ndarray) -> int | None:
 
     The grid is assumed uniform over [0, 255]. Returns None for an
     all-zero aggregate (no rule fired); callers substitute the input gray
-    level unchanged.
+    level unchanged. A NaN, infinite, negative or too large sample is a ValueError.
     """
-    agg = np.asarray(agg, dtype=np.float64)
+    agg = np.array(agg, dtype=np.float64)  # a copy: `_centroids` overwrites it
     if agg.ndim != 1 or agg.size < 2:
         raise ValueError("aggregate must be a 1-D sample of at least 2 points")
-    total = float(agg.sum())
-    if total <= 0.0:
-        return None
-    grid = sample_grid(agg.size)
-    centroid = float(np.dot(grid, agg)) / total
-    return min(MAX_LEVEL, max(0, math.floor(centroid + 0.5)))
+    for bad, what in (
+        (np.isnan(agg).any(), "a NaN sample"),
+        # the centroid's weighted sum is at most size * max * 255
+        (math.isinf(float(np.abs(agg).max()) * agg.size * MAX_LEVEL), "an infinite or too large sample"),
+        ((agg < 0.0).any(), "a negative sample"),
+    ):
+        if bad:
+            raise ValueError(f"aggregate holds {what}")
+    crisp = int(_centroids(agg[None, :], -1)[0])
+    return None if crisp < 0 else crisp
+
+
+def _aggregate(acts: np.ndarray, out_sets: list[np.ndarray]) -> np.ndarray:
+    """Aggregate of each row of (dark, gray, bright) activations: each rule
+    clips its sampled output set at its activation (min), and the clipped
+    sets combine pointwise by max."""
+    acts = np.fmax(acts, 0.0)  # a rule fires only above 0: NaN and below clip to 0
+    agg = np.minimum(acts[:, :1], out_sets[0])
+    for rule in (1, 2):
+        np.maximum(agg, np.minimum(acts[:, rule, None], out_sets[rule]), out=agg)
+    return agg
+
+
+def _centroids(agg: np.ndarray, fallback: np.ndarray | int) -> np.ndarray:
+    """Each row's center of gravity on the grid over [0, 255], rounded half
+    up, or `fallback` where no rule fired; overwrites `agg`. Rows are summed
+    one by one: `agg @ grid` and `einsum` let the other rows change a row's sums."""
+    total = agg.sum(axis=1)
+    moment = np.multiply(agg, sample_grid(agg.shape[1]), out=agg).sum(axis=1)
+    fired = total > 0.0
+    out = np.where(fired, 0, fallback)
+    out[fired] = np.clip(np.floor(moment[fired] / total[fired] + 0.5), 0, MAX_LEVEL)
+    return out
 
 
 def membership_plane(cfg: FuzzyConfig) -> np.ndarray:
@@ -196,17 +211,7 @@ def fuzzy_lut(cfg: FuzzyConfig) -> IntensityLut:
     rows = max(1, 2**16 // cfg.resolution)
     for start in range(0, len(active), rows):
         levels = active[start : start + rows]
-        acts = plane[levels]
-        agg = np.zeros((len(levels), cfg.resolution))
-        clipped = np.empty_like(agg)
-        for rule, out_set in enumerate(out_sets):
-            np.minimum(acts[:, rule, None], out_set, out=clipped)
-            clipped[~(acts[:, rule] > 0.0)] = 0.0  # a rule fires only above 0
-            np.maximum(agg, clipped, out=agg)
-        total = agg.sum(axis=1)
-        fired = total > 0.0
-        centroid = (agg @ grid)[fired] / total[fired]
-        out[levels[fired]] = np.clip(np.floor(centroid + 0.5), 0, MAX_LEVEL)
+        out[levels] = _centroids(_aggregate(plane[levels], out_sets), levels)
     return IntensityLut(out)
 
 

@@ -81,18 +81,19 @@ def ambe(original: GrayImage, processed: GrayImage) -> float:
     return abs(mean_intensity(original) - mean_intensity(processed))
 
 
+def _report(err: float, before: Histogram, after: Histogram) -> MetricsReport:
+    """The report from an MSE and the original's and result's histograms."""
+    mean_shift = abs(before.mean() - after.mean())
+    return MetricsReport(err, _psnr_from_mse(err), _entropy_bits(after), mean_shift)
+
+
 def evaluate(original: GrayImage, processed: GrayImage) -> MetricsReport:
     """Bundle the four measures for one enhancement result.
 
     Entropy is measured on the processed image (detail richness of the
     output); the other three compare processed against original.
     """
-    return MetricsReport(
-        mse=mse(original, processed),
-        psnr=psnr(original, processed),
-        entropy=entropy(processed),
-        ambe=ambe(original, processed),
-    )
+    return _report(mse(original, processed), histogram(original), histogram(processed))
 
 
 def evaluate_lut(hist: Histogram, lut: IntensityLut) -> MetricsReport:
@@ -107,10 +108,4 @@ def evaluate_lut(hist: Histogram, lut: IntensityLut) -> MetricsReport:
         raise ValueError("cannot score an empty histogram")
     diff = np.arange(LEVELS, dtype=np.int64) - lut.map
     err = int((diff * diff) @ hist.counts) / hist.total
-    out_hist = Histogram(np.bincount(lut.map, weights=hist.counts, minlength=LEVELS))
-    return MetricsReport(
-        mse=err,
-        psnr=_psnr_from_mse(err),
-        entropy=_entropy_bits(out_hist),
-        ambe=abs(hist.mean() - out_hist.mean()),
-    )
+    return _report(err, hist, Histogram(np.bincount(lut.map, weights=hist.counts, minlength=LEVELS)))

@@ -23,7 +23,7 @@ from contrastkit import (
     identity_lut,
     infer,
 )
-from contrastkit.fuzzy import membership_plane, sample_grid
+from contrastkit.fuzzy import _centroids, membership_plane, sample_grid
 
 import bruteforce
 from conftest import low_contrast_images
@@ -207,6 +207,49 @@ def test_centroid_degenerate_and_invalid_inputs():
     assert defuzzify_centroid(np.zeros(256)) is None
     with pytest.raises(ValueError):
         defuzzify_centroid(np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "agg,problem",
+    [
+        ([math.nan, 1.0], "a NaN sample"),
+        ([1.0, math.inf], "an infinite or too large sample"),
+        ([-math.inf, 1.0], "an infinite or too large sample"),
+        ([-1.0, 2.0], "a negative sample"),
+        # finite, but the weighted sums overflow to inf and inf / inf is NaN
+        ([1e308, 1e308], "an infinite or too large sample"),
+        ([0.0, 1e306], "an infinite or too large sample"),
+    ],
+)
+def test_centroid_rejects_invalid_samples(agg, problem):
+    with pytest.raises(ValueError, match=f"aggregate holds {problem}"):
+        defuzzify_centroid(np.array(agg))
+
+
+def test_centroid_of_large_finite_samples():
+    assert defuzzify_centroid(np.array([0.0, 1e303])) == 255
+    assert defuzzify_centroid(np.array([1e303, 0.0, 0.0])) == 0
+
+
+@pytest.mark.parametrize("rows,resolution", [(256, 256), (57, 256), (256, 18), (7, 8193), (3, 20001), (2, 30001)])
+def test_centroids_of_a_block_match_each_row_alone(rows, resolution):
+    # a symmetric row's exact centroid is 127.5, so its rounded centroid
+    # turns on the last bit of the sums; a reduction that depends on the
+    # other rows of the block (a BLAS product, or `einsum` on rows longer
+    # than NumPy's buffer) disagrees with the one-row path on some rows
+    rng = np.random.default_rng(rows)
+    weights = rng.random((rows, resolution))
+    block = weights + weights[:, ::-1]
+    alone = [defuzzify_centroid(row) for row in block]
+    assert set(alone) <= {127, 128}
+    assert _centroids(block, -1).tolist() == alone
+
+
+def test_centroid_leaves_its_argument_unchanged():
+    agg = np.linspace(0.0, 1.0, 256)
+    before = agg.copy()
+    assert defuzzify_centroid(agg) == 170
+    assert np.array_equal(agg, before)
 
 
 @pytest.mark.parametrize("x,expected", [(0.5, 1), (1.5, 2), (2.4, 2), (2.5, 3), (63.75, 64), (127.5, 128)])
@@ -478,6 +521,12 @@ def test_default_fuzzy_lut_matches_exact_oracle_on_every_span():
     assert mismatched == []
 
 
+def per_level_map(cfg):
+    """The LUT composed level by level from the public fuzzy stages."""
+    crisp = [defuzzify_centroid(infer(fuzzify(g, cfg), cfg)) for g in range(256)]
+    return [g if c is None else c for g, c in enumerate(crisp)]
+
+
 breakpoints = st.one_of(
     st.integers(-40, 300).map(float),
     st.floats(-40, 300, allow_nan=False, allow_infinity=False),
@@ -495,18 +544,21 @@ membership_functions = st.tuples(breakpoints, breakpoints, breakpoints).map(
 @settings(max_examples=60, deadline=None)
 def test_fuzzy_lut_matches_per_level_composition(inputs, outputs, resolution):
     cfg = FuzzyConfig(inputs, outputs, resolution)
-    lut = fuzzy_lut(cfg).map
-    grid = sample_grid(resolution)
-    for g in range(256):
-        agg = infer(fuzzify(g, cfg), cfg)
-        crisp = defuzzify_centroid(agg)
-        expected = g if crisp is None else crisp
-        if crisp is not None:
-            centroid = float(np.dot(grid, agg)) / float(agg.sum())
-            if abs(centroid - np.floor(centroid) - 0.5) < 1e-9:
-                assert abs(int(lut[g]) - expected) <= 1
-                continue
-        assert lut[g] == expected
+    assert fuzzy_lut(cfg).map.tolist() == per_level_map(cfg)
+
+
+def test_fuzzy_lut_matches_per_level_composition_on_a_near_half_config():
+    # only the mid rule fires at levels 30, 132 and 136, so the exact
+    # centroid there is 127.5; a BLAS block product once gave 127 at
+    # level 30 where the one-level path gave 128
+    cfg = FuzzyConfig(
+        (MembershipFunction(0, 0, 1), MembershipFunction(23, 69, 143), MembershipFunction(254, 255, 255)),
+        full_range_outputs(),
+        18,
+    )
+    lut = fuzzy_lut(cfg).map.tolist()
+    assert lut == per_level_map(cfg)
+    assert lut[30] == lut[132] == lut[136]
 
 
 def test_fuzzy_lut_memory_is_bounded_at_max_resolution():

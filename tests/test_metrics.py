@@ -13,6 +13,7 @@ from contrastkit import (
     Histogram,
     IntensityLut,
     MembershipFunction,
+    MetricsReport,
     ambe,
     apply_lut,
     entropy,
@@ -220,6 +221,11 @@ def test_ambe_triangle_inequality(pair):
 # ---------------------------------------------------------------------------
 
 
+def bits(report):
+    """The report's fields, with every float as its exact bit pattern."""
+    return tuple(float(v).hex() for v in (report.mse, report.psnr, report.entropy, report.ambe))
+
+
 def test_evaluate_identical_pair():
     a = img_of(10, 20, 30, 40)
     rep = evaluate(a, a)
@@ -239,6 +245,14 @@ def test_evaluate_couples_psnr_to_mse(pair):
         assert rep.psnr == math.inf
 
 
+@given(paired_images(max_side=24))
+def test_evaluate_is_bit_identical_to_the_four_measures(pair):
+    # `evaluate` builds its report from the two histograms; the measures
+    # on their own take pixel sums
+    a, b = pair
+    assert bits(evaluate(a, b)) == bits(MetricsReport(mse(a, b), psnr(a, b), entropy(b), ambe(a, b)))
+
+
 @given(low_contrast_images())
 def test_evaluate_equalized_low_contrast_in_range(img):
     rep = evaluate(img, equalize(img))
@@ -251,11 +265,6 @@ def test_evaluate_equalized_low_contrast_in_range(img):
 # ---------------------------------------------------------------------------
 # evaluate_lut: scoring from the histogram and the LUT
 # ---------------------------------------------------------------------------
-
-
-def bits(report):
-    """The report's fields, with every float as its exact bit pattern."""
-    return tuple(float(v).hex() for v in (report.mse, report.psnr, report.entropy, report.ambe))
 
 
 def assert_scores_match(img, lut):
