@@ -4,14 +4,15 @@ Every method compiles a histogram to a 256-entry lookup table, which is
 then applied per pixel or scored from the histogram alone. Classical HE
 stretches the cumulative distribution across the full range; BBHE splits
 the histogram at the mean and equalizes each half into its own
-sub-range; MMBEBHE searches all 256 split thresholds for the one whose
-output mean is closest to the input mean. All maps round in
-exact integer arithmetic.
+sub-range; MMBEBHE picks, of all 256 split thresholds, the one whose
+output mean is closest to the input mean. A float pass over prefix sums
+bounds every threshold's error in O(256), and only the few thresholds
+that can win are scored exactly. All maps round in exact integer
+arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,40 +86,92 @@ def _segment_map(counts: np.ndarray, threshold: int) -> np.ndarray:
 
 
 def bbhe_lut(hist: Histogram) -> IntensityLut:
-    """Bi-equalization table split at floor(mean intensity).
+    """Bi-equalization table split at floor(sum k * w_k / N), the floored
+    mean in exact integers.
 
     The boundary level (exactly at the floored mean) belongs to the lower
     segment.
     """
     if hist.total == 0:
         raise ValueError("cannot equalize an empty histogram")
-    t = math.floor(hist.mean())
+    t = int(np.arange(LEVELS) @ hist.counts) // hist.total
     return IntensityLut(_segment_map(hist.counts, t))
+
+
+# Slack of the float bound pass in `mmbebhe_threshold`, as a multiple of N.
+# With unit roundoff u = 2**-53 and gamma_k = k*u / (1 - k*u), a product of
+# floats with k roundings, and any summation of k + 1 nonnegative terms, is
+# off by at most gamma_k of its exact value (Higham, "Accuracy and Stability
+# of Numerical Algorithms", 2nd ed., Lemma 3.1 and §4.2, for any summation
+# order). In `_unrounded_out_sums` the lower side takes one product, t
+# additions, a scale and a divide: gamma_258 of at most 255*n_low. The upper
+# side takes one product, 254 - t additions, a divide, a subtraction from
+# n_high and a scale: gamma_258 of at most 254*n_high. The two sides, the
+# int64 upper start and the input sum take five more roundings (two
+# int-to-float casts, two additions, one subtraction), so a computed
+# |approx - input sum| is within eps = 255*gamma_263*N < 2**-36 * N of the
+# exact one. A threshold is kept when its float error is within N + 2*eps of
+# the smallest: the factor below exceeds 1 + 2**-35 even after its own
+# rounding, and float rounding is monotone, so rounding can only keep more
+# thresholds, never fewer.
+_BOUND_SLACK = 1.0 + 2.0**-34
+
+
+def _unrounded_out_sums(hist: Histogram) -> np.ndarray:
+    """Every threshold's bi-equalized output sum before rounding, in float64.
+
+    The lower side is t * sum_{k<=t} w_k * cum_k / n_low. The upper side is
+    (t + 1) * n_high + (254 - t) * (n_high - Q_t / n_high), with Q_t =
+    sum_{k>t} w_k * tail_k and tail_k = sum_{j>k} w_j taken as suffix sums,
+    so no two terms of size N**2 cancel. An empty side adds 0.
+    """
+    levels = np.arange(LEVELS)
+    n_low = np.cumsum(hist.counts)  # int64, exact
+    n_high = hist.total - n_low  # also tail_k: the pixels above level k
+    w = hist.counts.astype(np.float64)
+    q = np.zeros(LEVELS)
+    q[:-1] = np.cumsum((w * n_high)[:0:-1])[::-1]  # Q_t, summed from level 255 down
+    return (
+        levels * np.cumsum(w * n_low) / np.maximum(n_low, 1)
+        + (levels + 1) * n_high
+        + (MAX_LEVEL - 1 - levels) * (n_high - q / np.maximum(n_high, 1))
+    )
 
 
 def mmbebhe_threshold(hist: Histogram) -> int:
     """Split threshold whose bi-equalized output sum is nearest the input
     sum; ties go to the smallest threshold.
 
-    The output sums of all 256 candidate thresholds come from the histogram
-    alone, as one (threshold, occupied level) integer expression of the
-    `_segment_map` rule, so there is neither an image pass nor a float
-    comparison.
+    The comparison is of exact integer sums, `|S_in - S_t|`, computed from
+    the histogram alone, in two passes:
+
+    1. A float bound pass computes every threshold's unrounded output sum
+       in O(256) from prefix and suffix sums (`_unrounded_out_sums`).
+       Half-up rounding moves each pixel by at most 1/2, so the exact error
+       lies within N/2 + eps of the float one (`_BOUND_SLACK`).
+    2. An exact re-check scores only the thresholds whose lower bound is at
+       most the smallest upper bound, with the `_segment_map` rule as one
+       (candidate, occupied level) integer expression, and takes the first
+       minimum. Every dropped threshold is strictly worse than a kept one,
+       so the result is that of the exact search over all 256.
     """
     if hist.total == 0:
         raise ValueError("cannot equalize an empty histogram")
+    in_sum = int(np.arange(LEVELS) @ hist.counts)
+    err = np.abs(_unrounded_out_sums(hist) - in_sum)
+    cand = np.flatnonzero(err - err.min() <= hist.total * _BOUND_SLACK)
+    n_low = np.cumsum(hist.counts)
     occupied = np.flatnonzero(hist.counts)
     weights = hist.counts[occupied]
-    cum = np.cumsum(hist.counts)
-    cum_k = cum[occupied]
-    t = np.arange(LEVELS)[:, None]
-    n_low = cum[:, None]
-    n_high = hist.total - n_low
+    cum_k = n_low[occupied]
+    t = cand[:, None]
+    low = n_low[t]
+    high = hist.total - low
     below = occupied <= t
-    num = np.where(below, t * cum_k, (MAX_LEVEL - 1 - t) * (cum_k - n_low))
-    den = np.where(below, n_low, n_high)  # an occupied level's side is never empty
-    out_sums = _round_ratio(num, den) @ weights + ((t + 1) * n_high)[:, 0]  # upper side from t + 1
-    return int(np.argmin(np.abs(out_sums - occupied @ weights)))  # first minimum
+    num = np.where(below, t * cum_k, (MAX_LEVEL - 1 - t) * (cum_k - low))
+    den = np.where(below, low, high)  # an occupied level's side is never empty
+    out_sums = _round_ratio(num, den) @ weights + ((t + 1) * high)[:, 0]  # upper side from t + 1
+    return int(cand[np.argmin(np.abs(out_sums - in_sum))])  # first minimum
 
 
 def mmbebhe_lut(hist: Histogram) -> IntensityLut:

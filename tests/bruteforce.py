@@ -7,6 +7,8 @@ the library cannot hide in its own oracle.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -72,6 +74,51 @@ def min_mean_error_threshold(pixels) -> int:
         if err < best_err:
             best_t, best_err = t, err
     return best_t
+
+
+def mmbebhe_threshold_all_rows(counts) -> int:
+    """Minimum-brightness-error threshold from the output sums of all 256
+    thresholds at once: one (threshold, occupied level) int64 array of the
+    segment-map rule, with no float step and no pruning. The first minimum
+    of |input sum - output sum| wins."""
+    counts = np.asarray(counts, dtype=np.int64)
+    occupied = np.flatnonzero(counts)
+    weights = counts[occupied]
+    cum = np.cumsum(counts)
+    cum_k = cum[occupied]
+    t = np.arange(256)[:, None]
+    n_low = cum[:, None]
+    n_high = int(cum[-1]) - n_low
+    below = occupied <= t
+    num = np.where(below, t * cum_k, (254 - t) * (cum_k - n_low))
+    den = np.where(below, n_low, n_high)  # an occupied level's side is never empty
+    out_sums = (2 * num + den) // (2 * den) @ weights + ((t + 1) * n_high)[:, 0]
+    return int(np.argmin(np.abs(out_sums - occupied @ weights)))
+
+
+def unrounded_out_sums(counts) -> list[Fraction]:
+    """Output sum of the bi-equalized image at every threshold before
+    rounding, as exact fractions: each occupied level's segment value
+    (start + width * c / n) times its pixel count, summed level by level."""
+    counts = [int(c) for c in counts]
+    total = sum(counts)
+    occupied, cum = [], 0
+    for k, c in enumerate(counts):
+        cum += c
+        if c:
+            occupied.append((k, c, cum))
+    sums = []
+    for t in range(256):
+        n_low = sum(counts[: t + 1])
+        n_high = total - n_low
+        s = Fraction(0)
+        for k, c, cum in occupied:
+            if k <= t:
+                s += c * Fraction(t * cum, n_low)
+            else:
+                s += c * ((t + 1) + Fraction((254 - t) * (cum - n_low), n_high))
+        sums.append(s)
+    return sums
 
 
 def triangle_grade(mf, x: float) -> float:

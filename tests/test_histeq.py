@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from contrastkit import (
     mmbebhe_threshold,
 )
 from contrastkit.cli import generate_uniform_image
+from contrastkit.histeq import _unrounded_out_sums
+from contrastkit.image import MAX_TOTAL
 
 import bruteforce
 from conftest import gray_images
@@ -316,3 +319,106 @@ def test_integer_rounding_matches_float_formula(hist):
     assert he_lut(hist).map.tolist() == float_he.astype(np.int64).tolist()
     t = int(np.floor(hist.mean()))
     assert bbhe_lut(hist).map.tolist() == _float_rounded_segment_map(hist.counts, t).tolist()
+
+
+def test_bbhe_splits_at_the_exact_integer_floor_of_the_mean():
+    # the float mean is 200 - 2**-47, which rounds to 200.0; the integer
+    # floor of sum(k * w_k) / N is 199
+    counts = np.zeros(256, dtype=np.int64)
+    counts[199], counts[200] = 1, 2**47 - 1
+    lut = bbhe_lut(Histogram(counts))
+    assert lut.map.tolist() == bruteforce.segment_map(counts.tolist(), 199)
+    assert lut.map[199:201].tolist() == [199, 255]
+
+
+# ---------------------------------------------------------------------------
+# MMBEBHE bound pass against the search over all 256 thresholds
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def two_level_histograms(draw):
+    levels = draw(st.lists(st.integers(0, 255), min_size=2, max_size=2, unique=True))
+    counts = np.zeros(256, dtype=np.int64)
+    counts[levels] = draw(st.lists(st.integers(1, 2**46), min_size=2, max_size=2))
+    return Histogram(counts)
+
+
+@st.composite
+def symmetric_histograms(draw):
+    """Equal masses at levels mirrored about the middle of [lo, hi], so
+    many thresholds come close to the smallest error."""
+    lo = draw(st.integers(0, 254))
+    hi = draw(st.integers(lo + 1, 255))
+    steps = draw(st.lists(st.integers(0, (hi - lo) // 2), min_size=1, max_size=8, unique=True))
+    counts = np.zeros(256, dtype=np.int64)
+    for j in steps:
+        counts[lo + j] = counts[hi - j] = draw(st.integers(1, 2**40))
+    return Histogram(counts)
+
+
+@st.composite
+def near_max_total_histograms(draw):
+    """Up to five heavy levels filling nearly all of MAX_TOTAL, and 1-3
+    pixels above or below all of them. Here an unrounded upper sum taken as
+    sum_{k>t} w_k * cum_k - n_low * n_high cancels two terms near N**2 and
+    is off by a large share of N."""
+    heavy = sorted(draw(st.lists(st.integers(1, 254), min_size=1, max_size=5, unique=True)))
+    light = draw(st.integers(1, 3))
+    side = st.integers(heavy[-1] + 1, 255) if draw(st.booleans()) else st.integers(0, heavy[0] - 1)
+    cap = (MAX_TOTAL - light) // len(heavy)
+    counts = np.zeros(256, dtype=np.int64)
+    counts[heavy] = draw(st.lists(st.integers(cap // 4, cap), min_size=len(heavy), max_size=len(heavy)))
+    counts[draw(side)] = light
+    return Histogram(counts)
+
+
+@given(
+    st.one_of(
+        large_histograms(), two_level_histograms(), symmetric_histograms(), near_max_total_histograms()
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_mmbebhe_threshold_matches_the_search_over_all_thresholds(hist):
+    assert mmbebhe_threshold(hist) == bruteforce.mmbebhe_threshold_all_rows(hist.counts)
+
+
+@given(st.one_of(two_level_histograms(), symmetric_histograms(), near_max_total_histograms()))
+@settings(max_examples=100, deadline=None)
+def test_mmbebhe_bound_pass_is_within_its_stated_float_error(hist):
+    # the slack derivation in histeq bounds each unrounded sum's float error
+    # by 255 * gamma_263 * N < 2**-36 * N; the form that subtracts two terms
+    # near N**2 was off by a third of N on such histograms
+    exact = bruteforce.unrounded_out_sums(hist.counts)
+    worst = max(abs(Fraction(float(a)) - e) for a, e in zip(_unrounded_out_sums(hist), exact))
+    assert worst <= Fraction(hist.total, 2**36)
+
+
+def _seeded_histograms(count, seed):
+    """Beta-shaped and sparse histograms over spans hi - lo of 1 to 255,
+    with totals from 1 to about 2**40 pixels."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        width = 1 + i % 255
+        lo = int(rng.integers(0, 256 - width))
+        counts = np.zeros(256, dtype=np.int64)
+        if i % 2:
+            a, b = rng.uniform(0.3, 5.0, 2)
+            x = (np.arange(width + 1) + 0.5) / (width + 1)
+            shape = x ** (a - 1) * (1 - x) ** (b - 1)
+            counts[lo : lo + width + 1] = rng.multinomial(int(2 ** rng.uniform(0, 40)), shape / shape.sum())
+            counts[[lo, lo + width]] += 1  # both ends occur
+        else:
+            levels = lo + rng.choice(width + 1, size=min(width + 1, int(rng.integers(1, 9))), replace=False)
+            counts[levels] = rng.integers(1, 2 ** int(rng.integers(1, 40)), size=levels.size, endpoint=True)
+        yield Histogram(counts)
+
+
+@pytest.mark.slow
+def test_mmbebhe_threshold_matches_the_search_over_all_thresholds_on_seeded_histograms():
+    mismatched = [
+        i
+        for i, h in enumerate(_seeded_histograms(10_000, seed=11))
+        if mmbebhe_threshold(h) != bruteforce.mmbebhe_threshold_all_rows(h.counts)
+    ]
+    assert mismatched == []
