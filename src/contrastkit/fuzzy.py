@@ -15,6 +15,9 @@ Three stages, compiled per histogram into an intensity LUT:
 The fixed full-range output sets are what stretch a narrow input range
 toward the full scale. The image-adaptive method, `default_lut`, maps an
 image whose range is narrower than `MIN_USEFUL_SPAN` by the identity.
+Otherwise it is the identity outside the range [lo, hi] and, inside, the
+table of the width hi - lo in `fuzzy_default.bin`: exact integer centroids
+that tests/fuzzy_table.py rebuilds, so nothing is sampled at run time.
 """
 
 from __future__ import annotations
@@ -22,15 +25,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .histeq import IntensityLut, identity_lut, apply_lut
+from .histeq import IntensityLut, apply_lut
 from .image import LEVELS, MAX_LEVEL, GrayImage, Histogram, histogram
 
 # Dynamic ranges narrower than this admit no meaningful input triangles;
 # `default_lut` then falls back to the identity mapping.
 MIN_USEFUL_SPAN = 2
+
+# The default LUT of each range width w in 2..255 on levels lo..hi: its
+# w + 1 outputs start at byte w(w + 1)/2 - 3.
+_DEFAULT_TABLES = Path(__file__).with_name("fuzzy_default.bin").read_bytes()
+if len(_DEFAULT_TABLES) != 32893:  # the sum of w + 1 over w in 2..255
+    raise ImportError(f"fuzzy_default.bin holds {len(_DEFAULT_TABLES)} bytes, expected 32893")
 
 
 @dataclass(frozen=True)
@@ -107,15 +117,19 @@ class FuzzyConfig:
         return cls(inputs, outputs, resolution)  # type: ignore[arg-type]
 
 
+def _intensity_range(hist: Histogram) -> tuple[int, int]:
+    """The first and last non-zero bins of `hist`."""
+    occupied = np.flatnonzero(hist.counts)
+    if occupied.size == 0:
+        raise ValueError("empty histogram has no intensity range")
+    return int(occupied[0]), int(occupied[-1])
+
+
 def default_config(hist: Histogram) -> FuzzyConfig:
     """Image-adaptive config: input triangles anchored at the image's min,
     midpoint, and max intensity (the first and last non-zero bins of its
     histogram); fixed full-range output triangles."""
-    occupied = np.flatnonzero(hist.counts)
-    if occupied.size == 0:
-        raise ValueError("empty histogram has no intensity range")
-    g_min = float(occupied[0])
-    g_max = float(occupied[-1])
+    g_min, g_max = (float(g) for g in _intensity_range(hist))
     m = (g_min + g_max) / 2.0
     inputs = (
         MembershipFunction(g_min, g_min, m),
@@ -143,9 +157,13 @@ def sample_grid(resolution: int) -> np.ndarray:
 
 def infer(triple: tuple[float, float, float], cfg: FuzzyConfig) -> np.ndarray:
     """The output sets clipped at the given activations (min) and combined
-    by max, sampled at `cfg.resolution` points over [0, 255]."""
+    by max, sampled at `cfg.resolution` points over [0, 255]. Other than
+    three (dark, gray, bright) activations is a ValueError."""
+    acts = np.array([triple], dtype=np.float64)
+    if acts.shape != (1, 3):
+        raise ValueError(f"expected three activations (dark, gray, bright), got shape {acts.shape[1:]}")
     out_sets = [mf.sample(sample_grid(cfg.resolution)) for mf in cfg.output_sets]
-    return _aggregate(np.array([triple], dtype=np.float64), out_sets)[0]
+    return _aggregate(acts, out_sets)[0]
 
 
 def defuzzify_centroid(agg: np.ndarray) -> int | None:
@@ -216,13 +234,16 @@ def fuzzy_lut(cfg: FuzzyConfig) -> IntensityLut:
 
 
 def default_lut(hist: Histogram) -> IntensityLut:
-    """The image-adaptive fuzzy LUT: `fuzzy_lut(default_config(hist))`, or
-    the identity when the image's range is narrower than MIN_USEFUL_SPAN."""
-    cfg = default_config(hist)
-    dark, _, bright = cfg.input_sets
-    if bright.b - dark.b < MIN_USEFUL_SPAN:
-        return identity_lut()
-    return fuzzy_lut(cfg)
+    """The LUT of `fuzzy_lut(default_config(hist))`, copied from the table
+    of the image range's width, or the identity when that range is
+    narrower than MIN_USEFUL_SPAN."""
+    lo, hi = _intensity_range(hist)
+    width = hi - lo
+    out = np.arange(LEVELS, dtype=np.uint8)
+    if width >= MIN_USEFUL_SPAN:
+        out[lo : hi + 1] = np.frombuffer(_DEFAULT_TABLES, np.uint8, width + 1, width * (width + 1) // 2 - 3)
+    out.setflags(write=False)  # fresh, so the LUT keeps it without a copy
+    return IntensityLut(out)
 
 
 def enhance_fuzzy(img: GrayImage) -> GrayImage:

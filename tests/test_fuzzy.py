@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from contrastkit import (
     FuzzyConfig,
     GrayImage,
+    Histogram,
     MembershipFunction,
     apply_lut,
     default_config,
@@ -23,9 +24,11 @@ from contrastkit import (
     identity_lut,
     infer,
 )
+from contrastkit import fuzzy
 from contrastkit.fuzzy import _centroids, membership_plane, sample_grid
 
 import bruteforce
+import fuzzy_table
 from conftest import low_contrast_images
 
 TWO_LEVEL = GrayImage.from_flat(2, 1, [100, 150])
@@ -154,6 +157,13 @@ def test_infer_single_full_rule_returns_its_output_set():
 def test_infer_nothing_active_is_zero():
     cfg = default_config(histogram(TWO_LEVEL))
     assert not np.any(infer((0.0, 0.0, 0.0), cfg))
+
+
+@pytest.mark.parametrize("triple", [(1.0, 0.5), (1.0, 0.5, 0.25, 0.75), 0.5])
+def test_infer_needs_exactly_three_activations(triple):
+    cfg = default_config(histogram(TWO_LEVEL))
+    with pytest.raises(ValueError, match="three activations"):
+        infer(triple, cfg)
 
 
 def test_infer_two_clipped_rules_pointwise():
@@ -519,6 +529,33 @@ def test_default_fuzzy_lut_matches_exact_oracle_on_every_span():
     assert len(spans) == 32896
     mismatched = [s for s in spans if _span_lut(*s) != bruteforce.fuzzy_default_map(*s)]
     assert mismatched == []
+
+
+# ---------------------------------------------------------------------------
+# the shipped table of default LUTs, one per range width
+# ---------------------------------------------------------------------------
+
+
+def test_shipped_default_table_is_the_exact_oracles():
+    expected = fuzzy_table.table_bytes()
+    assert len(expected) == 32893
+    assert fuzzy_table.TABLE.read_bytes() == expected
+    assert fuzzy._DEFAULT_TABLES == expected
+
+
+def test_default_lut_matches_the_sampled_compile_at_both_ends_of_every_width():
+    mismatched = []
+    for width in range(2, 256):
+        for lo in (0, 255 - width):
+            hist = histogram(GrayImage.from_flat(2, 1, [lo, lo + width]))
+            if default_lut(hist) != fuzzy_lut(default_config(hist)):
+                mismatched.append((lo, lo + width))
+    assert mismatched == []
+
+
+def test_default_lut_of_an_empty_histogram_raises():
+    with pytest.raises(ValueError, match="^empty histogram has no intensity range$"):
+        default_lut(Histogram(np.zeros(256, dtype=np.int64)))
 
 
 def per_level_map(cfg):
