@@ -12,7 +12,6 @@ from .fuzzy import (
     default_config,
     default_lut,
     defuzzify_centroid,
-    enhance_fuzzy,
     fuzzify,
     fuzzy_lut,
     infer,
@@ -20,12 +19,9 @@ from .fuzzy import (
 from .histeq import (
     IntensityLut,
     apply_lut,
-    bbhe,
     bbhe_lut,
-    equalize,
     he_lut,
     identity_lut,
-    mmbebhe,
     mmbebhe_lut,
     mmbebhe_threshold,
 )
@@ -35,10 +31,9 @@ from .image import (
     PgmDecodeError,
     histogram,
     load_pgm,
-    mean_intensity,
     save_pgm,
 )
-from .methods import LUT_COMPILERS
+from .methods import LUT_COMPILERS, enhance
 from .metrics import MetricsReport, ambe, entropy, evaluate, evaluate_lut, mse, psnr
 
 __version__ = "0.1.0"
@@ -50,14 +45,10 @@ __all__ = [
     "histogram",
     "load_pgm",
     "save_pgm",
-    "mean_intensity",
     "IntensityLut",
     "he_lut",
     "apply_lut",
-    "equalize",
-    "bbhe",
     "bbhe_lut",
-    "mmbebhe",
     "mmbebhe_lut",
     "mmbebhe_threshold",
     "identity_lut",
@@ -69,8 +60,8 @@ __all__ = [
     "infer",
     "defuzzify_centroid",
     "fuzzy_lut",
-    "enhance_fuzzy",
     "LUT_COMPILERS",
+    "enhance",
     "MetricsReport",
     "mse",
     "psnr",

@@ -29,9 +29,8 @@ import numpy as np
 
 from . import fuzzy as fz
 from . import metrics
-from .histeq import apply_lut
 from .image import GrayImage, histogram, load_pgm, save_pgm
-from .methods import LUT_COMPILERS, lut_compilers
+from .methods import LUT_COMPILERS, enhance, lut_compilers
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,8 +144,7 @@ def _write_output(path: str, data: bytes) -> None:
 
 def cmd_enhance(args: argparse.Namespace) -> int:
     img = _read_image(args.input)
-    compile_lut = lut_compilers(_load_fuzzy_config(args.fuzzy_config))[args.method]
-    out = apply_lut(img, compile_lut(histogram(img)))
+    out = enhance(img, args.method, _load_fuzzy_config(args.fuzzy_config))
     _write_output(args.output, save_pgm(out, args.format))
     print(f"{args.method}: {img.width}x{img.height} {args.input} -> {args.output}")
     return EXIT_OK

@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .histeq import IntensityLut, apply_lut
-from .image import LEVELS, MAX_LEVEL, GrayImage, Histogram, histogram
+from .histeq import IntensityLut
+from .image import LEVELS, MAX_LEVEL, Histogram
 
 # Dynamic ranges narrower than this admit no meaningful input triangles;
 # `default_lut` then falls back to the identity mapping.
@@ -244,8 +244,3 @@ def default_lut(hist: Histogram) -> IntensityLut:
         out[lo : hi + 1] = np.frombuffer(_DEFAULT_TABLES, np.uint8, width + 1, width * (width + 1) // 2 - 3)
     out.setflags(write=False)  # fresh, so the LUT keeps it without a copy
     return IntensityLut(out)
-
-
-def enhance_fuzzy(img: GrayImage) -> GrayImage:
-    """Fuzzy enhancement of `img` with the image-adaptive default config."""
-    return apply_lut(img, default_lut(histogram(img)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import LEVELS, MAX_LEVEL, GrayImage, Histogram, _frozen_levels, histogram
+from .image import LEVELS, MAX_LEVEL, GrayImage, Histogram, _frozen_levels
 
 @dataclass(frozen=True, eq=False)
 class IntensityLut:
@@ -178,18 +178,3 @@ def mmbebhe_lut(hist: Histogram) -> IntensityLut:
     """Bi-equalization table at the minimum-brightness-error threshold."""
     t = mmbebhe_threshold(hist)
     return IntensityLut(_segment_map(hist.counts, t))
-
-
-def equalize(img: GrayImage) -> GrayImage:
-    """Classical histogram equalization of `img`."""
-    return apply_lut(img, he_lut(histogram(img)))
-
-
-def bbhe(img: GrayImage) -> GrayImage:
-    """Brightness-preserving bi-histogram equalization of `img`."""
-    return apply_lut(img, bbhe_lut(histogram(img)))
-
-
-def mmbebhe(img: GrayImage) -> GrayImage:
-    """Minimum mean brightness error bi-histogram equalization of `img`."""
-    return apply_lut(img, mmbebhe_lut(histogram(img)))

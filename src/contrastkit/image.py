@@ -110,17 +110,21 @@ class GrayImage:
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Per-level pixel counts (256 bins) with derived probability views.
+    """Per-level pixel counts (256 bins) with derived statistics.
 
-    Counts are raw integers; probabilities and the CDF are computed on
-    demand in double precision. The total may not exceed `MAX_TOTAL`.
+    Counts are integers; probabilities are computed on demand in double
+    precision, and the mean as an exact integer sum / N. The total may not
+    exceed `MAX_TOTAL`.
     """
 
     counts: np.ndarray
     total: int = field(init=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.counts, dtype=np.int64, order="C")  # a copy the caller cannot touch
+        arr = np.asarray(self.counts)
+        if not np.issubdtype(arr.dtype, np.integer):  # the int64 cast would truncate them
+            raise ValueError(f"counts must be integers, got dtype {arr.dtype}")
+        arr = np.array(arr, dtype=np.int64, order="C")  # a copy the caller cannot touch
         if arr.shape != (LEVELS,):
             raise ValueError(f"counts must have {LEVELS} bins, got shape {arr.shape}")
         if arr.min() < 0:
@@ -140,12 +144,6 @@ class Histogram:
         if self.total == 0:
             raise ValueError("empty histogram has no probability mass")
         return self.counts / self.total
-
-    def cdf(self) -> np.ndarray:
-        """Cumulative distribution over levels; non-decreasing, ends at 1."""
-        if self.total == 0:
-            raise ValueError("empty histogram has no CDF")
-        return np.cumsum(self.counts) / self.total
 
     def mean(self) -> float:
         """Mean intensity of the tallied pixels."""
@@ -170,11 +168,6 @@ def histogram(img: GrayImage) -> Histogram:
     for start in range(0, flat.size, _HIST_BLOCK):
         counts += np.bincount(flat[start : start + _HIST_BLOCK], minlength=LEVELS)
     return Histogram(counts)
-
-
-def mean_intensity(img: GrayImage) -> float:
-    """Arithmetic mean of all pixel values (exact integer sum / N)."""
-    return int(img.pixels.sum(dtype=np.int64)) / img.size
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The enhancement methods by CLI name, one registry of the single method
 shape: a compiler from an image's `Histogram` to its `IntensityLut`.
 
-Enhancing is compile + `apply_lut`; scoring is compile +
+Enhancing is compile + `apply_lut` (`enhance`); scoring is compile +
 `metrics.evaluate_lut`, which needs no pixel pass.
 """
 
@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Callable
 
 from . import fuzzy, histeq
-from .histeq import IntensityLut
-from .image import Histogram
+from .histeq import IntensityLut, apply_lut
+from .image import GrayImage, Histogram, histogram
 
 LutCompiler = Callable[[Histogram], IntensityLut]
 
@@ -31,3 +31,9 @@ def lut_compilers(fuzzy_config: fuzzy.FuzzyConfig | None = None) -> dict[str, Lu
     if fuzzy_config is None:
         return LUT_COMPILERS
     return {**LUT_COMPILERS, "fuzzy": lambda hist: fuzzy.fuzzy_lut(fuzzy_config)}
+
+
+def enhance(img: GrayImage, method: str, fuzzy_config: fuzzy.FuzzyConfig | None = None) -> GrayImage:
+    """`img` enhanced by `method`, a key of `LUT_COMPILERS`: its histogram's
+    LUT applied to every pixel."""
+    return apply_lut(img, lut_compilers(fuzzy_config)[method](histogram(img)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .histeq import IntensityLut
-from .image import _HIST_BLOCK, LEVELS, GrayImage, Histogram, histogram, mean_intensity
+from .image import _HIST_BLOCK, LEVELS, GrayImage, Histogram, histogram
 
 PSNR_PEAK_SQ = 255.0 * 255.0
 
@@ -78,7 +78,7 @@ def entropy(img: GrayImage) -> float:
 def ambe(original: GrayImage, processed: GrayImage) -> float:
     """Absolute mean brightness error; lower means brightness preserved."""
     _check_same_dims(original, processed)
-    return abs(mean_intensity(original) - mean_intensity(processed))
+    return abs(histogram(original).mean() - histogram(processed).mean())
 
 
 def _report(err: float, before: Histogram, after: Histogram) -> MetricsReport:
@@ -108,4 +108,6 @@ def evaluate_lut(hist: Histogram, lut: IntensityLut) -> MetricsReport:
         raise ValueError("cannot score an empty histogram")
     diff = np.arange(LEVELS, dtype=np.int64) - lut.map
     err = int((diff * diff) @ hist.counts) / hist.total
-    return _report(err, hist, Histogram(np.bincount(lut.map, weights=hist.counts, minlength=LEVELS)))
+    # the float64 weighted counts are exact integers below 2**53
+    after = np.bincount(lut.map, weights=hist.counts, minlength=LEVELS).astype(np.int64)
+    return _report(err, hist, Histogram(after))

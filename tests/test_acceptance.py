@@ -72,7 +72,7 @@ def test_he_oracle_equivalence():
         expected = bruteforce.apply_map(
             bruteforce.he_map(bruteforce.tally_histogram(flat)), flat
         )
-        assert ck.equalize(img).pixels.ravel().tolist() == expected
+        assert ck.enhance(img, "he").pixels.ravel().tolist() == expected
 
 
 @criterion(3, "HE LUT monotone, maps top occupied level to 255, on 1000 histograms")
@@ -94,7 +94,7 @@ def test_mmbebhe_dominance_and_threshold():
     rng = np.random.default_rng(404)
     for _ in range(200):
         img = ck.GrayImage(rng.integers(0, 256, size=(16, 16), dtype=np.uint8))
-        assert ck.ambe(img, ck.mmbebhe(img)) <= ck.ambe(img, ck.bbhe(img)) + 1e-12
+        assert ck.ambe(img, ck.enhance(img, "mmbebhe")) <= ck.ambe(img, ck.enhance(img, "bbhe")) + 1e-12
         got = ck.mmbebhe_threshold(ck.histogram(img))
         assert got == bruteforce.min_mean_error_threshold(img.pixels.ravel())
 
@@ -145,7 +145,7 @@ def test_fuzzy_pipeline_properties():
     assert abs(got_bright - bruteforce.triangle_centroid_quadrature(128, 255, 255)) <= 1.0
 
     constant = ck.GrayImage(np.full((6, 6), 99, dtype=np.uint8))
-    assert ck.enhance_fuzzy(constant) == constant
+    assert ck.enhance(constant, "fuzzy") == constant
 
     rng = np.random.default_rng(606)
     for _ in range(500):
@@ -172,7 +172,7 @@ def test_fuzzy_contrast_stretch():
         lo = int(rng.integers(96, 116))
         hi = lo + int(rng.integers(20, 57))
         img = generate_uniform_image(32, 32, lo, min(hi, 255), int(rng.integers(1 << 40)))
-        out = ck.enhance_fuzzy(img)
+        out = ck.enhance(img, "fuzzy")
         in_span = int(img.pixels.max()) - int(img.pixels.min())
         out_span = int(out.pixels.max()) - int(out.pixels.min())
         assert out_span > in_span
@@ -216,3 +216,13 @@ def test_end_to_end_report(tmp_path):
         assert psnr_s == "inf" or float(psnr_s) >= 0.0
         assert 0.0 <= float(entropy_s) <= 8.0
         assert 0.0 <= float(ambe_s) <= 255.0
+
+
+def test_public_names_resolve_and_enhance_is_the_one_entry_point():
+    for name in ck.__all__:
+        assert hasattr(ck, name), name
+    # the per-method wrappers and duplicate statistics that `enhance` and
+    # `Histogram.mean` replace
+    for name in ("equalize", "bbhe", "mmbebhe", "enhance_fuzzy", "mean_intensity"):
+        assert name not in ck.__all__ and not hasattr(ck, name), name
+    assert not hasattr(ck.Histogram, "cdf")

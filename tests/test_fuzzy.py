@@ -17,7 +17,7 @@ from contrastkit import (
     default_config,
     default_lut,
     defuzzify_centroid,
-    enhance_fuzzy,
+    enhance,
     fuzzify,
     fuzzy_lut,
     histogram,
@@ -319,11 +319,11 @@ def test_fuzzy_lut_monotone_on_dynamic_range(img):
 
 def test_enhance_fuzzy_constant_unchanged():
     img = GrayImage(np.full((5, 3), 77, dtype=np.uint8))
-    assert enhance_fuzzy(img) == img
+    assert enhance(img, "fuzzy") == img
 
 
 def test_enhance_fuzzy_two_level_stretch():
-    out = enhance_fuzzy(TWO_LEVEL)
+    out = enhance(TWO_LEVEL, "fuzzy")
     levels = sorted(set(out.pixels.ravel().tolist()))
     assert levels == [42, 213]
     assert abs(levels[0] - 128 / 3) <= 2
@@ -335,7 +335,7 @@ def test_enhance_fuzzy_two_level_stretch():
 @given(low_contrast_images(min_span=2, max_span=40))
 @settings(max_examples=40, deadline=None)
 def test_enhance_fuzzy_preserves_dimensions_and_expands_span(img):
-    out = enhance_fuzzy(img)
+    out = enhance(img, "fuzzy")
     assert (out.width, out.height) == (img.width, img.height)
     in_span = int(img.pixels.max()) - int(img.pixels.min())
     out_span = int(out.pixels.max()) - int(out.pixels.min())
@@ -346,7 +346,7 @@ def test_enhance_fuzzy_mid_window_pushes_past_both_ends():
     rng = np.random.default_rng(5)
     for _ in range(10):
         img = GrayImage(rng.integers(100, 157, size=(16, 16), dtype=np.uint8))
-        out = enhance_fuzzy(img)
+        out = enhance(img, "fuzzy")
         assert int(out.pixels.min()) < 100
         assert int(out.pixels.max()) > 156
 

@@ -7,18 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contrastkit import (
+    LUT_COMPILERS,
+    FuzzyConfig,
     GrayImage,
     Histogram,
     IntensityLut,
+    MembershipFunction,
     ambe,
     apply_lut,
-    bbhe,
     bbhe_lut,
-    equalize,
+    enhance,
+    fuzzy_lut,
     he_lut,
     histogram,
     identity_lut,
-    mmbebhe,
     mmbebhe_lut,
     mmbebhe_threshold,
 )
@@ -109,7 +111,7 @@ def test_he_lut_monotone_and_range(img):
 
 
 # ---------------------------------------------------------------------------
-# apply_lut / equalize
+# apply_lut / enhance
 # ---------------------------------------------------------------------------
 
 
@@ -130,23 +132,36 @@ def test_apply_he_lut_four_levels():
 
 def test_equalize_constant_image_goes_white():
     img = GrayImage(np.full((3, 3), 42, dtype=np.uint8))
-    assert np.all(equalize(img).pixels == 255)
+    assert np.all(enhance(img, "he").pixels == 255)
 
 
 def test_equalize_four_levels():
-    assert equalize(FOUR_LEVELS).pixels.ravel().tolist() == [64, 128, 191, 255]
+    assert enhance(FOUR_LEVELS, "he").pixels.ravel().tolist() == [64, 128, 191, 255]
+
+
+@pytest.mark.parametrize("method", list(LUT_COMPILERS))
+@given(gray_images())
+def test_enhance_is_lut_expressible(method, img):
+    assert enhance(img, method) == apply_lut(img, LUT_COMPILERS[method](histogram(img)))
 
 
 @given(gray_images())
-def test_equalize_is_lut_expressible(img):
-    assert equalize(img) == apply_lut(img, he_lut(histogram(img)))
+def test_enhance_fuzzy_applies_a_given_config(img):
+    # fixed sets, unlike any image's default config
+    cfg = FuzzyConfig(
+        (MembershipFunction(0, 0, 100), MembershipFunction(50, 120, 200), MembershipFunction(150, 255, 255)),
+        (MembershipFunction(0, 0, 90), MembershipFunction(60, 128, 200), MembershipFunction(160, 255, 255)),
+        resolution=64,
+    )
+    assert enhance(img, "fuzzy", cfg) == apply_lut(img, fuzzy_lut(cfg))
 
 
 @given(gray_images())
 def test_equalized_cdf_tracks_linear_ramp(img):
     # discrete HE limit: deviation from the ideal ramp is bounded by the
     # largest single-bin mass plus the half-level rounding quantum
-    out_cdf = histogram(equalize(img)).cdf()
+    out_hist = histogram(enhance(img, "he"))
+    out_cdf = np.cumsum(out_hist.counts) / out_hist.total
     ramp = np.arange(256) / 255.0
     p_max = histogram(img).probabilities().max()
     assert np.max(np.abs(out_cdf - ramp)) <= p_max + 0.5 / 255 + 1e-12
@@ -155,8 +170,8 @@ def test_equalized_cdf_tracks_linear_ramp(img):
 @given(gray_images())
 def test_pixel_count_preserved_by_all_methods(img):
     n = img.size
-    for method in (equalize, bbhe, mmbebhe):
-        out = method(img)
+    for method in LUT_COMPILERS:
+        out = enhance(img, method)
         assert (out.width, out.height) == (img.width, img.height)
         assert histogram(out).total == n
 
@@ -169,13 +184,13 @@ def test_pixel_count_preserved_by_all_methods(img):
 def test_bbhe_constant_image_unchanged():
     for g in (0, 100, 255):
         img = GrayImage(np.full((4, 4), g, dtype=np.uint8))
-        assert bbhe(img) == img
+        assert enhance(img, "bbhe") == img
 
 
 def test_bbhe_four_levels_hand_computed():
     # mean 111.75 -> split at 111; lower {0,64} onto [0,111]: {55.5->56, 111};
     # upper {128,255} onto [112,255]: {112+71.5->184, 255}
-    assert bbhe(FOUR_LEVELS).pixels.ravel().tolist() == [56, 111, 184, 255]
+    assert enhance(FOUR_LEVELS, "bbhe").pixels.ravel().tolist() == [56, 111, 184, 255]
 
 
 def test_bbhe_lut_segments_monotone():
@@ -205,8 +220,8 @@ def test_bbhe_beats_he_brightness_where_he_shifts():
     # the mean-split keeps it close
     for seed, lo, hi in [(1, 40, 90), (2, 170, 220), (3, 60, 100), (4, 180, 230)]:
         img = generate_uniform_image(32, 32, lo, hi, seed)
-        assert ambe(img, equalize(img)) > 10.0  # HE really does shift brightness
-        assert ambe(img, bbhe(img)) < ambe(img, equalize(img))
+        assert ambe(img, enhance(img, "he")) > 10.0  # HE really does shift brightness
+        assert ambe(img, enhance(img, "bbhe")) < ambe(img, enhance(img, "he"))
 
 
 def test_bbhe_brightness_majority_on_low_contrast_corpus():
@@ -216,7 +231,7 @@ def test_bbhe_brightness_majority_on_low_contrast_corpus():
         lo = int(rng.integers(20, 180))
         hi = lo + int(rng.integers(20, 60))
         img = generate_uniform_image(16, 16, lo, min(hi, 255), int(rng.integers(1 << 30)))
-        if ambe(img, bbhe(img)) <= ambe(img, equalize(img)):
+        if ambe(img, enhance(img, "bbhe")) <= ambe(img, enhance(img, "he")):
             wins += 1
         else:
             ties_or_losses += 1
@@ -231,13 +246,13 @@ def test_bbhe_brightness_majority_on_low_contrast_corpus():
 def test_mmbebhe_constant_image_unchanged():
     for g in (0, 128, 255):
         img = GrayImage(np.full((4, 4), g, dtype=np.uint8))
-        assert mmbebhe(img) == img
+        assert enhance(img, "mmbebhe") == img
 
 
 @given(gray_images())
 @settings(max_examples=40, deadline=None)
 def test_mmbebhe_never_worse_than_bbhe(img):
-    assert ambe(img, mmbebhe(img)) <= ambe(img, bbhe(img)) + 1e-12
+    assert ambe(img, enhance(img, "mmbebhe")) <= ambe(img, enhance(img, "bbhe")) + 1e-12
 
 
 def test_mmbebhe_threshold_matches_materialization_oracle():
@@ -267,7 +282,7 @@ def test_equalize_small_images_match_from_scratch(values):
     img = GrayImage.from_flat(len(values), 1, values)
     counts = bruteforce.tally_histogram(values)
     expected = bruteforce.apply_map(bruteforce.he_map(counts), values)
-    assert equalize(img).pixels.ravel().tolist() == expected
+    assert enhance(img, "he").pixels.ravel().tolist() == expected
 
 
 def test_mmbebhe_threshold_float_tie_regression():

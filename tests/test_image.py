@@ -1,6 +1,7 @@
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from contrastkit import (
     PgmDecodeError,
     histogram,
     load_pgm,
-    mean_intensity,
     save_pgm,
 )
 from contrastkit.image import _HIST_BLOCK
@@ -73,6 +73,19 @@ def test_histogram_rejects_bad_counts():
         Histogram(counts)
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [[0.5] * 256, [1.9] * 256, np.ones(256), np.full(256, np.nan), np.ones(256, dtype=np.float32)],
+    ids=["half", "1.9", "whole floats", "nan", "float32"],
+)
+def test_histogram_rejects_non_integer_counts(counts):
+    # once truncated to int64 (a total of 0 or 256), or a NaN cast warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^counts must be integers, got dtype float(64|32)$"):
+            Histogram(counts)
+
+
 def test_histogram_total_bound_is_inclusive():
     counts = np.zeros(256, dtype=np.int64)
     counts[[3, 250]] = [2**46, 2**46]
@@ -100,8 +113,6 @@ def test_empty_histogram_has_no_derived_views():
     assert empty.total == 0
     with pytest.raises(ValueError):
         empty.probabilities()
-    with pytest.raises(ValueError):
-        empty.cdf()
     with pytest.raises(ValueError):
         empty.mean()
 
@@ -504,7 +515,7 @@ def test_save_p5_copies_the_raster_once():
 
 
 # ---------------------------------------------------------------------------
-# histogram() and mean_intensity()
+# histogram() and Histogram.mean()
 # ---------------------------------------------------------------------------
 
 
@@ -553,17 +564,17 @@ def test_histogram_memory_is_bounded():
 
 
 def test_mean_constant():
-    assert mean_intensity(GrayImage(np.full((3, 3), 7, dtype=np.uint8))) == 7.0
+    assert histogram(GrayImage(np.full((3, 3), 7, dtype=np.uint8))).mean() == 7.0
 
 
 def test_mean_four_levels():
-    assert mean_intensity(GrayImage.from_flat(2, 2, [0, 64, 128, 255])) == 111.75
+    assert histogram(GrayImage.from_flat(2, 2, [0, 64, 128, 255])).mean() == 111.75
 
 
 @given(gray_images())
 def test_mean_matches_direct_summation(img):
     direct = sum(int(p) for p in img.pixels.ravel()) / img.size
-    assert mean_intensity(img) == pytest.approx(direct, abs=1e-9)
+    assert histogram(img).mean() == pytest.approx(direct, abs=1e-9)
 
 
 @given(gray_images())
@@ -572,8 +583,8 @@ def test_histogram_invariants(img):
     assert hist.total == img.width * img.height
     probs = hist.probabilities()
     assert abs(probs.sum() - 1.0) < 1e-12
-    cdf = hist.cdf()
+    cdf = np.cumsum(hist.counts) / hist.total
     assert np.all(np.diff(cdf) >= 0)
     assert abs(cdf[-1] - 1.0) < 1e-12
-    # histogram-weighted mean agrees with the pixel mean
-    assert hist.mean() == pytest.approx(mean_intensity(img), abs=1e-9)
+    # histogram-weighted mean is the exact integer pixel sum / N
+    assert hist.mean() == int(img.pixels.sum(dtype=np.int64)) / img.size

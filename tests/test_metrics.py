@@ -16,8 +16,8 @@ from contrastkit import (
     MetricsReport,
     ambe,
     apply_lut,
+    enhance,
     entropy,
-    equalize,
     evaluate,
     evaluate_lut,
     histogram,
@@ -139,7 +139,7 @@ def test_psnr_ratio_100_is_20_db():
 @given(paired_images())
 def test_psnr_mse_monotone_coupling(pair):
     a, b = pair
-    c = equalize(b)
+    c = enhance(b, "he")
     m_ab, m_ac = mse(a, b), mse(a, c)
     p_ab, p_ac = psnr(a, b), psnr(a, c)
     if m_ab < m_ac:
@@ -212,7 +212,7 @@ def test_ambe_symmetry(pair):
 @given(paired_images())
 def test_ambe_triangle_inequality(pair):
     a, b = pair
-    c = equalize(a)
+    c = enhance(a, "he")
     assert ambe(a, c) <= ambe(a, b) + ambe(b, c) + 1e-12
 
 
@@ -255,7 +255,7 @@ def test_evaluate_is_bit_identical_to_the_four_measures(pair):
 
 @given(low_contrast_images())
 def test_evaluate_equalized_low_contrast_in_range(img):
-    rep = evaluate(img, equalize(img))
+    rep = evaluate(img, enhance(img, "he"))
     assert 0.0 <= rep.mse <= 65025.0
     assert rep.psnr > 0.0 and math.isfinite(rep.psnr) or rep.psnr == math.inf
     assert 0.0 <= rep.entropy <= 8.0
@@ -322,6 +322,14 @@ def test_evaluate_lut_is_bit_identical_on_large_images(method):
     for shape in [(517, 389), (1024, 1024)]:
         img = GrayImage(np.minimum(rng.gamma(3.0, 20.0, size=shape), 255).astype(np.uint8))
         assert_scores_match(img, LUT_COMPILERS[method](histogram(img)))
+
+
+def test_evaluate_lut_merges_bins_into_integer_counts():
+    # a LUT that folds many levels into few: the output histogram's counts
+    # are weighted sums, built as exact integers
+    img = generate_uniform_image(300, 300, 0, 255, 5)
+    lut = IntensityLut((np.arange(256) // 37 * 37).astype(np.uint8))
+    assert evaluate_lut(histogram(img), lut) == evaluate(img, apply_lut(img, lut))
 
 
 def test_evaluate_lut_rejects_an_empty_histogram():
