@@ -34,7 +34,7 @@ from .image import (
     save_pgm,
 )
 from .methods import LUT_COMPILERS, enhance
-from .metrics import MetricsReport, ambe, entropy, evaluate, evaluate_lut, mse, psnr
+from .metrics import MetricsReport, ambe, entropy, evaluate, evaluate_luts, mse, psnr
 
 __version__ = "0.1.0"
 
@@ -68,6 +68,6 @@ __all__ = [
     "entropy",
     "ambe",
     "evaluate",
-    "evaluate_lut",
+    "evaluate_luts",
     "__version__",
 ]

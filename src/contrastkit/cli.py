@@ -173,9 +173,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     for path in args.inputs:
         try:
             hist = histogram(_read_image(path))
-            scores = [_scores(metrics.evaluate_lut(hist, compilers[m](hist))) for m in methods]
+            reports = metrics.evaluate_luts(hist, [compilers[m](hist) for m in methods])
             # written only once every method has scored: an input is reported whole or skipped
-            writer.writerows([path, m, *row] for m, row in zip(methods, scores))
+            writer.writerows([path, m, *_scores(rep)] for m, rep in zip(methods, reports))
         except (OSError, ValueError) as exc:  # PgmDecodeError is a ValueError
             print(f"skipping {path}: {exc}", file=sys.stderr)
             failed = True

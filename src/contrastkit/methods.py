@@ -2,7 +2,7 @@
 shape: a compiler from an image's `Histogram` to its `IntensityLut`.
 
 Enhancing is compile + `apply_lut` (`enhance`); scoring is compile +
-`metrics.evaluate_lut`, which needs no pixel pass.
+`metrics.evaluate_luts`, which needs no pixel pass.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ PSNR uses the 8-bit peak (L-1)^2 = 255^2 = 65025 and returns +inf for a
 zero MSE so that a perfect reconstruction is representable rather than an
 error. Entropy is in bits (log base 2), bounded by 8 for 8-bit images.
 
-`evaluate` scores two arbitrary images pixel by pixel. `evaluate_lut`
-scores an image against `lut` applied to it in O(256), from the image's
-histogram alone, with a report bit-identical to
+`evaluate` scores two arbitrary images pixel by pixel. `evaluate_luts`
+scores an image against each of several LUTs in one stacked (LUTs x 256)
+pass over its histogram alone, each report bit-identical to
 `evaluate(img, apply_lut(img, lut))`.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .histeq import IntensityLut
 from .image import _HIST_BLOCK, LEVELS, GrayImage, Histogram, histogram
 
 PSNR_PEAK_SQ = 255.0 * 255.0
+_LEVEL_VALUES = np.arange(LEVELS, dtype=np.int64)
 
 
 def _check_same_dims(original: GrayImage, processed: GrayImage) -> None:
@@ -58,9 +60,10 @@ def psnr(original: GrayImage, processed: GrayImage) -> float:
     return _psnr_from_mse(mse(original, processed))
 
 
-def _entropy_bits(hist: Histogram) -> float:
-    p = hist.probabilities()
-    p = p[p > 0]
+def _entropy_bits(counts: np.ndarray, total: int) -> float:
+    # summed over this row's positive terms alone: zero padding, or one
+    # `np.add.reduceat` over many rows, changes NumPy's pairwise blocking
+    p = counts[counts > 0] / total
     return float(-(p * np.log2(p)).sum())
 
 
@@ -72,7 +75,8 @@ def _psnr_from_mse(err: float) -> float:
 
 def entropy(img: GrayImage) -> float:
     """Shannon entropy of the intensity distribution, in bits (0..8)."""
-    return _entropy_bits(histogram(img))
+    hist = histogram(img)
+    return _entropy_bits(hist.counts, hist.total)
 
 
 def ambe(original: GrayImage, processed: GrayImage) -> float:
@@ -81,10 +85,9 @@ def ambe(original: GrayImage, processed: GrayImage) -> float:
     return abs(histogram(original).mean() - histogram(processed).mean())
 
 
-def _report(err: float, before: Histogram, after: Histogram) -> MetricsReport:
-    """The report from an MSE and the original's and result's histograms."""
-    mean_shift = abs(before.mean() - after.mean())
-    return MetricsReport(err, _psnr_from_mse(err), _entropy_bits(after), mean_shift)
+def _report(err: float, mean_shift: float, after: np.ndarray, total: int) -> MetricsReport:
+    """The report from an MSE, an AMBE and the result's counts."""
+    return MetricsReport(err, _psnr_from_mse(err), _entropy_bits(after, total), mean_shift)
 
 
 def evaluate(original: GrayImage, processed: GrayImage) -> MetricsReport:
@@ -93,21 +96,31 @@ def evaluate(original: GrayImage, processed: GrayImage) -> MetricsReport:
     Entropy is measured on the processed image (detail richness of the
     output); the other three compare processed against original.
     """
-    return _report(mse(original, processed), histogram(original), histogram(processed))
+    before, after = histogram(original), histogram(processed)
+    mean_shift = abs(before.mean() - after.mean())
+    return _report(mse(original, processed), mean_shift, after.counts, after.total)
 
 
-def evaluate_lut(hist: Histogram, lut: IntensityLut) -> MetricsReport:
-    """:func:`evaluate` of an image against `lut` applied to it, from the
-    image's histogram `hist` alone.
+def evaluate_luts(hist: Histogram, luts: Sequence[IntensityLut]) -> list[MetricsReport]:
+    """:func:`evaluate` of an image against each LUT applied to it, from the
+    image's histogram `hist` alone; no LUTs give no reports.
 
     MSE and both means come from the same exact integer sums as the pixel
-    path, and entropy from the same output histogram, so the report is
+    path, and entropy from the same output counts, so every report is
     bit-identical.
     """
     if hist.total == 0:
         raise ValueError("cannot score an empty histogram")
-    diff = np.arange(LEVELS, dtype=np.int64) - lut.map
-    err = int((diff * diff) @ hist.counts) / hist.total
-    # the float64 weighted counts are exact integers below 2**53
-    after = np.bincount(lut.map, weights=hist.counts, minlength=LEVELS).astype(np.int64)
-    return _report(err, hist, Histogram(after))
+    if not luts:
+        return []
+    maps = np.array([lut.map for lut in luts])  # (m, 256) uint8
+    diff = _LEVEL_VALUES - maps
+    errs = ((diff * diff) @ hist.counts).tolist()
+    # row i's output levels land in bins 256 i .. 256 i + 255; the float64
+    # weighted counts are exact integers below 2**53
+    bins = (maps + np.arange(0, maps.size, LEVELS)[:, None]).ravel()
+    weights = np.concatenate([hist.counts] * len(luts))
+    after = np.bincount(bins, weights, minlength=maps.size).astype(np.int64).reshape(maps.shape)
+    sums = (after @ _LEVEL_VALUES).tolist()
+    mean_in, n = hist.mean(), hist.total
+    return [_report(e / n, abs(mean_in - s / n), row, n) for e, s, row in zip(errs, sums, after)]

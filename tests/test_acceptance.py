@@ -221,8 +221,8 @@ def test_end_to_end_report(tmp_path):
 def test_public_names_resolve_and_enhance_is_the_one_entry_point():
     for name in ck.__all__:
         assert hasattr(ck, name), name
-    # the per-method wrappers and duplicate statistics that `enhance` and
-    # `Histogram.mean` replace
-    for name in ("equalize", "bbhe", "mmbebhe", "enhance_fuzzy", "mean_intensity"):
+    # the per-method wrappers and duplicate statistics that `enhance`,
+    # `Histogram.mean` and `evaluate_luts` replace
+    for name in ("equalize", "bbhe", "mmbebhe", "enhance_fuzzy", "mean_intensity", "evaluate_lut"):
         assert name not in ck.__all__ and not hasattr(ck, name), name
     assert not hasattr(ck.Histogram, "cdf")
