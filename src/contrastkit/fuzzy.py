@@ -120,8 +120,6 @@ class FuzzyConfig:
 def _intensity_range(hist: Histogram) -> tuple[int, int]:
     """The first and last non-zero bins of `hist`."""
     occupied = np.flatnonzero(hist.counts)
-    if occupied.size == 0:
-        raise ValueError("empty histogram has no intensity range")
     return int(occupied[0]), int(occupied[-1])
 
 

@@ -1,14 +1,13 @@
 """Global histogram equalization and its brightness-preserving variants.
 
 Every method compiles a histogram to a 256-entry lookup table, which is
-then applied per pixel or scored from the histogram alone. Classical HE
-stretches the cumulative distribution across the full range; BBHE splits
-the histogram at the mean and equalizes each half into its own
-sub-range; MMBEBHE picks, of all 256 split thresholds, the one whose
-output mean is closest to the input mean. A float pass over prefix sums
-bounds every threshold's error in O(256), and only the few thresholds
-that can win are scored exactly. All maps round in exact integer
-arithmetic.
+then applied per pixel or scored from the histogram alone. HE, BBHE and
+MMBEBHE are one bi-equalization, `_segment_map`: levels up to a split t
+equalize onto [0, t], the rest onto [t + 1, 255]. HE splits at 255, BBHE
+at the floored mean, and MMBEBHE at the threshold whose output mean is
+nearest the input mean: a float pass over prefix sums bounds every
+threshold's error in O(256), and only the few that can win are scored
+exactly. All maps round in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -59,10 +58,7 @@ def he_lut(hist: Histogram) -> IntensityLut:
     Rounding is half up, in exact integers. The map is non-decreasing and
     sends every level at which the CDF has reached 1 to 255.
     """
-    if hist.total == 0:
-        raise ValueError("cannot equalize an empty histogram")
-    cum = np.cumsum(hist.counts)  # int64, exact
-    return IntensityLut(_round_ratio(MAX_LEVEL * cum, hist.total))
+    return IntensityLut(_segment_map(hist.counts, MAX_LEVEL))
 
 
 def _segment_map(counts: np.ndarray, threshold: int) -> np.ndarray:
@@ -92,9 +88,7 @@ def bbhe_lut(hist: Histogram) -> IntensityLut:
     The boundary level (exactly at the floored mean) belongs to the lower
     segment.
     """
-    if hist.total == 0:
-        raise ValueError("cannot equalize an empty histogram")
-    t = int(np.arange(LEVELS) @ hist.counts) // hist.total
+    t = hist.level_sum // hist.total
     return IntensityLut(_segment_map(hist.counts, t))
 
 
@@ -155,9 +149,7 @@ def mmbebhe_threshold(hist: Histogram) -> int:
        minimum. Every dropped threshold is strictly worse than a kept one,
        so the result is that of the exact search over all 256.
     """
-    if hist.total == 0:
-        raise ValueError("cannot equalize an empty histogram")
-    in_sum = int(np.arange(LEVELS) @ hist.counts)
+    in_sum = hist.level_sum
     err = np.abs(_unrounded_out_sums(hist) - in_sum)
     cand = np.flatnonzero(err - err.min() <= hist.total * _BOUND_SLACK)
     n_low = np.cumsum(hist.counts)

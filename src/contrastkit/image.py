@@ -14,6 +14,7 @@ import numpy as np
 
 LEVELS = 256
 MAX_LEVEL = LEVELS - 1
+_LEVEL_VALUES = np.arange(LEVELS, dtype=np.int64)
 # largest histogram total: the tightest integer kernel, MSE's sum of
 # 65025 * N, stays below 2**63
 MAX_TOTAL = 1 << 47
@@ -112,45 +113,45 @@ class GrayImage:
 class Histogram:
     """Per-level pixel counts (256 bins) with derived statistics.
 
-    Counts are integers; probabilities are computed on demand in double
-    precision, and the mean as an exact integer sum / N. The total may not
-    exceed `MAX_TOTAL`.
+    Counts are integers with a total from 1 to `MAX_TOTAL`. `level_sum` is
+    the exact integer sum k * w_k and the mean `level_sum / total`;
+    probabilities are computed on demand in double precision.
     """
 
     counts: np.ndarray
     total: int = field(init=False)
+    level_sum: int = field(init=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.counts)
         if not np.issubdtype(arr.dtype, np.integer):  # the int64 cast would truncate them
             raise ValueError(f"counts must be integers, got dtype {arr.dtype}")
-        arr = np.array(arr, dtype=np.int64, order="C")  # a copy the caller cannot touch
         if arr.shape != (LEVELS,):
             raise ValueError(f"counts must have {LEVELS} bins, got shape {arr.shape}")
         if arr.min() < 0:
             raise ValueError("counts must be non-negative")
-        total = int(arr.sum())  # exact once no bin exceeds MAX_TOTAL
-        if arr.max() > MAX_TOTAL or total > MAX_TOTAL:
+        # bins are bounded before the int64 cast, which would wrap a uint64
+        # count past 2**63; below the bound the int64 sum is exact
+        if arr.max() > MAX_TOTAL or (total := int(arr.sum(dtype=np.int64))) > MAX_TOTAL:
             raise ValueError(
                 f"histogram total exceeds {MAX_TOTAL} (2**47) pixels, "
                 "past which the integer kernels overflow int64"
             )
+        if total == 0:
+            raise ValueError("empty histogram: counts must not all be zero")
+        arr = np.array(arr, dtype=np.int64, order="C")  # a copy the caller cannot touch
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
         object.__setattr__(self, "total", total)
+        object.__setattr__(self, "level_sum", int(_LEVEL_VALUES @ arr))
 
     def probabilities(self) -> np.ndarray:
         """Occurrence probability of each level (counts / total)."""
-        if self.total == 0:
-            raise ValueError("empty histogram has no probability mass")
         return self.counts / self.total
 
     def mean(self) -> float:
-        """Mean intensity of the tallied pixels."""
-        if self.total == 0:
-            raise ValueError("empty histogram has no mean")
-        weighted = int(np.dot(np.arange(LEVELS, dtype=np.int64), self.counts))
-        return weighted / self.total
+        """Mean intensity of the tallied pixels: the exact `level_sum` / N."""
+        return self.level_sum / self.total
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Histogram):

@@ -19,10 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .histeq import IntensityLut
-from .image import _HIST_BLOCK, LEVELS, GrayImage, Histogram, histogram
+from .image import _HIST_BLOCK, _LEVEL_VALUES, LEVELS, GrayImage, Histogram, histogram
 
 PSNR_PEAK_SQ = 255.0 * 255.0
-_LEVEL_VALUES = np.arange(LEVELS, dtype=np.int64)
 
 
 def _check_same_dims(original: GrayImage, processed: GrayImage) -> None:
@@ -109,8 +108,6 @@ def evaluate_luts(hist: Histogram, luts: Sequence[IntensityLut]) -> list[Metrics
     path, and entropy from the same output counts, so every report is
     bit-identical.
     """
-    if hist.total == 0:
-        raise ValueError("cannot score an empty histogram")
     if not luts:
         return []
     maps = np.array([lut.map for lut in luts])  # (m, 256) uint8

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from contrastkit import (
     FuzzyConfig,
     GrayImage,
-    Histogram,
     MembershipFunction,
     apply_lut,
     default_config,
@@ -551,11 +550,6 @@ def test_default_lut_matches_the_sampled_compile_at_both_ends_of_every_width():
             if default_lut(hist) != fuzzy_lut(default_config(hist)):
                 mismatched.append((lo, lo + width))
     assert mismatched == []
-
-
-def test_default_lut_of_an_empty_histogram_raises():
-    with pytest.raises(ValueError, match="^empty histogram has no intensity range$"):
-        default_lut(Histogram(np.zeros(256, dtype=np.int64)))
 
 
 def per_level_map(cfg):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contrastkit import (
@@ -88,14 +88,27 @@ def test_he_lut_constant_histogram_saturates():
         assert he_lut(Histogram(counts)).map[g] == 255
 
 
-def test_he_lut_empty_histogram_is_error():
-    with pytest.raises(ValueError, match="empty"):
-        he_lut(Histogram(np.zeros(256, dtype=np.int64)))
+@st.composite
+def large_histograms(draw):
+    """Histograms with up to 256 occupied levels and totals up to 2**32."""
+    levels = draw(st.lists(st.integers(0, 255), min_size=1, max_size=256, unique=True))
+    cap = 2**32 // len(levels)
+    counts = np.zeros(256, dtype=np.int64)
+    counts[levels] = draw(st.lists(st.integers(1, cap), min_size=len(levels), max_size=len(levels)))
+    return Histogram(counts)
 
 
-@given(gray_images())
-def test_he_lut_matches_prefix_sum_oracle(img):
-    hist = histogram(img)
+def _max_total_histogram():
+    # a total of exactly 2**47, the bound: from level 128 up, the rounding
+    # numerator 2 * 255 * cum + N nears 2**56
+    counts = np.zeros(256, dtype=np.int64)
+    counts[[0, 128, 255]] = [1, 2**47 - 2, 1]
+    return Histogram(counts)
+
+
+@given(st.one_of(gray_images().map(histogram), large_histograms()))
+@example(_max_total_histogram())
+def test_he_lut_matches_prefix_sum_oracle(hist):
     assert he_lut(hist).map.tolist() == bruteforce.he_map(hist.counts.tolist())
 
 
@@ -304,16 +317,6 @@ def test_mmbebhe_threshold_matches_exact_oracle_on_sparse_histograms(levels):
     counts = np.zeros(256, dtype=np.int64)
     counts[list(levels)] = list(levels.values())
     assert mmbebhe_threshold(Histogram(counts)) == bruteforce.min_mean_error_threshold(pixels)
-
-
-@st.composite
-def large_histograms(draw):
-    """Histograms with up to 256 occupied levels and totals up to 2**32."""
-    levels = draw(st.lists(st.integers(0, 255), min_size=1, max_size=256, unique=True))
-    cap = 2**32 // len(levels)
-    counts = np.zeros(256, dtype=np.int64)
-    counts[levels] = draw(st.lists(st.integers(1, cap), min_size=len(levels), max_size=len(levels)))
-    return Histogram(counts)
 
 
 def _float_rounded_segment_map(counts, t):

@@ -89,7 +89,9 @@ def test_histogram_rejects_non_integer_counts(counts):
 def test_histogram_total_bound_is_inclusive():
     counts = np.zeros(256, dtype=np.int64)
     counts[[3, 250]] = [2**46, 2**46]
-    assert Histogram(counts).total == 2**47
+    hist = Histogram(counts)
+    assert hist.total == 2**47
+    assert hist.level_sum == 3 * 2**46 + 250 * 2**46
 
 
 @pytest.mark.parametrize(
@@ -99,22 +101,23 @@ def test_histogram_total_bound_is_inclusive():
         {0: 2**62, 1: 2**62, 2: 2**62, 3: 2**62},  # an int64 sum wraps to 0
         # these once scored an MSE of 751.0 where the true one is about 25,327
         {10: 2**53, 200: 2**53 // 3 + 1, 100: 7},
+        # uint64 counts from 2**63 up, which the int64 cast once wrapped negative
+        {5: 2**63},
+        {5: 2**63 + 2**62},
+        {5: 2**64 - 1},
     ],
 )
 def test_histogram_rejects_totals_past_2_47(bins):
-    counts = np.zeros(256, dtype=np.int64)
+    counts = np.zeros(256, dtype=np.uint64 if max(bins.values()) >= 2**63 else np.int64)
     counts[list(bins)] = list(bins.values())
     with pytest.raises(ValueError, match=r"^histogram total exceeds 140737488355328 \(2\*\*47\)"):
         Histogram(counts)
 
 
-def test_empty_histogram_has_no_derived_views():
-    empty = Histogram(np.zeros(256, dtype=np.int64))
-    assert empty.total == 0
-    with pytest.raises(ValueError):
-        empty.probabilities()
-    with pytest.raises(ValueError):
-        empty.mean()
+def test_histogram_rejects_an_empty_count_vector():
+    for dtype in (np.int64, np.uint8, np.int32):
+        with pytest.raises(ValueError, match="^empty histogram: counts must not all be zero$"):
+            Histogram(np.zeros(256, dtype=dtype))
 
 
 def test_image_neither_aliases_nor_freezes_a_writable_array():
@@ -587,4 +590,6 @@ def test_histogram_invariants(img):
     assert np.all(np.diff(cdf) >= 0)
     assert abs(cdf[-1] - 1.0) < 1e-12
     # histogram-weighted mean is the exact integer pixel sum / N
-    assert hist.mean() == int(img.pixels.sum(dtype=np.int64)) / img.size
+    pixel_sum = int(img.pixels.sum(dtype=np.int64))
+    assert hist.level_sum == pixel_sum
+    assert hist.mean() == pixel_sum / img.size

@@ -345,11 +345,6 @@ def test_evaluate_lut_merges_bins_into_integer_counts():
     assert evaluate_luts(histogram(img), [lut])[0] == evaluate(img, apply_lut(img, lut))
 
 
-def test_evaluate_lut_rejects_an_empty_histogram():
-    with pytest.raises(ValueError, match="empty"):
-        evaluate_luts(Histogram(np.zeros(256, dtype=np.int64)), [identity_lut()])
-
-
 # ---------------------------------------------------------------------------
 # evaluate_luts: every LUT of one histogram in one stacked pass
 # ---------------------------------------------------------------------------
@@ -393,9 +388,3 @@ def test_evaluate_luts_sums_each_entropy_over_its_own_row():
 def test_evaluate_luts_of_no_luts_is_no_reports():
     assert evaluate_luts(histogram(img_of(3, 7)), []) == []
     assert evaluate_luts(histogram(img_of(3, 7)), ()) == []
-
-
-@pytest.mark.parametrize("luts", [[identity_lut(), identity_lut()], []])
-def test_evaluate_luts_rejects_an_empty_histogram(luts):
-    with pytest.raises(ValueError, match="empty"):
-        evaluate_luts(Histogram(np.zeros(256, dtype=np.int64)), luts)
