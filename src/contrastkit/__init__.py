@@ -11,10 +11,7 @@ from .fuzzy import (
     MembershipFunction,
     default_config,
     default_lut,
-    defuzzify_centroid,
-    fuzzify,
     fuzzy_lut,
-    infer,
 )
 from .histeq import (
     IntensityLut,
@@ -56,9 +53,6 @@ __all__ = [
     "FuzzyConfig",
     "default_config",
     "default_lut",
-    "fuzzify",
-    "infer",
-    "defuzzify_centroid",
     "fuzzy_lut",
     "LUT_COMPILERS",
     "enhance",

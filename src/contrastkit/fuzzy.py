@@ -1,16 +1,20 @@
 """Rule-based fuzzy contrast enhancement.
 
-Three stages, compiled per histogram into an intensity LUT:
+`fuzzy_lut` compiles three stages for all 256 gray levels into one LUT:
 
 1. fuzzification - each gray level gets membership degrees in three
-   image-adaptive input sets (dark / gray / bright, triangles anchored at
-   the lowest, middle, and highest occupied level of the histogram);
+   input sets (dark / gray / bright triangles; `default_config` anchors
+   them at the lowest, middle, and highest occupied level of a histogram);
 2. inference - Mamdani style: each of the three rules (dark->darker,
    gray->mid, bright->brighter) clips its output set at the rule's
    activation degree (min), and the clipped sets are aggregated pointwise
    by max;
 3. defuzzification - center of gravity of the aggregate, sampled on a
-   uniform grid over [0, 255], rounded half up.
+   uniform grid over [0, 255], rounded half up; a level that fires no
+   rule passes through unchanged.
+
+The public surface is `FuzzyConfig` (of `MembershipFunction` sets),
+`default_config`, `fuzzy_lut` and `default_lut`.
 
 The fixed full-range output sets are what stretch a narrow input range
 toward the full scale. The image-adaptive method, `default_lut`, maps an
@@ -142,92 +146,43 @@ def default_config(hist: Histogram) -> FuzzyConfig:
     return FuzzyConfig(inputs, outputs)
 
 
-def fuzzify(g: float, cfg: FuzzyConfig) -> tuple[float, float, float]:
-    """Membership degrees of gray level `g` in the (dark, gray, bright) sets."""
-    dark, gray, bright = (float(mf.sample(g)) for mf in cfg.input_sets)
-    return (dark, gray, bright)
-
-
-def sample_grid(resolution: int) -> np.ndarray:
-    """Uniform defuzzification grid over [0, 255]."""
-    return np.linspace(0.0, float(MAX_LEVEL), resolution)
-
-
-def infer(triple: tuple[float, float, float], cfg: FuzzyConfig) -> np.ndarray:
-    """The output sets clipped at the given activations (min) and combined
-    by max, sampled at `cfg.resolution` points over [0, 255]. Other than
-    three (dark, gray, bright) activations is a ValueError."""
-    acts = np.array([triple], dtype=np.float64)
-    if acts.shape != (1, 3):
-        raise ValueError(f"expected three activations (dark, gray, bright), got shape {acts.shape[1:]}")
-    out_sets = [mf.sample(sample_grid(cfg.resolution)) for mf in cfg.output_sets]
-    return _aggregate(acts, out_sets)[0]
-
-
-def defuzzify_centroid(agg: np.ndarray) -> int | None:
-    """Center of gravity of a sampled membership function, as an intensity.
-
-    The grid is assumed uniform over [0, 255]. Returns None for an
-    all-zero aggregate (no rule fired); callers substitute the input gray
-    level unchanged. A NaN, infinite, negative or too large sample is a ValueError.
-    """
-    agg = np.array(agg, dtype=np.float64)  # a copy: `_centroids` overwrites it
-    if agg.ndim != 1 or agg.size < 2:
-        raise ValueError("aggregate must be a 1-D sample of at least 2 points")
-    for bad, what in (
-        (np.isnan(agg).any(), "a NaN sample"),
-        # the centroid's weighted sum is at most size * max * 255
-        (math.isinf(float(np.abs(agg).max()) * agg.size * MAX_LEVEL), "an infinite or too large sample"),
-        ((agg < 0.0).any(), "a negative sample"),
-    ):
-        if bad:
-            raise ValueError(f"aggregate holds {what}")
-    crisp = int(_centroids(agg[None, :], -1)[0])
-    return None if crisp < 0 else crisp
-
-
 def _aggregate(acts: np.ndarray, out_sets: list[np.ndarray]) -> np.ndarray:
     """Aggregate of each row of (dark, gray, bright) activations: each rule
     clips its sampled output set at its activation (min), and the clipped
     sets combine pointwise by max."""
-    acts = np.fmax(acts, 0.0)  # a rule fires only above 0: NaN and below clip to 0
     agg = np.minimum(acts[:, :1], out_sets[0])
     for rule in (1, 2):
         np.maximum(agg, np.minimum(acts[:, rule, None], out_sets[rule]), out=agg)
     return agg
 
 
-def _centroids(agg: np.ndarray, fallback: np.ndarray | int) -> np.ndarray:
-    """Each row's center of gravity on the grid over [0, 255], rounded half
-    up, or `fallback` where no rule fired; overwrites `agg`. Rows are summed
-    one by one: `agg @ grid` and `einsum` let the other rows change a row's sums."""
+def _centroids(agg: np.ndarray, grid: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Each row's center of gravity on `grid`, rounded half up, or `fallback`
+    where no rule fired; overwrites `agg`. Rows are summed one by one:
+    `agg @ grid` and `einsum` let the other rows change a row's sums."""
     total = agg.sum(axis=1)
-    moment = np.multiply(agg, sample_grid(agg.shape[1]), out=agg).sum(axis=1)
+    moment = np.multiply(agg, grid, out=agg).sum(axis=1)
     fired = total > 0.0
     out = np.where(fired, 0, fallback)
     out[fired] = np.clip(np.floor(moment[fired] / total[fired] + 0.5), 0, MAX_LEVEL)
     return out
 
 
-def membership_plane(cfg: FuzzyConfig) -> np.ndarray:
-    """(256, 3) array of (dark, gray, bright) memberships per gray level."""
-    levels = np.arange(LEVELS, dtype=np.float64)
-    return np.column_stack([mf.sample(levels) for mf in cfg.input_sets])
-
-
 def fuzzy_lut(cfg: FuzzyConfig) -> IntensityLut:
     """Compile the pipeline into a LUT: fuzzify, infer, and defuzzify all
     gray levels at once, in blocks of at most 2**16 aggregate samples."""
-    plane = membership_plane(cfg)
+    levels = np.arange(LEVELS, dtype=np.float64)
+    # (256, 3) memberships, each in [0, 1]: no activation needs clipping
+    plane = np.column_stack([mf.sample(levels) for mf in cfg.input_sets])
     # a level with no positive activation fires no rule and passes through
     active = np.flatnonzero((plane > 0.0).any(axis=1))
-    grid = sample_grid(cfg.resolution)
+    grid = np.linspace(0.0, float(MAX_LEVEL), cfg.resolution)
     out_sets = [mf.sample(grid) for mf in cfg.output_sets]
     out = np.arange(LEVELS)
     rows = max(1, 2**16 // cfg.resolution)
     for start in range(0, len(active), rows):
-        levels = active[start : start + rows]
-        out[levels] = _centroids(_aggregate(plane[levels], out_sets), levels)
+        block = active[start : start + rows]
+        out[block] = _centroids(_aggregate(plane[block], out_sets), grid, block)
     return IntensityLut(out)
 
 

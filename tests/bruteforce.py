@@ -7,6 +7,7 @@ the library cannot hide in its own oracle.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +134,32 @@ def triangle_grade(mf, x: float) -> float:
     if x >= mf.c:
         return 0.0
     return (mf.c - x) / (mf.c - mf.b)
+
+
+def grid_centroid(agg: np.ndarray, grid: np.ndarray) -> int | None:
+    """Center of gravity of one 1-D aggregate on `grid`, rounded half up:
+    floor(Σ agg·grid / Σ agg + 1/2); None when Σ agg is 0."""
+    total = float(agg.sum())
+    if total == 0.0:
+        return None
+    return math.floor(float((agg * grid).sum()) / total + 0.5)
+
+
+def fuzzy_per_level_map(cfg) -> list[int]:
+    """The fuzzy LUT of `cfg` composed one gray level at a time: the level's
+    grade in each input set clips that rule's output set sampled on the
+    uniform grid of `cfg.resolution` points over [0, 255] (min), the three
+    clipped sets combine by max, and the level maps to the aggregate's
+    grid centroid, or to itself when no rule fires."""
+    grid = np.linspace(0.0, 255.0, cfg.resolution)
+    out_sets = [np.array([triangle_grade(mf, x) for x in grid]) for mf in cfg.output_sets]
+    out = []
+    for g in range(256):
+        acts = [triangle_grade(mf, float(g)) for mf in cfg.input_sets]
+        agg = np.max([np.minimum(act, out_set) for act, out_set in zip(acts, out_sets)], axis=0)
+        crisp = grid_centroid(agg, grid)
+        out.append(g if crisp is None else crisp)
+    return out
 
 
 # Default fuzzy output sets (darker (0, 0, 128), mid (64, 128, 192),

@@ -13,7 +13,6 @@ import pytest
 
 import contrastkit as ck
 from contrastkit.cli import generate_uniform_image, main
-from contrastkit.fuzzy import membership_plane, sample_grid
 
 import bruteforce
 
@@ -133,11 +132,11 @@ def test_metric_identities():
 
 @criterion(6, "fuzzy pipeline: partition of unity, monotone LUT, centroid anchors")
 def test_fuzzy_pipeline_properties():
-    grid = sample_grid(256)
-    darker = ck.MembershipFunction(0.0, 0.0, 128.0)
-    brighter = ck.MembershipFunction(128.0, 255.0, 255.0)
-    got_dark = ck.defuzzify_centroid(darker.sample(grid))
-    got_bright = ck.defuzzify_centroid(brighter.sample(grid))
+    # a two-level image fires only the dark rule at its lowest level and
+    # only the bright rule at its highest, fully: their LUT entries are
+    # the centroids of the full darker and brighter output sets
+    lut = ck.fuzzy_lut(ck.default_config(ck.histogram(ck.GrayImage.from_flat(2, 1, [100, 150]))))
+    got_dark, got_bright = int(lut.map[100]), int(lut.map[150])
     assert abs(got_dark - 128 / 3) <= 1.0
     assert abs(got_bright - (255 - 128 / 3)) <= 1.0
     # quadrature oracle agrees at the same tolerance
@@ -157,7 +156,8 @@ def test_fuzzy_pipeline_properties():
         if g_max - g_min < 2:
             continue
         cfg = ck.default_config(ck.histogram(img))
-        sums = membership_plane(cfg)[g_min : g_max + 1].sum(axis=1)
+        levels = np.arange(g_min, g_max + 1, dtype=np.float64)
+        sums = sum(mf.sample(levels) for mf in cfg.input_sets)
         assert np.all(np.abs(sums - 1.0) <= 1e-9)
         lut = ck.fuzzy_lut(cfg).map.astype(np.int64)
         assert np.all(np.diff(lut[g_min : g_max + 1]) >= 0)
@@ -222,7 +222,12 @@ def test_public_names_resolve_and_enhance_is_the_one_entry_point():
     for name in ck.__all__:
         assert hasattr(ck, name), name
     # the per-method wrappers and duplicate statistics that `enhance`,
-    # `Histogram.mean` and `evaluate_luts` replace
-    for name in ("equalize", "bbhe", "mmbebhe", "enhance_fuzzy", "mean_intensity", "evaluate_lut"):
+    # `Histogram.mean` and `evaluate_luts` replace, and the per-level fuzzy
+    # stages that `fuzzy_lut` compiles
+    for name in ("equalize", "bbhe", "mmbebhe", "enhance_fuzzy", "mean_intensity", "evaluate_lut",
+                 "fuzzify", "infer", "defuzzify_centroid"):
         assert name not in ck.__all__ and not hasattr(ck, name), name
     assert not hasattr(ck.Histogram, "cdf")
+    # `fuzzy_lut` builds its membership plane and grid itself
+    for name in ("membership_plane", "sample_grid"):
+        assert not hasattr(ck.fuzzy, name), name

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contrastkit import (
@@ -15,16 +15,13 @@ from contrastkit import (
     apply_lut,
     default_config,
     default_lut,
-    defuzzify_centroid,
     enhance,
-    fuzzify,
     fuzzy_lut,
     histogram,
     identity_lut,
-    infer,
 )
 from contrastkit import fuzzy
-from contrastkit.fuzzy import _centroids, membership_plane, sample_grid
+from contrastkit.fuzzy import _aggregate, _centroids
 
 import bruteforce
 import fuzzy_table
@@ -117,11 +114,16 @@ def test_default_config_degenerate_on_flat_images():
             assert (lut == identity_lut()) == identity, (lo, span)
 
 
+def grades(cfg, g):
+    """The (dark, gray, bright) membership degrees of gray level `g`."""
+    return tuple(grade(mf, g) for mf in cfg.input_sets)
+
+
 def test_fuzzify_at_anchors():
     cfg = default_config(histogram(GrayImage.from_flat(2, 1, [50, 200])))
-    assert fuzzify(50, cfg) == (1.0, 0.0, 0.0)
-    assert fuzzify(125, cfg) == (0.0, 1.0, 0.0)
-    d, g, b = fuzzify(87.5, cfg)  # halfway between g_min and the midpoint
+    assert grades(cfg, 50) == (1.0, 0.0, 0.0)
+    assert grades(cfg, 125) == (0.0, 1.0, 0.0)
+    d, g, b = grades(cfg, 87.5)  # halfway between g_min and the midpoint
     assert (d, g, b) == pytest.approx((0.5, 0.5, 0.0))
 
 
@@ -131,13 +133,31 @@ def test_partition_of_unity_on_dynamic_range(g_min, span, data):
     img = GrayImage.from_flat(2, 1, [g_min, g_max])
     cfg = default_config(histogram(img))
     g = data.draw(st.integers(g_min, g_max))
-    assert sum(fuzzify(g, cfg)) == pytest.approx(1.0, abs=1e-9)
+    assert sum(grades(cfg, g)) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_membership_plane_shape_and_bounds():
-    cfg = default_config(histogram(TWO_LEVEL))
-    plane = membership_plane(cfg)
+MAX_FLOAT = 1.7976931348623157e308
+SUBNORMAL = 5e-324
+any_breakpoint = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10, 265),
+    st.integers(-10, 265).map(float),
+    st.sampled_from([-MAX_FLOAT, MAX_FLOAT, -SUBNORMAL, SUBNORMAL, 0.0, -0.0]),
+)
+
+
+@given(st.lists(st.tuples(any_breakpoint, any_breakpoint, any_breakpoint).map(sorted), min_size=3, max_size=3))
+@example([[-MAX_FLOAT, -MAX_FLOAT, MAX_FLOAT], [-MAX_FLOAT, MAX_FLOAT, MAX_FLOAT], [-MAX_FLOAT, 0.0, MAX_FLOAT]])
+@example([[-SUBNORMAL, 0.0, SUBNORMAL], [-SUBNORMAL, SUBNORMAL, SUBNORMAL], [0.0, SUBNORMAL, 2 * SUBNORMAL]])
+@example([[-MAX_FLOAT, 255.0, 255.0], [0.0, 0.0, MAX_FLOAT], [-SUBNORMAL, -SUBNORMAL, 0.0]])
+def test_membership_plane_shape_and_bounds(triangles):
+    # the plane of every config that `from_json` accepts is in [0, 1] and
+    # never NaN, so `fuzzy._aggregate` clips no activation
+    sets = [{"a": a, "b": b, "c": c} for a, b, c in triangles]
+    cfg = FuzzyConfig.from_json(json.dumps({"input_sets": sets, "output_sets": sets}))
+    plane = np.column_stack([mf.sample(np.arange(256.0)) for mf in cfg.input_sets])
     assert plane.shape == (256, 3)
+    assert not np.isnan(plane).any()
     assert np.all(plane >= 0.0) and np.all(plane <= 1.0)
 
 
@@ -146,29 +166,29 @@ def test_membership_plane_shape_and_bounds():
 # ---------------------------------------------------------------------------
 
 
+def output_grid_sets(cfg):
+    """The grid of `cfg` and its output sets sampled on it."""
+    grid = np.linspace(0.0, 255.0, cfg.resolution)
+    return grid, [mf.sample(grid) for mf in cfg.output_sets]
+
+
 def test_infer_single_full_rule_returns_its_output_set():
     cfg = default_config(histogram(TWO_LEVEL))
-    grid = sample_grid(cfg.resolution)
-    agg = infer((1.0, 0.0, 0.0), cfg)
-    assert np.array_equal(agg, cfg.output_sets[0].sample(grid))
+    _, out_sets = output_grid_sets(cfg)
+    agg = _aggregate(np.eye(3), out_sets)
+    for rule in range(3):
+        assert np.array_equal(agg[rule], out_sets[rule])
 
 
 def test_infer_nothing_active_is_zero():
     cfg = default_config(histogram(TWO_LEVEL))
-    assert not np.any(infer((0.0, 0.0, 0.0), cfg))
-
-
-@pytest.mark.parametrize("triple", [(1.0, 0.5), (1.0, 0.5, 0.25, 0.75), 0.5])
-def test_infer_needs_exactly_three_activations(triple):
-    cfg = default_config(histogram(TWO_LEVEL))
-    with pytest.raises(ValueError, match="three activations"):
-        infer(triple, cfg)
+    assert not np.any(_aggregate(np.zeros((2, 3)), output_grid_sets(cfg)[1]))
 
 
 def test_infer_two_clipped_rules_pointwise():
     cfg = default_config(histogram(TWO_LEVEL))
-    grid = sample_grid(cfg.resolution)
-    agg = infer((0.5, 0.5, 0.0), cfg)
+    grid, out_sets = output_grid_sets(cfg)
+    agg = _aggregate(np.array([[0.5, 0.5, 0.0]]), out_sets)[0]
     darker, mid, _ = cfg.output_sets
     for i, x in enumerate(grid):
         expected = max(
@@ -177,14 +197,12 @@ def test_infer_two_clipped_rules_pointwise():
         assert agg[i] == pytest.approx(expected, abs=1e-12)
 
 
-@given(
-    st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
-)
-def test_aggregate_bounded_by_max_activation(triple):
+@given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=8))
+def test_aggregate_bounded_by_max_activation(triples):
     cfg = default_config(histogram(TWO_LEVEL))
-    agg = infer(triple, cfg)
+    agg = _aggregate(np.array(triples), output_grid_sets(cfg)[1])
     assert np.all(agg >= 0.0)
-    assert np.all(agg <= max(triple) + 1e-12)
+    assert np.all(agg <= np.max(triples, axis=1)[:, None] + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -192,52 +210,45 @@ def test_aggregate_bounded_by_max_activation(triple):
 # ---------------------------------------------------------------------------
 
 
+def centroids(rows, fallback=-1):
+    """`_centroids` of a block of aggregates, each sampled on the uniform
+    grid over [0, 255] of the block's row length; a copy is overwritten."""
+    block = np.array(rows, dtype=np.float64, ndmin=2)
+    grid = np.linspace(0.0, 255.0, block.shape[1])
+    return _centroids(block, grid, np.full(len(block), fallback)).tolist()
+
+
 def test_centroid_symmetric_mid_aggregate_is_128():
     darker, mid, brighter = full_range_outputs()
-    grid = sample_grid(256)
-    for alpha in (0.2, 0.5, 1.0):
-        assert defuzzify_centroid(np.minimum(alpha, mid.sample(grid))) == 128
+    grid = np.linspace(0.0, 255.0, 256)
+    assert centroids([np.minimum(alpha, mid.sample(grid)) for alpha in (0.2, 0.5, 1.0)]) == [128] * 3
 
 
 def test_centroid_of_full_darker_and_brighter_triangles():
     darker, _, brighter = full_range_outputs()
-    grid = sample_grid(256)
-    got_dark = defuzzify_centroid(darker.sample(grid))
-    got_bright = defuzzify_centroid(brighter.sample(grid))
+    grid = np.linspace(0.0, 255.0, 256)
+    got_dark, got_bright = centroids([darker.sample(grid), brighter.sample(grid)])
     # frozen sampled-grid values
     assert got_dark == 42
     assert got_bright == 213
     # within one level of the continuous centroids (quadrature oracle)
     assert abs(got_dark - bruteforce.triangle_centroid_quadrature(0, 0, 128)) <= 1.0
     assert abs(got_bright - bruteforce.triangle_centroid_quadrature(128, 255, 255)) <= 1.0
+    # the same anchors as LUT entries: at its range's ends a two-level
+    # image fires only the dark or only the bright rule, fully
+    lut = fuzzy_lut(default_config(histogram(TWO_LEVEL)))
+    assert (lut.map[100], lut.map[150]) == (42, 213)
 
 
 def test_centroid_degenerate_and_invalid_inputs():
-    assert defuzzify_centroid(np.zeros(256)) is None
-    with pytest.raises(ValueError):
-        defuzzify_centroid(np.array([1.0]))
-
-
-@pytest.mark.parametrize(
-    "agg,problem",
-    [
-        ([math.nan, 1.0], "a NaN sample"),
-        ([1.0, math.inf], "an infinite or too large sample"),
-        ([-math.inf, 1.0], "an infinite or too large sample"),
-        ([-1.0, 2.0], "a negative sample"),
-        # finite, but the weighted sums overflow to inf and inf / inf is NaN
-        ([1e308, 1e308], "an infinite or too large sample"),
-        ([0.0, 1e306], "an infinite or too large sample"),
-    ],
-)
-def test_centroid_rejects_invalid_samples(agg, problem):
-    with pytest.raises(ValueError, match=f"aggregate holds {problem}"):
-        defuzzify_centroid(np.array(agg))
+    # an all-zero aggregate fired no rule and takes its row's fallback
+    assert centroids(np.zeros((2, 256)), fallback=7) == [7, 7]
+    assert centroids([[0.0, 0.0], [0.0, 1.0]], fallback=7) == [7, 255]
 
 
 def test_centroid_of_large_finite_samples():
-    assert defuzzify_centroid(np.array([0.0, 1e303])) == 255
-    assert defuzzify_centroid(np.array([1e303, 0.0, 0.0])) == 0
+    assert centroids([0.0, 1e303]) == [255]
+    assert centroids([1e303, 0.0, 0.0]) == [0]
 
 
 @pytest.mark.parametrize("rows,resolution", [(256, 256), (57, 256), (256, 18), (7, 8193), (3, 20001), (2, 30001)])
@@ -245,20 +256,25 @@ def test_centroids_of_a_block_match_each_row_alone(rows, resolution):
     # a symmetric row's exact centroid is 127.5, so its rounded centroid
     # turns on the last bit of the sums; a reduction that depends on the
     # other rows of the block (a BLAS product, or `einsum` on rows longer
-    # than NumPy's buffer) disagrees with the one-row path on some rows
+    # than NumPy's buffer) disagrees with the one-row sums on some rows
     rng = np.random.default_rng(rows)
     weights = rng.random((rows, resolution))
     block = weights + weights[:, ::-1]
-    alone = [defuzzify_centroid(row) for row in block]
+    grid = np.linspace(0.0, 255.0, resolution)
+    alone = [bruteforce.grid_centroid(row, grid) for row in block]
     assert set(alone) <= {127, 128}
-    assert _centroids(block, -1).tolist() == alone
+    assert centroids(block) == alone
 
 
 def test_centroid_leaves_its_argument_unchanged():
-    agg = np.linspace(0.0, 1.0, 256)
-    before = agg.copy()
-    assert defuzzify_centroid(agg) == 170
-    assert np.array_equal(agg, before)
+    # `_centroids` overwrites its aggregate block, but `fuzzy_lut` reuses
+    # the grid and the fallback levels, so those must come back unchanged
+    agg = np.linspace(0.0, 1.0, 256)[None, :]
+    grid = np.linspace(0.0, 255.0, 256)
+    fallback = np.array([9])
+    assert _centroids(agg, grid, fallback).tolist() == [170]
+    assert np.array_equal(grid, np.linspace(0.0, 255.0, 256))
+    assert fallback.tolist() == [9]
 
 
 @pytest.mark.parametrize("x,expected", [(0.5, 1), (1.5, 2), (2.4, 2), (2.5, 3), (63.75, 64), (127.5, 128)])
@@ -268,15 +284,14 @@ def test_centroid_rounds_half_up(x, expected):
     upper = Fraction(x - k).limit_denominator(8)
     agg = np.zeros(256)
     agg[k], agg[k + 1] = upper.denominator - upper.numerator, upper.numerator
-    assert defuzzify_centroid(agg) == expected
+    assert centroids(agg) == [expected]
 
 
 @given(st.lists(st.floats(0, 1), min_size=2, max_size=64).filter(lambda v: sum(v) > 1e-9))
 def test_centroid_lies_within_support(values):
-    agg = np.array(values)
-    result = defuzzify_centroid(agg)
-    grid = sample_grid(agg.size)
-    support = np.flatnonzero(agg > 0)
+    [result] = centroids(values)
+    grid = np.linspace(0.0, 255.0, len(values))
+    support = np.flatnonzero(np.array(values) > 0)
     assert grid[support[0]] - 1 <= result <= grid[support[-1]] + 1
 
 
@@ -552,12 +567,6 @@ def test_default_lut_matches_the_sampled_compile_at_both_ends_of_every_width():
     assert mismatched == []
 
 
-def per_level_map(cfg):
-    """The LUT composed level by level from the public fuzzy stages."""
-    crisp = [defuzzify_centroid(infer(fuzzify(g, cfg), cfg)) for g in range(256)]
-    return [g if c is None else c for g, c in enumerate(crisp)]
-
-
 breakpoints = st.one_of(
     st.integers(-40, 300).map(float),
     st.floats(-40, 300, allow_nan=False, allow_infinity=False),
@@ -575,20 +584,20 @@ membership_functions = st.tuples(breakpoints, breakpoints, breakpoints).map(
 @settings(max_examples=60, deadline=None)
 def test_fuzzy_lut_matches_per_level_composition(inputs, outputs, resolution):
     cfg = FuzzyConfig(inputs, outputs, resolution)
-    assert fuzzy_lut(cfg).map.tolist() == per_level_map(cfg)
+    assert fuzzy_lut(cfg).map.tolist() == bruteforce.fuzzy_per_level_map(cfg)
 
 
 def test_fuzzy_lut_matches_per_level_composition_on_a_near_half_config():
     # only the mid rule fires at levels 30, 132 and 136, so the exact
     # centroid there is 127.5; a BLAS block product once gave 127 at
-    # level 30 where the one-level path gave 128
+    # level 30 where one level's own sums gave 128
     cfg = FuzzyConfig(
         (MembershipFunction(0, 0, 1), MembershipFunction(23, 69, 143), MembershipFunction(254, 255, 255)),
         full_range_outputs(),
         18,
     )
     lut = fuzzy_lut(cfg).map.tolist()
-    assert lut == per_level_map(cfg)
+    assert lut == bruteforce.fuzzy_per_level_map(cfg)
     assert lut[30] == lut[132] == lut[136]
 
 
