@@ -31,7 +31,7 @@ from .image import (
     save_pgm,
 )
 from .methods import LUT_COMPILERS, enhance
-from .metrics import MetricsReport, ambe, entropy, evaluate, evaluate_luts, mse, psnr
+from .metrics import MetricsReport, evaluate, evaluate_luts
 
 __version__ = "0.1.0"
 
@@ -57,10 +57,6 @@ __all__ = [
     "LUT_COMPILERS",
     "enhance",
     "MetricsReport",
-    "mse",
-    "psnr",
-    "entropy",
-    "ambe",
     "evaluate",
     "evaluate_luts",
     "__version__",

@@ -112,13 +112,20 @@ class FuzzyConfig:
         try:
             doc = json.loads(text)  # RecursionError on deeply nested arrays
             inputs, outputs = (
-                tuple(MembershipFunction(float(s["a"]), float(s["b"]), float(s["c"])) for s in doc[key])
+                tuple(MembershipFunction(*(_breakpoint(s[k]) for k in "abc")) for s in doc[key])
                 for key in ("input_sets", "output_sets")
             )
             resolution = doc.get("resolution", 256)
         except (AttributeError, KeyError, OverflowError, RecursionError, TypeError) as exc:
             raise ValueError(f"malformed fuzzy config document: {exc}") from exc
         return cls(inputs, outputs, resolution)  # type: ignore[arg-type]
+
+
+def _breakpoint(value: object) -> float:
+    """A breakpoint from its JSON value, which must be a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"breakpoint must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def _intensity_range(hist: Histogram) -> tuple[int, int]:

@@ -4,7 +4,8 @@ PSNR uses the 8-bit peak (L-1)^2 = 255^2 = 65025 and returns +inf for a
 zero MSE so that a perfect reconstruction is representable rather than an
 error. Entropy is in bits (log base 2), bounded by 8 for 8-bit images.
 
-`evaluate` scores two arbitrary images pixel by pixel. `evaluate_luts`
+`_report` is the one derivation of the four measures, from exact integers.
+`evaluate` scores two arbitrary images pixel by pixel; `evaluate_luts`
 scores an image against each of several LUTs in one stacked (LUTs x 256)
 pass over its histogram alone, each report bit-identical to
 `evaluate(img, apply_lut(img, lut))`.
@@ -24,14 +25,6 @@ from .image import _HIST_BLOCK, _LEVEL_VALUES, LEVELS, GrayImage, Histogram, his
 PSNR_PEAK_SQ = 255.0 * 255.0
 
 
-def _check_same_dims(original: GrayImage, processed: GrayImage) -> None:
-    if (original.width, original.height) != (processed.width, processed.height):
-        raise ValueError(
-            f"dimension mismatch: {original.width}x{original.height} vs "
-            f"{processed.width}x{processed.height}"
-        )
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """The four quality measures of one enhancement result."""
@@ -42,51 +35,15 @@ class MetricsReport:
     ambe: float
 
 
-def mse(original: GrayImage, processed: GrayImage) -> float:
-    """Mean squared pixel difference; lower is better. Exact integer squares
-    are summed block by block, so the extra memory is bounded."""
-    _check_same_dims(original, processed)
-    a, b = original.pixels.ravel(), processed.pixels.ravel()
-    total = 0
-    for start in range(0, a.size, _HIST_BLOCK):
-        diff = a[start : start + _HIST_BLOCK].astype(np.int64) - b[start : start + _HIST_BLOCK]
-        total += int(diff @ diff)
-    return total / original.size
-
-
-def psnr(original: GrayImage, processed: GrayImage) -> float:
-    """Peak signal-to-noise ratio in dB; +inf when the images are identical."""
-    return _psnr_from_mse(mse(original, processed))
-
-
-def _entropy_bits(counts: np.ndarray, total: int) -> float:
+def _report(n: int, sq_err: int, in_sum: int, out_sum: int, after_counts: np.ndarray) -> MetricsReport:
+    """The report of `n` pixels with squared error `sq_err`, input and output
+    level sums `in_sum` and `out_sum`, and output level counts `after_counts`."""
+    err = sq_err / n
+    psnr = math.inf if sq_err == 0 else 10.0 * math.log10(PSNR_PEAK_SQ / err)
     # summed over this row's positive terms alone: zero padding, or one
     # `np.add.reduceat` over many rows, changes NumPy's pairwise blocking
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
-def _psnr_from_mse(err: float) -> float:
-    if err == 0.0:
-        return math.inf
-    return 10.0 * math.log10(PSNR_PEAK_SQ / err)
-
-
-def entropy(img: GrayImage) -> float:
-    """Shannon entropy of the intensity distribution, in bits (0..8)."""
-    hist = histogram(img)
-    return _entropy_bits(hist.counts, hist.total)
-
-
-def ambe(original: GrayImage, processed: GrayImage) -> float:
-    """Absolute mean brightness error; lower means brightness preserved."""
-    _check_same_dims(original, processed)
-    return abs(histogram(original).mean() - histogram(processed).mean())
-
-
-def _report(err: float, mean_shift: float, after: np.ndarray, total: int) -> MetricsReport:
-    """The report from an MSE, an AMBE and the result's counts."""
-    return MetricsReport(err, _psnr_from_mse(err), _entropy_bits(after, total), mean_shift)
+    p = after_counts[after_counts > 0] / n
+    return MetricsReport(err, psnr, float(-(p * np.log2(p)).sum()), abs(in_sum / n - out_sum / n))
 
 
 def evaluate(original: GrayImage, processed: GrayImage) -> MetricsReport:
@@ -95,18 +52,26 @@ def evaluate(original: GrayImage, processed: GrayImage) -> MetricsReport:
     Entropy is measured on the processed image (detail richness of the
     output); the other three compare processed against original.
     """
+    if (original.width, original.height) != (processed.width, processed.height):
+        raise ValueError(
+            f"dimension mismatch: {original.width}x{original.height} vs "
+            f"{processed.width}x{processed.height}"
+        )
+    a, b = original.pixels.ravel(), processed.pixels.ravel()
+    sq_err = 0  # exact integer squares, block by block: the extra memory is bounded
+    for start in range(0, a.size, _HIST_BLOCK):
+        diff = a[start : start + _HIST_BLOCK].astype(np.int64) - b[start : start + _HIST_BLOCK]
+        sq_err += int(diff @ diff)
     before, after = histogram(original), histogram(processed)
-    mean_shift = abs(before.mean() - after.mean())
-    return _report(mse(original, processed), mean_shift, after.counts, after.total)
+    return _report(before.total, sq_err, before.level_sum, after.level_sum, after.counts)
 
 
 def evaluate_luts(hist: Histogram, luts: Sequence[IntensityLut]) -> list[MetricsReport]:
     """:func:`evaluate` of an image against each LUT applied to it, from the
     image's histogram `hist` alone; no LUTs give no reports.
 
-    MSE and both means come from the same exact integer sums as the pixel
-    path, and entropy from the same output counts, so every report is
-    bit-identical.
+    The squared errors, output sums and output counts are the same exact
+    integers the pixel path takes, so every report is bit-identical.
     """
     if not luts:
         return []
@@ -119,5 +84,5 @@ def evaluate_luts(hist: Histogram, luts: Sequence[IntensityLut]) -> list[Metrics
     weights = np.concatenate([hist.counts] * len(luts))
     after = np.bincount(bins, weights, minlength=maps.size).astype(np.int64).reshape(maps.shape)
     sums = (after @ _LEVEL_VALUES).tolist()
-    mean_in, n = hist.mean(), hist.total
-    return [_report(e / n, abs(mean_in - s / n), row, n) for e, s, row in zip(errs, sums, after)]
+    n, in_sum = hist.total, hist.level_sum
+    return [_report(n, e, in_sum, s, row) for e, s, row in zip(errs, sums, after)]

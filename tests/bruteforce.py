@@ -21,6 +21,15 @@ def tally_histogram(pixels) -> list[int]:
     return counts
 
 
+def pixel_scores(a, b) -> tuple[int, int, int, int, list[int]]:
+    """The exact integers behind the four measures of `b` against `a`, two
+    equally long pixel sequences: the pixel count, the summed squared
+    difference, both level sums and the per-level counts of `b`."""
+    a, b = [int(x) for x in a], [int(y) for y in b]
+    sq_err = sum((x - y) ** 2 for x, y in zip(a, b))
+    return len(a), sq_err, sum(a), sum(b), tally_histogram(b)
+
+
 def round_half_up_exact(num: int, den: int) -> int:
     """floor(num/den + 1/2) in exact integer arithmetic (num, den >= 0)."""
     return (2 * num + den) // (2 * den)

@@ -18,6 +18,7 @@ from contrastkit import (
     GrayImage,
     apply_lut,
     default_config,
+    evaluate,
     fuzzy_lut,
     histogram,
     load_pgm,
@@ -415,15 +416,13 @@ def test_synth_different_seed_differs(tmp_path):
 
 
 def test_synth_support_and_entropy(tmp_path):
-    from contrastkit import entropy
-
     out = tmp_path / "s.pgm"
     assert main(["synth", str(out), "--width", "64", "--height", "64",
                  "--lo", "100", "--hi", "156", "--seed", "7"]) == 0
     img = load_pgm(out.read_bytes())
     assert int(img.pixels.min()) >= 100
     assert int(img.pixels.max()) <= 156
-    assert entropy(img) > 0.0
+    assert evaluate(img, img).entropy > 0.0
 
 
 def test_synth_lo_above_hi_is_usage_error(tmp_path, capsys):

@@ -419,6 +419,13 @@ def test_config_json_resolution_is_optional():
     assert FuzzyConfig.from_json(json.dumps(doc)).resolution == 256
 
 
+def test_config_json_takes_integer_breakpoints():
+    doc = json.loads(default_config(histogram(TWO_LEVEL)).to_json())
+    doc["output_sets"][0] = {"a": 0, "b": 0, "c": 100}
+    cfg = FuzzyConfig.from_json(json.dumps(doc))
+    assert cfg.output_sets[0] == MembershipFunction(0.0, 0.0, 100.0)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -463,6 +470,9 @@ def test_custom_config_drives_the_lut():
         lambda d: d["output_sets"][2].update(c=float("inf")),
         lambda d: d["output_sets"][1].update(b=float("nan")),
         lambda d: d["input_sets"][1].update(b=10**400),  # too large for a float
+        lambda d: d["input_sets"][0].update(a=True),  # a breakpoint is a JSON number
+        lambda d: d["output_sets"][0].update(b=" 30 "),
+        lambda d: d["output_sets"][0].update(c="1e2"),
     ],
 )
 def test_config_json_rejects_nonfinite_breakpoints_and_bad_resolution(mutate):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,22 +15,18 @@ from contrastkit import (
     Histogram,
     IntensityLut,
     MembershipFunction,
-    MetricsReport,
-    ambe,
     apply_lut,
     enhance,
-    entropy,
     evaluate,
     evaluate_luts,
     histogram,
     identity_lut,
-    mse,
-    psnr,
 )
 from contrastkit.cli import generate_uniform_image
 from contrastkit.image import _HIST_BLOCK
 from contrastkit.methods import lut_compilers
 
+import bruteforce
 from conftest import gray_images, low_contrast_images, pixel_arrays
 
 
@@ -57,15 +54,15 @@ def paired_images(max_side=12):
 
 def test_mse_identical_is_zero():
     a = img_of(3, 7, 250, 0)
-    assert mse(a, a) == 0.0
+    assert evaluate(a, a).mse == 0.0
 
 
 def test_mse_single_pixel():
-    assert mse(img_of(0), img_of(10)) == 100.0
+    assert evaluate(img_of(0), img_of(10)).mse == 100.0
 
 
 def test_mse_maximal():
-    assert mse(img_of(0, 255), img_of(255, 0)) == 65025.0
+    assert evaluate(img_of(0, 255), img_of(255, 0)).mse == 65025.0
 
 
 @pytest.mark.parametrize("count", [_HIST_BLOCK - 1, _HIST_BLOCK, _HIST_BLOCK + 1, 3 * _HIST_BLOCK + 5])
@@ -73,7 +70,7 @@ def test_mse_is_the_exact_mean_across_block_edges(count):
     a = generate_uniform_image(count, 1, 0, 255, 1)
     b = generate_uniform_image(count, 1, 0, 255, 2)
     exact = sum((x - y) ** 2 for x, y in zip(a.pixels.ravel().tolist(), b.pixels.ravel().tolist()))
-    assert mse(a, b) == exact / count
+    assert evaluate(a, b).mse == exact / count
 
 
 def test_evaluate_memory_is_bounded_at_2048_squared():
@@ -115,7 +112,7 @@ def test_evaluate_lut_exact_at_the_histogram_total_bound():
 
 def test_mse_dimension_mismatch():
     with pytest.raises(ValueError, match="2x2.*3x3"):
-        mse(GrayImage.from_flat(2, 2, [0] * 4), GrayImage.from_flat(3, 3, [0] * 9))
+        evaluate(GrayImage.from_flat(2, 2, [0] * 4), GrayImage.from_flat(3, 3, [0] * 9))
 
 
 @given(gray_images(max_side=8), st.randoms(use_true_random=False))
@@ -123,9 +120,10 @@ def test_mse_symmetry_and_identity(img, rnd):
     other = GrayImage.from_flat(
         img.width, img.height, [rnd.randrange(256) for _ in range(img.size)]
     )
-    assert mse(img, other) == mse(other, img)
-    assert 0.0 <= mse(img, other) <= 65025.0
-    assert (mse(img, other) == 0.0) == (img == other)
+    err = evaluate(img, other).mse
+    assert err == evaluate(other, img).mse
+    assert 0.0 <= err <= 65025.0
+    assert (err == 0.0) == (img == other)
 
 
 # ---------------------------------------------------------------------------
@@ -134,27 +132,27 @@ def test_mse_symmetry_and_identity(img, rnd):
 
 
 def test_psnr_of_maximal_mse_is_zero_db():
-    assert psnr(img_of(0, 255), img_of(255, 0)) == 0.0
+    assert evaluate(img_of(0, 255), img_of(255, 0)).psnr == 0.0
 
 
 def test_psnr_identical_is_infinite():
     a = img_of(1, 2, 3)
-    assert psnr(a, a) == math.inf
+    assert evaluate(a, a).psnr == math.inf
 
 
 def test_psnr_ratio_100_is_20_db():
     # Sum of squared diffs 51^2 = 2601 over 4 pixels -> MSE 650.25
     a, b = img_of(51, 0, 0, 0), img_of(0, 0, 0, 0)
-    assert mse(a, b) == 650.25
-    assert psnr(a, b) == 20.0
+    rep = evaluate(a, b)
+    assert rep.mse == 650.25
+    assert rep.psnr == 20.0
 
 
 @given(paired_images())
 def test_psnr_mse_monotone_coupling(pair):
     a, b = pair
     c = enhance(b, "he")
-    m_ab, m_ac = mse(a, b), mse(a, c)
-    p_ab, p_ac = psnr(a, b), psnr(a, c)
+    (m_ab, p_ab), (m_ac, p_ac) = ((r.mse, r.psnr) for r in (evaluate(a, b), evaluate(a, c)))
     if m_ab < m_ac:
         assert p_ab > p_ac
     elif m_ab > m_ac:
@@ -166,6 +164,12 @@ def test_psnr_mse_monotone_coupling(pair):
 # ---------------------------------------------------------------------------
 # Entropy
 # ---------------------------------------------------------------------------
+
+
+def entropy(img):
+    """The entropy of `img`: the processed image of a report is the one
+    whose entropy it measures."""
+    return evaluate(img, img).entropy
 
 
 def test_entropy_constant_is_zero():
@@ -203,30 +207,31 @@ def test_entropy_invariant_under_level_permutation(img, rnd):
 
 def test_ambe_identical_is_zero():
     a = img_of(5, 100)
-    assert ambe(a, a) == 0.0
+    assert evaluate(a, a).ambe == 0.0
 
 
 def test_ambe_single_pixel():
-    assert ambe(img_of(100), img_of(130)) == 30.0
+    assert evaluate(img_of(100), img_of(130)).ambe == 30.0
 
 
 def test_ambe_dimension_mismatch():
     with pytest.raises(ValueError, match="1x1.*2x1"):
-        ambe(img_of(0), img_of(0, 0))
+        evaluate(img_of(0), img_of(0, 0))
 
 
 @given(paired_images())
 def test_ambe_symmetry(pair):
     a, b = pair
-    assert ambe(a, b) == ambe(b, a)
-    assert ambe(a, b) >= 0.0
+    assert evaluate(a, b).ambe == evaluate(b, a).ambe
+    assert evaluate(a, b).ambe >= 0.0
 
 
 @given(paired_images())
 def test_ambe_triangle_inequality(pair):
     a, b = pair
     c = enhance(a, "he")
-    assert ambe(a, c) <= ambe(a, b) + ambe(b, c) + 1e-12
+    ambe_ac, ambe_ab, ambe_bc = (evaluate(x, y).ambe for x, y in ((a, c), (a, b), (b, c)))
+    assert ambe_ac <= ambe_ab + ambe_bc + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +250,7 @@ def test_evaluate_identical_pair():
     assert rep.mse == 0.0
     assert rep.psnr == math.inf
     assert rep.ambe == 0.0
-    assert rep.entropy == pytest.approx(entropy(a))
+    assert rep.entropy == pytest.approx(2.0, abs=1e-12)  # four equally common levels
 
 
 @given(paired_images())
@@ -259,11 +264,16 @@ def test_evaluate_couples_psnr_to_mse(pair):
 
 
 @given(paired_images(max_side=24))
-def test_evaluate_is_bit_identical_to_the_four_measures(pair):
-    # `evaluate` builds its report from the two histograms; the measures
-    # on their own take pixel sums
+def test_evaluate_matches_the_pixel_oracle(pair):
     a, b = pair
-    assert bits(evaluate(a, b)) == bits(MetricsReport(mse(a, b), psnr(a, b), entropy(b), ambe(a, b)))
+    n, sq_err, in_sum, out_sum, counts = bruteforce.pixel_scores(a.pixels.ravel(), b.pixels.ravel())
+    rep = evaluate(a, b)
+    # a quotient of Python ints is correctly rounded, so MSE and PSNR are exact
+    assert rep.mse == sq_err / n
+    assert rep.psnr == (math.inf if sq_err == 0 else 10 * math.log10(65025 / (sq_err / n)))
+    assert abs(rep.ambe - abs(Fraction(in_sum - out_sum, n))) <= 1e-12
+    terms = [c / n * math.log2(c / n) for c in counts if c]
+    assert abs(rep.entropy - -math.fsum(terms)) <= 1e-12
 
 
 @given(low_contrast_images())
