@@ -47,6 +47,10 @@ _SPLITMIX_MUL2 = np.uint64(0x94D049BB133111EB)
 _SYNTH_BLOCK = 1 << 16
 # largest image `synth` writes, 16384 x 16384: checked before any allocation
 SYNTH_MAX_PIXELS = 1 << 28
+# inputs that `report` compiles and scores together: with at most the four
+# methods, its (inputs x methods x 256) scoring stack holds at most 2**16
+# elements (512 KiB of int64), and each compile stack a quarter of that
+_REPORT_GROUP = 64
 
 
 def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int) -> GrayImage:
@@ -165,20 +169,29 @@ def cmd_report(args: argparse.Namespace) -> int:
         if m not in METHOD_NAMES:
             raise UsageError(f"unknown method {m!r}")
     compilers = lut_compilers(_load_fuzzy_config(args.fuzzy_config))
+    distinct = list(dict.fromkeys(methods))  # each compiled and scored once
 
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")  # minimal quoting: plain paths stay bare
     writer.writerow(["image", "method", "mse", "psnr", "entropy", "ambe"])
     failed = False
-    for path in args.inputs:
-        try:
-            hist = histogram(_read_image(path))
-            reports = metrics.evaluate_luts(hist, [compilers[m](hist) for m in methods])
-            # written only once every method has scored: an input is reported whole or skipped
-            writer.writerows([path, m, *_scores(rep)] for m, rep in zip(methods, reports))
-        except (OSError, ValueError) as exc:  # PgmDecodeError is a ValueError
-            print(f"skipping {path}: {exc}", file=sys.stderr)
-            failed = True
+    for start in range(0, len(args.inputs), _REPORT_GROUP):
+        paths, counts = [], []
+        for path in args.inputs[start : start + _REPORT_GROUP]:
+            try:
+                counts.append(histogram(_read_image(path)).counts)
+                paths.append(path)
+            except (OSError, ValueError) as exc:  # PgmDecodeError is a ValueError
+                # an input that cannot be read is skipped whole; its rows are never begun
+                print(f"skipping {path}: {exc}", file=sys.stderr)
+                failed = True
+        if not paths:
+            continue
+        stack = np.array(counts)
+        reports = metrics._evaluate_maps(stack, np.array([compilers[m](stack) for m in distinct]))
+        for i, path in enumerate(paths):  # method j's report of input i is at j * len(paths) + i
+            row = [reports[distinct.index(m) * len(paths) + i] for m in methods]
+            writer.writerows([path, m, *_scores(rep)] for m, rep in zip(methods, row))
     # an undecodable argv path comes back as the bytes it was given
     _write_output(args.output, text.getvalue().encode("utf-8", "surrogateescape"))
     return EXIT_PARTIAL if failed else EXIT_OK

@@ -14,7 +14,8 @@
    rule passes through unchanged.
 
 The public surface is `FuzzyConfig` (of `MembershipFunction` sets),
-`default_config`, `fuzzy_lut` and `default_lut`.
+`default_config`, `fuzzy_lut` and `default_lut`; `_default_maps` is
+`default_lut` for a (k x 256) stack of histogram counts.
 
 The fixed full-range output sets are what stretch a narrow input range
 toward the full scale. The image-adaptive method, `default_lut`, maps an
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .histeq import IntensityLut
+from .histeq import _IDENTITY, IntensityLut
 from .image import LEVELS, MAX_LEVEL, Histogram
 
 # Dynamic ranges narrower than this admit no meaningful input triangles;
@@ -42,7 +43,7 @@ MIN_USEFUL_SPAN = 2
 
 # The default LUT of each range width w in 2..255 on levels lo..hi: its
 # w + 1 outputs start at byte w(w + 1)/2 - 3.
-_DEFAULT_TABLES = Path(__file__).with_name("fuzzy_default.bin").read_bytes()
+_DEFAULT_TABLES = np.frombuffer(Path(__file__).with_name("fuzzy_default.bin").read_bytes(), np.uint8)
 if len(_DEFAULT_TABLES) != 32893:  # the sum of w + 1 over w in 2..255
     raise ImportError(f"fuzzy_default.bin holds {len(_DEFAULT_TABLES)} bytes, expected 32893")
 
@@ -193,14 +194,24 @@ def fuzzy_lut(cfg: FuzzyConfig) -> IntensityLut:
     return IntensityLut(out)
 
 
+def _default_maps(counts: np.ndarray) -> np.ndarray:
+    """`default_lut` of each row of `counts` (k x 256), as a (k x 256)
+    uint8 stack: one table read per row whose range is wide enough."""
+    occupied = counts > 0
+    lows = occupied.argmax(axis=1).tolist()
+    tops = occupied[:, ::-1].argmax(axis=1).tolist()  # empty levels above the range
+    out = np.empty(counts.shape, dtype=np.uint8)
+    out[:] = _IDENTITY
+    for row, lo, top in zip(out, lows, tops):
+        width = MAX_LEVEL - top - lo
+        if width >= MIN_USEFUL_SPAN:
+            start = width * (width + 1) // 2 - 3
+            row[lo : lo + width + 1] = _DEFAULT_TABLES[start : start + width + 1]
+    return out
+
+
 def default_lut(hist: Histogram) -> IntensityLut:
     """The LUT of `fuzzy_lut(default_config(hist))`, copied from the table
     of the image range's width, or the identity when that range is
     narrower than MIN_USEFUL_SPAN."""
-    lo, hi = _intensity_range(hist)
-    width = hi - lo
-    out = np.arange(LEVELS, dtype=np.uint8)
-    if width >= MIN_USEFUL_SPAN:
-        out[lo : hi + 1] = np.frombuffer(_DEFAULT_TABLES, np.uint8, width + 1, width * (width + 1) // 2 - 3)
-    out.setflags(write=False)  # fresh, so the LUT keeps it without a copy
-    return IntensityLut(out)
+    return IntensityLut(_default_maps(hist.counts[None])[0])

@@ -1,13 +1,23 @@
 """Global histogram equalization and its brightness-preserving variants.
 
 Every method compiles a histogram to a 256-entry lookup table, which is
-then applied per pixel or scored from the histogram alone. HE, BBHE and
-MMBEBHE are one bi-equalization, `_segment_map`: levels up to a split t
-equalize onto [0, t], the rest onto [t + 1, 255]. HE splits at 255, BBHE
-at the floored mean, and MMBEBHE at the threshold whose output mean is
-nearest the input mean: a float pass over prefix sums bounds every
-threshold's error in O(256), and only the few that can win are scored
-exactly. All maps round in exact integer arithmetic.
+then applied per pixel or scored from the histogram alone. The compilers
+work on a stack: `_he_maps`, `_bbhe_maps` and `_mmbebhe_maps` take the
+counts of k histograms as a (k x 256) array and return their k maps as a
+(k x 256) uint8 array, so a batch of images pays each NumPy call once.
+`he_lut`, `bbhe_lut`, `mmbebhe_lut` and `mmbebhe_threshold` are the same
+kernels on one histogram.
+
+HE, BBHE and MMBEBHE are one bi-equalization, `_segment_maps`: levels up
+to a split t equalize onto [0, t], the rest onto [t + 1, 255]. HE splits
+at 255, BBHE at the floored mean, and MMBEBHE at the threshold whose
+output mean is nearest the input mean: a float pass over prefix sums
+bounds every threshold's error in O(256), and only the few that can win
+are scored exactly. All maps round in exact integer arithmetic.
+
+At one histogram a kernel's cost is its count of NumPy calls, so the
+kernels call ufunc and array methods (`np.add.reduce`, `x.cumsum`) rather
+than the `np.*` wrappers, whose Python dispatch costs as much as the work.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import LEVELS, MAX_LEVEL, GrayImage, Histogram, _frozen_levels
+from .image import _LEVEL_VALUES, LEVELS, MAX_LEVEL, GrayImage, Histogram, _frozen_levels
 
 @dataclass(frozen=True, eq=False)
 class IntensityLut:
@@ -36,8 +46,13 @@ class IntensityLut:
         return bool(np.array_equal(self.map, other.map))
 
 
+# every level mapped to itself
+_IDENTITY = np.arange(LEVELS, dtype=np.uint8)
+_IDENTITY.setflags(write=False)
+
+
 def identity_lut() -> IntensityLut:
-    return IntensityLut(np.arange(LEVELS, dtype=np.uint8))
+    return IntensityLut(_IDENTITY)
 
 
 def apply_lut(img: GrayImage, lut: IntensityLut) -> GrayImage:
@@ -47,9 +62,139 @@ def apply_lut(img: GrayImage, lut: IntensityLut) -> GrayImage:
     return GrayImage(pixels)
 
 
-def _round_ratio(num, den):
-    """num / den rounded half up in exact integers (num >= 0, den > 0)."""
-    return (2 * num + den) // (2 * den)
+def _segment_maps(cum: np.ndarray, thresholds: list[int]) -> np.ndarray:
+    """Bi-equalization map of each row of cumulative counts `cum` (k x 256)
+    split at its entry of `thresholds`, as a (k x 256) uint8 stack.
+
+    Levels <= t equalize onto [0, t]; levels > t onto [t + 1, 255]. An
+    empty side keeps the identity mapping on its segment. Each side divides
+    by one integer, rounding half up as floor((num + floor(den / 2)) / den):
+    a row's two slices, each divided by a scalar, cost less than one
+    stacked pass that picks a divisor per element.
+    """
+    out = np.empty(cum.shape, dtype=np.uint8)
+    out[:] = _IDENTITY
+    for row, c, t in zip(out, cum, thresholds):
+        low = int(c[t])
+        high = int(c[-1]) - low
+        if low:
+            row[: t + 1] = (t * c[: t + 1] + low // 2) // low
+        if high:
+            row[t + 1 :] = (t + 1) + ((MAX_LEVEL - 1 - t) * (c[t + 1 :] - low) + high // 2) // high
+    return out
+
+
+def _he_maps(counts: np.ndarray) -> np.ndarray:
+    """Classical equalization: the split at 255 maps level k of each row to
+    round(255 * CDF(k))."""
+    return _segment_maps(counts.cumsum(axis=1), [MAX_LEVEL] * len(counts))
+
+
+def _bbhe_maps(counts: np.ndarray) -> np.ndarray:
+    """Bi-equalization of each row split at its floored mean, in exact integers."""
+    cum = counts.cumsum(axis=1)
+    return _segment_maps(cum, ((counts @ _LEVEL_VALUES) // cum[:, -1]).tolist())
+
+
+# Slack of the float bound pass in `_mmbebhe_thresholds`, as a multiple of
+# N. With unit roundoff u = 2**-53 and gamma_k = k*u / (1 - k*u), a product
+# of floats with k roundings, and any summation of k + 1 nonnegative terms,
+# is off by at most gamma_k of its exact value (Higham, "Accuracy and
+# Stability of Numerical Algorithms", 2nd ed., Lemma 3.1 and §4.2, for any
+# summation order). In `_unrounded_out_sums` the lower side takes one
+# product, t additions, a scale and a divide: gamma_258 of at most
+# 255*n_low. The upper side takes one product, 254 - t additions, a divide,
+# a subtraction from n_high and a scale: gamma_258 of at most 254*n_high.
+# The two sides, the int64 upper start and the input sum take five more
+# roundings (two int-to-float casts, two additions, one subtraction), so a
+# computed |approx - input sum| is within eps = 255*gamma_263*N < 2**-36 * N
+# of the exact one. A threshold is kept when its float error is within
+# N + 2*eps of the smallest: the factor below exceeds 1 + 2**-35 even after
+# its own rounding, and float rounding is monotone, so rounding can only
+# keep more thresholds, never fewer.
+_BOUND_SLACK = 1.0 + 2.0**-34
+
+# (input, threshold) pairs per block of the exact re-check: its (pairs x
+# levels) temporaries hold at most 2**16 elements (512 KiB of int64), as
+# one histogram's 256 candidates x 256 occupied levels did.
+_PAIR_BLOCK = (1 << 16) // LEVELS
+# the re-check's score of a dropped threshold: above any exact error
+_NEVER_BEST = 1 << 62
+
+
+# each threshold t's upper segment [t + 1, 255]: its start and its width
+_UPPER_STARTS = _LEVEL_VALUES + 1
+_UPPER_WIDTHS = MAX_LEVEL - 1 - _LEVEL_VALUES
+
+
+def _unrounded_out_sums(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Every threshold's bi-equalized output sum before rounding, in
+    float64, for each row of `counts` with cumulative counts `cum`.
+
+    The lower side is t * sum_{k<=t} w_k * cum_k / n_low. The upper side is
+    (t + 1) * n_high + (254 - t) * (n_high - Q_t / n_high), with Q_t =
+    sum_{k>t} w_k * tail_k and tail_k = sum_{j>k} w_j taken as suffix sums,
+    so no two terms of size N**2 cancel. An empty side adds 0.
+    """
+    n_high = cum[:, -1:] - cum  # also tail_k: the pixels above level k
+    w = counts.astype(np.float64)
+    q = np.zeros(counts.shape)
+    (w * n_high)[:, :0:-1].cumsum(axis=1, out=q[:, -2::-1])  # Q_t, summed from level 255 down
+    return (
+        _LEVEL_VALUES * (w * cum).cumsum(axis=1) / np.maximum(cum, 1)
+        + _UPPER_STARTS * n_high
+        + _UPPER_WIDTHS * (n_high - q / np.maximum(n_high, 1))
+    )
+
+
+def _mmbebhe_thresholds(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Each row's split threshold whose bi-equalized output sum is nearest
+    its input sum, for the rows of `counts` with cumulative counts `cum`;
+    ties go to the smallest threshold.
+
+    The comparison is of exact integer sums, `|S_in - S_t|`, computed from
+    the counts alone, in two passes:
+
+    1. A float bound pass computes every threshold's unrounded output sum
+       in O(256) per row from prefix and suffix sums (`_unrounded_out_sums`).
+       Half-up rounding moves each pixel by at most 1/2, so the exact error
+       lies within N/2 + eps of the float one (`_BOUND_SLACK`).
+    2. An exact re-check scores only the (row, threshold) pairs whose lower
+       bound is at most the row's smallest upper bound, with the
+       `_segment_maps` rule over the levels occupied in any row, in
+       blocks of `_PAIR_BLOCK` pairs, and takes each row's first minimum.
+       Every dropped threshold is strictly worse than a kept one, so the
+       result is that of the exact search over all 256.
+    """
+    total = cum[:, -1:]
+    in_sum = counts @ _LEVEL_VALUES
+    err = np.abs(_unrounded_out_sums(counts, cum) - in_sum[:, None])
+    rows, cand = (err - np.minimum.reduce(err, axis=1, keepdims=True) <= total * _BOUND_SLACK).nonzero()
+    levels = np.add.reduce(counts).nonzero()[0]  # occupied in some row
+    cum_at, counts_at = cum[:, levels], counts[:, levels]
+    dev = np.empty(counts.shape, dtype=np.int64)
+    dev.fill(_NEVER_BEST)
+    for start in range(0, len(rows), _PAIR_BLOCK):
+        r, c = rows[start : start + _PAIR_BLOCK], cand[start : start + _PAIR_BLOCK]
+        t = c[:, None]
+        low = cum[r, c][:, None]
+        high = total[r] - low
+        below = levels <= t
+        # the `_segment_maps` rule, the upper start t + 1 folded into the
+        # numerator as (t + 1) * high; a level on an empty side holds none of
+        # this row's pixels, so a divisor of 1 there only keeps it finite
+        low1, high1 = np.maximum(low, 1), np.maximum(high, 1)
+        s = MAX_LEVEL - 1 - t
+        shift = np.where(below, low1 // 2, (t + 1) * high1 - s * low + high1 // 2)
+        values = (np.where(below, t, s) * cum_at[r] + shift) // np.where(below, low1, high1)
+        dev[r, c] = np.abs(np.add.reduce(values * counts_at[r], axis=1) - in_sum[r])
+    return dev.argmin(axis=1)  # the first minimum: ties go to the smallest threshold
+
+
+def _mmbebhe_maps(counts: np.ndarray) -> np.ndarray:
+    """Bi-equalization of each row at its minimum-brightness-error threshold."""
+    cum = counts.cumsum(axis=1)
+    return _segment_maps(cum, _mmbebhe_thresholds(counts, cum).tolist())
 
 
 def he_lut(hist: Histogram) -> IntensityLut:
@@ -58,27 +203,7 @@ def he_lut(hist: Histogram) -> IntensityLut:
     Rounding is half up, in exact integers. The map is non-decreasing and
     sends every level at which the CDF has reached 1 to 255.
     """
-    return IntensityLut(_segment_map(hist.counts, MAX_LEVEL))
-
-
-def _segment_map(counts: np.ndarray, threshold: int) -> np.ndarray:
-    """Bi-equalization map for a split at `threshold`.
-
-    Levels <= threshold equalize onto [0, threshold]; levels > threshold
-    onto [threshold + 1, 255]. An empty side keeps the identity mapping on
-    its segment.
-    """
-    t = threshold
-    cum = np.cumsum(counts)
-    out = np.arange(LEVELS, dtype=np.int64)
-    n_low = int(cum[t])
-    n_high = int(cum[-1]) - n_low
-    if n_low > 0:
-        out[: t + 1] = _round_ratio(t * cum[: t + 1], n_low)
-    if n_high > 0:
-        width = MAX_LEVEL - (t + 1)
-        out[t + 1 :] = (t + 1) + _round_ratio(width * (cum[t + 1 :] - n_low), n_high)
-    return out
+    return IntensityLut(_he_maps(hist.counts[None])[0])
 
 
 def bbhe_lut(hist: Histogram) -> IntensityLut:
@@ -88,85 +213,16 @@ def bbhe_lut(hist: Histogram) -> IntensityLut:
     The boundary level (exactly at the floored mean) belongs to the lower
     segment.
     """
-    t = hist.level_sum // hist.total
-    return IntensityLut(_segment_map(hist.counts, t))
-
-
-# Slack of the float bound pass in `mmbebhe_threshold`, as a multiple of N.
-# With unit roundoff u = 2**-53 and gamma_k = k*u / (1 - k*u), a product of
-# floats with k roundings, and any summation of k + 1 nonnegative terms, is
-# off by at most gamma_k of its exact value (Higham, "Accuracy and Stability
-# of Numerical Algorithms", 2nd ed., Lemma 3.1 and §4.2, for any summation
-# order). In `_unrounded_out_sums` the lower side takes one product, t
-# additions, a scale and a divide: gamma_258 of at most 255*n_low. The upper
-# side takes one product, 254 - t additions, a divide, a subtraction from
-# n_high and a scale: gamma_258 of at most 254*n_high. The two sides, the
-# int64 upper start and the input sum take five more roundings (two
-# int-to-float casts, two additions, one subtraction), so a computed
-# |approx - input sum| is within eps = 255*gamma_263*N < 2**-36 * N of the
-# exact one. A threshold is kept when its float error is within N + 2*eps of
-# the smallest: the factor below exceeds 1 + 2**-35 even after its own
-# rounding, and float rounding is monotone, so rounding can only keep more
-# thresholds, never fewer.
-_BOUND_SLACK = 1.0 + 2.0**-34
-
-
-def _unrounded_out_sums(hist: Histogram) -> np.ndarray:
-    """Every threshold's bi-equalized output sum before rounding, in float64.
-
-    The lower side is t * sum_{k<=t} w_k * cum_k / n_low. The upper side is
-    (t + 1) * n_high + (254 - t) * (n_high - Q_t / n_high), with Q_t =
-    sum_{k>t} w_k * tail_k and tail_k = sum_{j>k} w_j taken as suffix sums,
-    so no two terms of size N**2 cancel. An empty side adds 0.
-    """
-    levels = np.arange(LEVELS)
-    n_low = np.cumsum(hist.counts)  # int64, exact
-    n_high = hist.total - n_low  # also tail_k: the pixels above level k
-    w = hist.counts.astype(np.float64)
-    q = np.zeros(LEVELS)
-    q[:-1] = np.cumsum((w * n_high)[:0:-1])[::-1]  # Q_t, summed from level 255 down
-    return (
-        levels * np.cumsum(w * n_low) / np.maximum(n_low, 1)
-        + (levels + 1) * n_high
-        + (MAX_LEVEL - 1 - levels) * (n_high - q / np.maximum(n_high, 1))
-    )
+    return IntensityLut(_bbhe_maps(hist.counts[None])[0])
 
 
 def mmbebhe_threshold(hist: Histogram) -> int:
     """Split threshold whose bi-equalized output sum is nearest the input
-    sum; ties go to the smallest threshold.
-
-    The comparison is of exact integer sums, `|S_in - S_t|`, computed from
-    the histogram alone, in two passes:
-
-    1. A float bound pass computes every threshold's unrounded output sum
-       in O(256) from prefix and suffix sums (`_unrounded_out_sums`).
-       Half-up rounding moves each pixel by at most 1/2, so the exact error
-       lies within N/2 + eps of the float one (`_BOUND_SLACK`).
-    2. An exact re-check scores only the thresholds whose lower bound is at
-       most the smallest upper bound, with the `_segment_map` rule as one
-       (candidate, occupied level) integer expression, and takes the first
-       minimum. Every dropped threshold is strictly worse than a kept one,
-       so the result is that of the exact search over all 256.
-    """
-    in_sum = hist.level_sum
-    err = np.abs(_unrounded_out_sums(hist) - in_sum)
-    cand = np.flatnonzero(err - err.min() <= hist.total * _BOUND_SLACK)
-    n_low = np.cumsum(hist.counts)
-    occupied = np.flatnonzero(hist.counts)
-    weights = hist.counts[occupied]
-    cum_k = n_low[occupied]
-    t = cand[:, None]
-    low = n_low[t]
-    high = hist.total - low
-    below = occupied <= t
-    num = np.where(below, t * cum_k, (MAX_LEVEL - 1 - t) * (cum_k - low))
-    den = np.where(below, low, high)  # an occupied level's side is never empty
-    out_sums = _round_ratio(num, den) @ weights + ((t + 1) * high)[:, 0]  # upper side from t + 1
-    return int(cand[np.argmin(np.abs(out_sums - in_sum))])  # first minimum
+    sum; ties go to the smallest threshold (see `_mmbebhe_thresholds`)."""
+    counts = hist.counts[None]
+    return int(_mmbebhe_thresholds(counts, counts.cumsum(axis=1))[0])
 
 
 def mmbebhe_lut(hist: Histogram) -> IntensityLut:
     """Bi-equalization table at the minimum-brightness-error threshold."""
-    t = mmbebhe_threshold(hist)
-    return IntensityLut(_segment_map(hist.counts, t))
+    return IntensityLut(_mmbebhe_maps(hist.counts[None])[0])

@@ -149,10 +149,6 @@ class Histogram:
         """Occurrence probability of each level (counts / total)."""
         return self.counts / self.total
 
-    def mean(self) -> float:
-        """Mean intensity of the tallied pixels: the exact `level_sum` / N."""
-        return self.level_sum / self.total
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Histogram):
             return NotImplemented

@@ -1,39 +1,45 @@
 """The enhancement methods by CLI name, one registry of the single method
-shape: a compiler from an image's `Histogram` to its `IntensityLut`.
+shape: a compiler from the level counts of k histograms, a (k x 256)
+int64 stack, to their k maps, a (k x 256) uint8 stack.
 
-Enhancing is compile + `apply_lut` (`enhance`); scoring is compile +
-`metrics.evaluate_luts`, which needs no pixel pass.
+Enhancing is the compile of one histogram + `apply_lut` (`enhance`);
+scoring is compile + `metrics._evaluate_maps`, which needs no pixel pass,
+so a batch of images pays each NumPy call once per method.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
+
+import numpy as np
 
 from . import fuzzy, histeq
 from .histeq import IntensityLut, apply_lut
-from .image import GrayImage, Histogram, histogram
+from .image import GrayImage, histogram
 
-LutCompiler = Callable[[Histogram], IntensityLut]
+LutCompiler = Callable[[np.ndarray], np.ndarray]
 
-# Each entry looks its compiler up when called, so a rebound module
-# attribute (a profiler's wrapper, a test double) is the one that runs.
 LUT_COMPILERS: dict[str, LutCompiler] = {
-    "he": lambda hist: histeq.he_lut(hist),
-    "bbhe": lambda hist: histeq.bbhe_lut(hist),
-    "mmbebhe": lambda hist: histeq.mmbebhe_lut(hist),
-    "fuzzy": lambda hist: fuzzy.default_lut(hist),
+    "he": histeq._he_maps,
+    "bbhe": histeq._bbhe_maps,
+    "mmbebhe": histeq._mmbebhe_maps,
+    "fuzzy": fuzzy._default_maps,
 }
 
 
 def lut_compilers(fuzzy_config: fuzzy.FuzzyConfig | None = None) -> dict[str, LutCompiler]:
-    """The registry, with `fuzzy` compiling `fuzzy_config` instead of the
-    histogram's default config when one is given."""
+    """The registry, with `fuzzy` mapping every histogram to the LUT of
+    `fuzzy_config` instead of its default config when one is given. That
+    LUT depends on no histogram, so it is compiled once, on first use."""
     if fuzzy_config is None:
         return LUT_COMPILERS
-    return {**LUT_COMPILERS, "fuzzy": lambda hist: fuzzy.fuzzy_lut(fuzzy_config)}
+    compiled = functools.cache(lambda: fuzzy.fuzzy_lut(fuzzy_config).map)
+    return {**LUT_COMPILERS, "fuzzy": lambda counts: np.broadcast_to(compiled(), counts.shape)}
 
 
 def enhance(img: GrayImage, method: str, fuzzy_config: fuzzy.FuzzyConfig | None = None) -> GrayImage:
     """`img` enhanced by `method`, a key of `LUT_COMPILERS`: its histogram's
     LUT applied to every pixel."""
-    return apply_lut(img, lut_compilers(fuzzy_config)[method](histogram(img)))
+    maps = lut_compilers(fuzzy_config)[method](histogram(img).counts[None])
+    return apply_lut(img, IntensityLut(maps[0]))

@@ -4,11 +4,13 @@ PSNR uses the 8-bit peak (L-1)^2 = 255^2 = 65025 and returns +inf for a
 zero MSE so that a perfect reconstruction is representable rather than an
 error. Entropy is in bits (log base 2), bounded by 8 for 8-bit images.
 
-`_report` is the one derivation of the four measures, from exact integers.
-`evaluate` scores two arbitrary images pixel by pixel; `evaluate_luts`
-scores an image against each of several LUTs in one stacked (LUTs x 256)
-pass over its histogram alone, each report bit-identical to
-`evaluate(img, apply_lut(img, lut))`.
+`_reports` is the one derivation of the four measures, from exact
+integers, for a stack of rows. `evaluate` scores two arbitrary images
+pixel by pixel. `_evaluate_maps` scores k images against m maps each in
+one stacked (m x k x 256) pass over their histograms alone;
+`evaluate_luts` is that pass for one image. Every report is
+bit-identical to `evaluate(img, apply_lut(img, lut))`. As in `histeq`,
+the stacked kernels call ufunc methods rather than the `np.*` wrappers.
 """
 
 from __future__ import annotations
@@ -35,15 +37,28 @@ class MetricsReport:
     ambe: float
 
 
-def _report(n: int, sq_err: int, in_sum: int, out_sum: int, after_counts: np.ndarray) -> MetricsReport:
-    """The report of `n` pixels with squared error `sq_err`, input and output
-    level sums `in_sum` and `out_sum`, and output level counts `after_counts`."""
-    err = sq_err / n
-    psnr = math.inf if sq_err == 0 else 10.0 * math.log10(PSNR_PEAK_SQ / err)
-    # summed over this row's positive terms alone: zero padding, or one
-    # `np.add.reduceat` over many rows, changes NumPy's pairwise blocking
-    p = after_counts[after_counts > 0] / n
-    return MetricsReport(err, psnr, float(-(p * np.log2(p)).sum()), abs(in_sum / n - out_sum / n))
+def _reports(
+    ns: np.ndarray, sq_errs: np.ndarray, in_sums: np.ndarray, out_sums: np.ndarray, after: np.ndarray
+) -> list[MetricsReport]:
+    """The report of each row r of `after` (rows x 256): the output level
+    counts of `ns[r]` pixels with squared error `sq_errs[r]` and input and
+    output level sums `in_sums[r]` and `out_sums[r]`, all int64."""
+    positive = after > 0
+    # elementwise over the stack, so a term does not depend on its row's place
+    p = (after / ns[:, None])[positive]
+    terms = np.log2(p)
+    terms *= p  # p * log2(p) of every positive count, row after row
+    ends = np.add.reduce(positive, axis=1, dtype=np.intp).cumsum().tolist()
+    reports, start = [], 0
+    for n, sq_err, in_sum, out_sum, end in zip(*(a.tolist() for a in (ns, sq_errs, in_sums, out_sums)), ends):
+        err = sq_err / n
+        psnr = math.inf if sq_err == 0 else 10.0 * math.log10(PSNR_PEAK_SQ / err)
+        # summed over this row's terms alone: zero padding, or one
+        # `np.add.reduceat` over many rows, changes NumPy's pairwise blocking
+        entropy = -float(np.add.reduce(terms[start:end]))
+        reports.append(MetricsReport(err, psnr, entropy, abs(in_sum / n - out_sum / n)))
+        start = end
+    return reports
 
 
 def evaluate(original: GrayImage, processed: GrayImage) -> MetricsReport:
@@ -62,27 +77,36 @@ def evaluate(original: GrayImage, processed: GrayImage) -> MetricsReport:
     for start in range(0, a.size, _HIST_BLOCK):
         diff = a[start : start + _HIST_BLOCK].astype(np.int64) - b[start : start + _HIST_BLOCK]
         sq_err += int(diff @ diff)
-    before, after = histogram(original), histogram(processed)
-    return _report(before.total, sq_err, before.level_sum, after.level_sum, after.counts)
+    after = histogram(processed)
+    in_sum = original.pixels.sum(dtype=np.int64)  # exact: at most 255 * 2**47
+    ints = np.array([[original.size], [sq_err], [in_sum], [after.level_sum]])
+    return _reports(*ints, after.counts[None])[0]
 
 
-def evaluate_luts(hist: Histogram, luts: Sequence[IntensityLut]) -> list[MetricsReport]:
-    """:func:`evaluate` of an image against each LUT applied to it, from the
-    image's histogram `hist` alone; no LUTs give no reports.
+def _evaluate_maps(counts: np.ndarray, maps: np.ndarray) -> list[MetricsReport]:
+    """:func:`evaluate` of k images against m maps each, from their level
+    counts `counts` (k x 256) alone: `maps` (m x k x 256, uint8) holds map j
+    of image i at [j, i], and the reports come in that row-major order.
 
     The squared errors, output sums and output counts are the same exact
     integers the pixel path takes, so every report is bit-identical.
     """
+    rows = maps.reshape(-1, LEVELS)
+    weights = np.concatenate([counts] * len(maps))  # row r holds the counts of image r % k
+    diff = _LEVEL_VALUES - rows
+    # row r's output levels land in bins 256 r .. 256 r + 255; the float64
+    # weighted counts are exact integers below 2**53
+    bins = rows + np.arange(0, rows.size, LEVELS)[:, None]
+    after = np.bincount(bins.ravel(), weights.ravel(), minlength=rows.size)
+    after = after.astype(np.int64).reshape(rows.shape)
+    errs = np.add.reduce(diff * diff * weights, axis=1)
+    ns = np.add.reduce(weights, axis=1)
+    return _reports(ns, errs, weights @ _LEVEL_VALUES, after @ _LEVEL_VALUES, after)
+
+
+def evaluate_luts(hist: Histogram, luts: Sequence[IntensityLut]) -> list[MetricsReport]:
+    """:func:`evaluate` of an image against each LUT applied to it, from the
+    image's histogram `hist` alone; no LUTs give no reports."""
     if not luts:
         return []
-    maps = np.array([lut.map for lut in luts])  # (m, 256) uint8
-    diff = _LEVEL_VALUES - maps
-    errs = ((diff * diff) @ hist.counts).tolist()
-    # row i's output levels land in bins 256 i .. 256 i + 255; the float64
-    # weighted counts are exact integers below 2**53
-    bins = (maps + np.arange(0, maps.size, LEVELS)[:, None]).ravel()
-    weights = np.concatenate([hist.counts] * len(luts))
-    after = np.bincount(bins, weights, minlength=maps.size).astype(np.int64).reshape(maps.shape)
-    sums = (after @ _LEVEL_VALUES).tolist()
-    n, in_sum = hist.total, hist.level_sum
-    return [_report(n, e, in_sum, s, row) for e, s, row in zip(errs, sums, after)]
+    return _evaluate_maps(hist.counts[None], np.array([lut.map for lut in luts])[:, None])

@@ -231,8 +231,8 @@ def test_public_names_resolve_and_enhance_is_the_one_entry_point():
     for name in ck.__all__:
         assert hasattr(ck, name), name
     # the per-method wrappers and duplicate statistics that `enhance`,
-    # `Histogram.mean` and `evaluate_luts` replace, and the per-level fuzzy
-    # stages that `fuzzy_lut` compiles
+    # `Histogram.level_sum` and `evaluate_luts` replace, and the per-level
+    # fuzzy stages that `fuzzy_lut` compiles
     for name in ("equalize", "bbhe", "mmbebhe", "enhance_fuzzy", "mean_intensity", "evaluate_lut",
                  "fuzzify", "infer", "defuzzify_centroid"):
         assert name not in ck.__all__ and not hasattr(ck, name), name
@@ -241,6 +241,7 @@ def test_public_names_resolve_and_enhance_is_the_one_entry_point():
         assert name not in ck.__all__ and not hasattr(ck, name), name
         assert not hasattr(ck.metrics, name), name
     assert not hasattr(ck.Histogram, "cdf")
+    assert not hasattr(ck.Histogram, "mean")
     # `fuzzy_lut` builds its membership plane and grid itself
     for name in ("membership_plane", "sample_grid"):
         assert not hasattr(ck.fuzzy, name), name

@@ -24,7 +24,7 @@ from contrastkit import (
     load_pgm,
     save_pgm,
 )
-from contrastkit import cli
+from contrastkit import LUT_COMPILERS, cli
 from contrastkit.cli import _SYNTH_BLOCK, generate_uniform_image, main
 
 from bruteforce import splitmix64
@@ -157,10 +157,10 @@ def test_enhance_invalid_fuzzy_config_values_exit_2(tmp_path, capsys, edit):
 
 
 def test_enhance_compile_error_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
-    def failing_compiler(hist):
+    def failing_compiler(counts):
         raise ValueError("cannot compile this histogram")
 
-    monkeypatch.setattr("contrastkit.histeq.he_lut", failing_compiler)
+    monkeypatch.setitem(LUT_COMPILERS, "he", failing_compiler)
     src = write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
     dst = tmp_path / "out.pgm"
     assert main(["enhance", src, str(dst), "--method", "he"]) == 2
@@ -251,17 +251,62 @@ def test_report_skips_bad_images_and_exits_3(tmp_path, capsys):
     assert "missing.pgm" in capsys.readouterr().err
 
 
-def test_report_skips_an_input_whole_when_a_later_method_fails(tmp_path, capsys, monkeypatch):
-    src = write_pgm(tmp_path / "a.pgm", FOUR_LEVELS)
+def test_report_skips_an_undecodable_input_whole(tmp_path, capsys):
+    # the inputs are compiled and scored as one stack: a bad input in the
+    # middle leaves no row of its own and changes no byte of the others'
+    good = [
+        write_pgm(tmp_path / f"{i}.pgm", generate_uniform_image(9 + i, 7, 40 * i, 40 * i + 100, i))
+        for i in range(2)
+    ]
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5\n4 4\n255\n" + bytes(3))  # a short raster
+    methods = ["--methods", "he,bbhe,mmbebhe,fuzzy,he"]
     out = tmp_path / "report.csv"
+    assert main(["report", good[0], str(bad), good[1], *methods, "--output", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"skipping {bad}: truncated")
+    singles = []
+    for i, path in enumerate(good):
+        single = tmp_path / f"single{i}.csv"
+        assert main(["report", path, *methods, "--output", str(single)]) == 0
+        singles.append(single.read_bytes().split(b"\n", 1)[1])
+    header = b"image,method,mse,psnr,entropy,ambe\n"
+    assert out.read_bytes() == header + b"".join(singles)
 
-    def failing_compiler(hist):
+
+def test_report_compile_error_exits_2_without_output(tmp_path, capsys, monkeypatch):
+    def failing_compiler(counts):
         raise ValueError("boom")
 
-    monkeypatch.setattr("contrastkit.histeq.mmbebhe_lut", failing_compiler)
-    assert main(["report", src, "--methods", "he,mmbebhe", "--output", str(out)]) == 3
-    assert out.read_text() == "image,method,mse,psnr,entropy,ambe\n"
-    assert capsys.readouterr().err == f"skipping {src}: boom\n"
+    monkeypatch.setitem(LUT_COMPILERS, "mmbebhe", failing_compiler)
+    srcs = [write_pgm(tmp_path / f"{i}.pgm", FOUR_LEVELS) for i in range(2)]
+    out = tmp_path / "report.csv"
+    assert main(["report", *srcs, "--methods", "he,mmbebhe", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: boom\n"
+    assert not out.exists()
+
+
+def test_report_compiles_a_fuzzy_config_once(tmp_path, monkeypatch):
+    calls = []
+    original = fuzzy_lut
+
+    def counting_fuzzy_lut(cfg):
+        calls.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr("contrastkit.fuzzy.fuzzy_lut", counting_fuzzy_lut)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(default_config(histogram(FOUR_LEVELS)).to_json())  # no input's own default
+    imgs = [generate_uniform_image(6, 5, 20 * i, 90 + 20 * i, i) for i in range(3)]
+    srcs = [write_pgm(tmp_path / f"{i}.pgm", img) for i, img in enumerate(imgs)]
+    out = tmp_path / "r.csv"
+    argv = ["report", *srcs, "--methods", "fuzzy,he", "--fuzzy-config", str(cfg), "--output", str(out)]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    expected = fuzzy_lut(FuzzyConfig.from_json(cfg.read_text()))
+    rows = out.read_text().splitlines()[1::2]
+    for img, row in zip(imgs, rows):
+        assert row.split(",")[2:] == cli._scores(evaluate(img, apply_lut(img, expected)))
 
 
 def test_report_deterministic_bytes(tmp_path):

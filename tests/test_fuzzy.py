@@ -564,7 +564,7 @@ def test_shipped_default_table_is_the_exact_oracles():
     expected = fuzzy_table.table_bytes()
     assert len(expected) == 32893
     assert fuzzy_table.TABLE.read_bytes() == expected
-    assert fuzzy._DEFAULT_TABLES == expected
+    assert fuzzy._DEFAULT_TABLES.tobytes() == expected
 
 
 def test_default_lut_matches_the_sampled_compile_at_both_ends_of_every_width():

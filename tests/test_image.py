@@ -518,7 +518,7 @@ def test_save_p5_copies_the_raster_once():
 
 
 # ---------------------------------------------------------------------------
-# histogram() and Histogram.mean()
+# histogram() and its level sum
 # ---------------------------------------------------------------------------
 
 
@@ -567,17 +567,20 @@ def test_histogram_memory_is_bounded():
 
 
 def test_mean_constant():
-    assert histogram(GrayImage(np.full((3, 3), 7, dtype=np.uint8))).mean() == 7.0
+    hist = histogram(GrayImage(np.full((3, 3), 7, dtype=np.uint8)))
+    assert hist.level_sum / hist.total == 7.0
 
 
 def test_mean_four_levels():
-    assert histogram(GrayImage.from_flat(2, 2, [0, 64, 128, 255])).mean() == 111.75
+    hist = histogram(GrayImage.from_flat(2, 2, [0, 64, 128, 255]))
+    assert hist.level_sum / hist.total == 111.75
 
 
 @given(gray_images())
 def test_mean_matches_direct_summation(img):
     direct = sum(int(p) for p in img.pixels.ravel()) / img.size
-    assert histogram(img).mean() == pytest.approx(direct, abs=1e-9)
+    hist = histogram(img)
+    assert hist.level_sum / hist.total == pytest.approx(direct, abs=1e-9)
 
 
 @given(gray_images())
@@ -592,4 +595,4 @@ def test_histogram_invariants(img):
     # histogram-weighted mean is the exact integer pixel sum / N
     pixel_sum = int(img.pixels.sum(dtype=np.int64))
     assert hist.level_sum == pixel_sum
-    assert hist.mean() == pixel_sum / img.size
+    assert hist.level_sum / hist.total == pixel_sum / img.size

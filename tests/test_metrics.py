@@ -24,10 +24,9 @@ from contrastkit import (
 )
 from contrastkit.cli import generate_uniform_image
 from contrastkit.image import _HIST_BLOCK
-from contrastkit.methods import lut_compilers
 
 import bruteforce
-from conftest import gray_images, low_contrast_images, pixel_arrays
+from conftest import gray_images, low_contrast_images, pixel_arrays, registry_lut
 
 
 def img_of(*values):
@@ -300,7 +299,7 @@ METHOD_NAMES = sorted(LUT_COMPILERS)
 
 @given(gray_images(max_side=24) | low_contrast_images(), st.sampled_from(METHOD_NAMES))
 def test_evaluate_lut_is_bit_identical_to_pixel_path(img, method):
-    assert_scores_match(img, LUT_COMPILERS[method](histogram(img)))
+    assert_scores_match(img, registry_lut(method, histogram(img)))
 
 
 _breakpoints = st.floats(-40, 300, allow_nan=False, allow_infinity=False)
@@ -317,7 +316,7 @@ _fuzzy_configs = st.builds(
 
 @given(gray_images(max_side=16), _fuzzy_configs)
 def test_evaluate_lut_is_bit_identical_for_custom_fuzzy_configs(img, cfg):
-    assert_scores_match(img, lut_compilers(cfg)["fuzzy"](histogram(img)))
+    assert_scores_match(img, registry_lut("fuzzy", histogram(img), cfg))
 
 
 @given(gray_images(max_side=16), pixel_arrays(max_side=16).map(lambda a: a.ravel()))
@@ -331,7 +330,7 @@ def test_evaluate_lut_is_bit_identical_for_arbitrary_luts(img, values):
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5)])
 def test_evaluate_lut_on_constant_images(method, value, shape):
     img = GrayImage(np.full(shape, value, dtype=np.uint8))
-    lut = LUT_COMPILERS[method](histogram(img))
+    lut = registry_lut(method, histogram(img))
     assert_scores_match(img, lut)
     rep = evaluate_luts(histogram(img), [lut])[0]
     assert rep.entropy == 0.0
@@ -344,7 +343,7 @@ def test_evaluate_lut_is_bit_identical_on_large_images(method):
     rng = np.random.default_rng(404)
     for shape in [(517, 389), (1024, 1024)]:
         img = GrayImage(np.minimum(rng.gamma(3.0, 20.0, size=shape), 255).astype(np.uint8))
-        assert_scores_match(img, LUT_COMPILERS[method](histogram(img)))
+        assert_scores_match(img, registry_lut(method, histogram(img)))
 
 
 def test_evaluate_lut_merges_bins_into_integer_counts():
@@ -369,7 +368,7 @@ def images_and_lut_stacks(draw):
     random LUTs, so that the rows occupy different numbers of levels."""
     img = draw(gray_images(max_side=24) | low_contrast_images())
     hist = histogram(img)
-    registry = st.sampled_from(METHOD_NAMES).map(lambda m: LUT_COMPILERS[m](hist))
+    registry = st.sampled_from(METHOD_NAMES).map(lambda m: registry_lut(m, hist))
     luts = st.one_of(registry, st.just(identity_lut()), _constant_luts, _random_luts)
     return img, draw(st.lists(luts, min_size=1, max_size=6))
 
@@ -389,7 +388,7 @@ def test_evaluate_luts_sums_each_entropy_over_its_own_row():
     rng = np.random.default_rng(7)
     img = GrayImage(rng.integers(0, 256, (32, 32), dtype=np.uint8))
     hist = histogram(img)
-    luts = [LUT_COMPILERS[m](hist) for m in METHOD_NAMES]
+    luts = [registry_lut(m, hist) for m in METHOD_NAMES]
     luts += [IntensityLut(rng.integers(0, 256, 256, dtype=np.uint8)) for _ in range(28)]
     expected = [evaluate(img, apply_lut(img, lut)).entropy for lut in luts]
     assert [rep.entropy.hex() for rep in evaluate_luts(hist, luts)] == [e.hex() for e in expected]
