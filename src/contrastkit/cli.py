@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 I/O or decode error, 3 partial
 batch failure. All numeric CSV output uses 4 decimal places and a literal
 `inf` for the PSNR of a zero MSE; identical invocations produce
-byte-identical files.
+byte-identical files. Every path is used as typed: an input is read whole
+in one raw read, and `report` keeps only each input's 256 level counts.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ import io
 import os
 import stat
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import fuzzy as fz
 from . import metrics
-from .image import GrayImage, histogram, load_pgm, save_pgm
+from .image import GrayImage, _level_counts, histogram, load_pgm, save_pgm
 from .methods import LUT_COMPILERS, enhance, lut_compilers
 
 EXIT_OK = 0
@@ -100,14 +100,21 @@ def _scores(rep: metrics.MetricsReport) -> list[str]:
     return ["inf" if v == float("inf") else f"{v:.4f}" for v in values]
 
 
+def _read_file(path: str) -> bytes:
+    """The whole file at `path`, read unbuffered with no tty probe. `path` is
+    used as given, so "in.pgm/" names a folder, and errors name it as given."""
+    with io.FileIO(path) as f:
+        return f.readall()
+
+
 def _read_image(path: str) -> GrayImage:
-    return load_pgm(Path(path).read_bytes())
+    return load_pgm(_read_file(path))
 
 
 def _load_fuzzy_config(path: str | None) -> fz.FuzzyConfig | None:
     if path is None:
         return None
-    return fz.FuzzyConfig.from_json(Path(path).read_text(encoding="ascii"))
+    return fz.FuzzyConfig.from_json(_read_file(path).decode("ascii"))
 
 
 def _write_output(path: str, data: bytes) -> None:
@@ -179,7 +186,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         paths, counts = [], []
         for path in args.inputs[start : start + _REPORT_GROUP]:
             try:
-                counts.append(histogram(_read_image(path)).counts)
+                counts.append(_level_counts(_read_image(path).pixels))
                 paths.append(path)
             except (OSError, ValueError) as exc:  # PgmDecodeError is a ValueError
                 # an input that cannot be read is skipped whole; its rows are never begun

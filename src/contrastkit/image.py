@@ -3,6 +3,9 @@
 Images are 8-bit: 256 gray levels, values 0..255. Files with maxval < 255
 are accepted and their samples kept as-is (no rescaling); saving always
 writes maxval 255.
+
+`histogram` wraps the counts of `_level_counts`, the one counting kernel,
+in a `Histogram`; `report`, `enhance` and `evaluate` keep the counts alone.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ _LEVEL_VALUES = np.arange(LEVELS, dtype=np.int64)
 # largest histogram total: the tightest integer kernel, MSE's sum of
 # 65025 * N, stays below 2**63
 MAX_TOTAL = 1 << 47
+_TOO_MANY_PIXELS = (
+    f"histogram total exceeds {MAX_TOTAL} (2**47) pixels, "
+    "past which the integer kernels overflow int64"
+)
 # pixels per bincount block: bounds its intp temporary to 512 KiB
 _HIST_BLOCK = 1 << 16
 
@@ -133,10 +140,7 @@ class Histogram:
         # bins are bounded before the int64 cast, which would wrap a uint64
         # count past 2**63; below the bound the int64 sum is exact
         if arr.max() > MAX_TOTAL or (total := int(arr.sum(dtype=np.int64))) > MAX_TOTAL:
-            raise ValueError(
-                f"histogram total exceeds {MAX_TOTAL} (2**47) pixels, "
-                "past which the integer kernels overflow int64"
-            )
+            raise ValueError(_TOO_MANY_PIXELS)
         if total == 0:
             raise ValueError("empty histogram: counts must not all be zero")
         arr = np.array(arr, dtype=np.int64, order="C")  # a copy the caller cannot touch
@@ -155,16 +159,25 @@ class Histogram:
         return bool(np.array_equal(self.counts, other.counts))
 
 
-def histogram(img: GrayImage) -> Histogram:
-    """Count the pixels of `img` at each of the 256 gray levels.
-
-    Counts block by block, so the extra memory is bounded at any image size.
-    """
-    flat = img.pixels.ravel()  # a view: the pixels are C-contiguous
+def _level_counts(pixels: np.ndarray) -> np.ndarray:
+    """The (256,) int64 level counts of the uint8 `pixels`, the one counting
+    kernel: an image of up to `_HIST_BLOCK` pixels takes one `bincount`, a
+    larger one is counted block by block, so the extra memory is bounded at
+    any image size. More than `MAX_TOTAL` pixels raise `ValueError`."""
+    if pixels.size > MAX_TOTAL:
+        raise ValueError(_TOO_MANY_PIXELS)
+    flat = pixels.ravel()  # a view: image pixels are C-contiguous
+    if flat.size <= _HIST_BLOCK:  # bincount's intp is int32 on some platforms
+        return np.bincount(flat, minlength=LEVELS).astype(np.int64, copy=False)
     counts = np.zeros(LEVELS, dtype=np.int64)
     for start in range(0, flat.size, _HIST_BLOCK):
         counts += np.bincount(flat[start : start + _HIST_BLOCK], minlength=LEVELS)
-    return Histogram(counts)
+    return counts
+
+
+def histogram(img: GrayImage) -> Histogram:
+    """Count the pixels of `img` at each of the 256 gray levels."""
+    return Histogram(_level_counts(img.pixels))
 
 
 # ---------------------------------------------------------------------------

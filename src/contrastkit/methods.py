@@ -2,9 +2,10 @@
 shape: a compiler from the level counts of k histograms, a (k x 256)
 int64 stack, to their k maps, a (k x 256) uint8 stack.
 
-Enhancing is the compile of one histogram + `apply_lut` (`enhance`);
-scoring is compile + `metrics._evaluate_maps`, which needs no pixel pass,
-so a batch of images pays each NumPy call once per method.
+Enhancing is the compile of one image's level counts + `apply_lut`
+(`enhance`); scoring is compile + `metrics._evaluate_maps`, which needs
+no pixel pass, so a batch of images pays each NumPy call once per method.
+Both take the counts from `image._level_counts` and build no `Histogram`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import fuzzy, histeq
 from .histeq import IntensityLut, apply_lut
-from .image import GrayImage, histogram
+from .image import GrayImage, _level_counts
 
 LutCompiler = Callable[[np.ndarray], np.ndarray]
 
@@ -39,7 +40,7 @@ def lut_compilers(fuzzy_config: fuzzy.FuzzyConfig | None = None) -> dict[str, Lu
 
 
 def enhance(img: GrayImage, method: str, fuzzy_config: fuzzy.FuzzyConfig | None = None) -> GrayImage:
-    """`img` enhanced by `method`, a key of `LUT_COMPILERS`: its histogram's
-    LUT applied to every pixel."""
-    maps = lut_compilers(fuzzy_config)[method](histogram(img).counts[None])
+    """`img` enhanced by `method`, a key of `LUT_COMPILERS`: the LUT of its
+    level counts applied to every pixel."""
+    maps = lut_compilers(fuzzy_config)[method](_level_counts(img.pixels)[None])
     return apply_lut(img, IntensityLut(maps[0]))

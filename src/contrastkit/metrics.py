@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .histeq import IntensityLut
-from .image import _HIST_BLOCK, _LEVEL_VALUES, LEVELS, GrayImage, Histogram, histogram
+from .image import _HIST_BLOCK, _LEVEL_VALUES, LEVELS, GrayImage, Histogram, _level_counts
 
 PSNR_PEAK_SQ = 255.0 * 255.0
 
@@ -77,10 +77,10 @@ def evaluate(original: GrayImage, processed: GrayImage) -> MetricsReport:
     for start in range(0, a.size, _HIST_BLOCK):
         diff = a[start : start + _HIST_BLOCK].astype(np.int64) - b[start : start + _HIST_BLOCK]
         sq_err += int(diff @ diff)
-    after = histogram(processed)
+    after = _level_counts(processed.pixels)
     in_sum = original.pixels.sum(dtype=np.int64)  # exact: at most 255 * 2**47
-    ints = np.array([[original.size], [sq_err], [in_sum], [after.level_sum]])
-    return _reports(*ints, after.counts[None])[0]
+    ints = np.array([[original.size], [sq_err], [in_sum], [_LEVEL_VALUES @ after]])
+    return _reports(*ints, after[None])[0]
 
 
 def _evaluate_maps(counts: np.ndarray, maps: np.ndarray) -> list[MetricsReport]:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from contrastkit import (
     FuzzyConfig,
     GrayImage,
+    Histogram,
     apply_lut,
     default_config,
     evaluate,
@@ -25,7 +26,7 @@ from contrastkit import (
     save_pgm,
 )
 from contrastkit import LUT_COMPILERS, cli
-from contrastkit.cli import _SYNTH_BLOCK, generate_uniform_image, main
+from contrastkit.cli import _SYNTH_BLOCK, METHOD_NAMES, generate_uniform_image, main
 
 from bruteforce import splitmix64
 
@@ -354,16 +355,20 @@ def test_report_writes_undecodable_path_bytes(tmp_path):
 
 
 def test_report_builds_one_histogram_per_input(tmp_path, monkeypatch):
-    calls = []
-    original = sys.modules["contrastkit.image"].histogram
+    # each input is counted once, by the one kernel, and neither `report`
+    # nor `enhance` builds a `Histogram` object
+    calls, built = [], []
+    original = sys.modules["contrastkit.image"]._level_counts
 
-    def counting_histogram(img):
-        calls.append(img.size)
-        return original(img)
+    def counting_level_counts(pixels):
+        calls.append(pixels.size)
+        return original(pixels)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("contrastkit") and getattr(module, "histogram", None) is original:
-            monkeypatch.setattr(module, "histogram", counting_histogram)
+        if name.startswith("contrastkit") and getattr(module, "_level_counts", None) is original:
+            monkeypatch.setattr(module, "_level_counts", counting_level_counts)
+    post_init = Histogram.__post_init__
+    monkeypatch.setattr(Histogram, "__post_init__", lambda self: built.append(post_init(self)))
     srcs = [
         write_pgm(tmp_path / f"{i}.pgm", generate_uniform_image(8 + i, 8, 30 * i, 30 * i + 90, i))
         for i in range(3)
@@ -371,6 +376,12 @@ def test_report_builds_one_histogram_per_input(tmp_path, monkeypatch):
     out = tmp_path / "r.csv"
     assert main(["report", *srcs, "--methods", "he,bbhe,mmbebhe,fuzzy", "--output", str(out)]) == 0
     assert calls == [64, 72, 80]
+    for method in METHOD_NAMES:
+        assert main(["enhance", srcs[0], str(tmp_path / "o.pgm"), "--method", method]) == 0
+    assert calls == [64, 72, 80] + [64] * len(METHOD_NAMES)
+    assert built == []
+    histogram(GrayImage(np.zeros((2, 2), dtype=np.uint8)))  # the public wrapper still builds one
+    assert len(built) == 1
 
 
 def write_deeply_nested_config(path):
@@ -690,6 +701,42 @@ def test_output_path_is_used_as_typed(tmp_path, capsys, monkeypatch, output, mes
     assert capsys.readouterr().err == f"error: {message}: {output!r}\n"
     assert (tmp_path / "old.pgm").read_bytes() == b"old output"
     assert sorted(os.listdir(tmp_path)) == ["in.pgm", "old.pgm"]
+
+
+NOT_A_DIRECTORY = "[Errno 20] Not a directory: 'in.pgm/'"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["enhance", "in.pgm/", "out", "--method", "he"], 2, f"error: {NOT_A_DIRECTORY}\n"),
+        (["metrics", "in.pgm", "in.pgm/"], 2, f"error: {NOT_A_DIRECTORY}\n"),
+        (["histogram", "in.pgm/", "out"], 2, f"error: {NOT_A_DIRECTORY}\n"),
+        (
+            ["enhance", "in.pgm", "out", "--method", "fuzzy", "--fuzzy-config", "cfg.json/"],
+            2,
+            "error: [Errno 20] Not a directory: 'cfg.json/'\n",
+        ),
+        (
+            ["report", "in.pgm/", "in.pgm", "--methods", "he", "--output", "out"],
+            3,
+            f"skipping in.pgm/: {NOT_A_DIRECTORY}\n",
+        ),
+    ],
+    ids=["enhance", "metrics", "histogram", "fuzzy-config", "report"],
+)
+def test_input_path_is_used_as_typed(tmp_path, capsys, monkeypatch, argv, code, err):
+    # "in.pgm/" names a folder, not the file in.pgm, as a plain open reads it
+    monkeypatch.chdir(tmp_path)
+    write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
+    (tmp_path / "cfg.json").write_text(default_config(histogram(FOUR_LEVELS)).to_json())
+    assert main(argv) == code
+    assert capsys.readouterr().err == err
+    if code == 3:  # the other input's rows are still written
+        rows = (tmp_path / "out").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["in.pgm", "he"]]
+    else:
+        assert not (tmp_path / "out").exists()
 
 
 def test_dev_null_is_a_valid_output(tmp_path, capsys):

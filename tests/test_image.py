@@ -16,7 +16,7 @@ from contrastkit import (
     load_pgm,
     save_pgm,
 )
-from contrastkit.image import _HIST_BLOCK
+from contrastkit.image import _HIST_BLOCK, MAX_TOTAL, _level_counts
 
 from bruteforce import PGM_WHITESPACE, encode_p2, p2_raster_samples, pgm_header, tally_histogram
 from conftest import gray_images, pixel_arrays
@@ -549,6 +549,7 @@ def test_histogram_matches_naive_tally(arr):
         (1, 1),
         (255, 257),  # one pixel short of a block
         (64, 1024),  # exactly one block
+        (1, _HIST_BLOCK),  # the largest image counted in one call
         (_HIST_BLOCK + 1, 1),  # one pixel into a second block
         (1, 3 * _HIST_BLOCK + 5),
     ],
@@ -559,6 +560,20 @@ def test_histogram_block_edges(shape):
     hist = histogram(GrayImage(arr))
     assert hist.counts.tolist() == tally_histogram(arr.ravel())
     assert hist.total == arr.size
+    counts = _level_counts(arr)  # int64 on both the one-call and the blocked path
+    assert counts.dtype == np.int64 and counts.shape == (256,)
+    assert np.array_equal(counts, hist.counts)
+
+
+def test_level_counts_rejects_more_than_max_total_pixels():
+    # a zero-stride view of more than MAX_TOTAL pixels, which holds one byte:
+    # the pixel count is checked before any pass over the pixels
+    pixels = np.lib.stride_tricks.as_strided(
+        np.zeros(1, dtype=np.uint8), shape=(1 << 24, (1 << 23) + 1), strides=(0, 0)
+    )
+    assert pixels.size > MAX_TOTAL
+    with pytest.raises(ValueError, match="exceeds 140737488355328"):
+        _level_counts(pixels)
 
 
 def test_histogram_memory_is_bounded():
