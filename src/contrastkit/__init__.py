@@ -10,16 +10,12 @@ from .fuzzy import (
     FuzzyConfig,
     MembershipFunction,
     default_config,
-    default_lut,
     fuzzy_lut,
 )
 from .histeq import (
     IntensityLut,
     apply_lut,
-    bbhe_lut,
-    he_lut,
     identity_lut,
-    mmbebhe_lut,
     mmbebhe_threshold,
 )
 from .image import (
@@ -30,7 +26,7 @@ from .image import (
     load_pgm,
     save_pgm,
 )
-from .methods import LUT_COMPILERS, enhance
+from .methods import LUT_COMPILERS, compile_lut, enhance
 from .metrics import MetricsReport, evaluate, evaluate_luts
 
 __version__ = "0.1.0"
@@ -43,18 +39,15 @@ __all__ = [
     "load_pgm",
     "save_pgm",
     "IntensityLut",
-    "he_lut",
     "apply_lut",
-    "bbhe_lut",
-    "mmbebhe_lut",
     "mmbebhe_threshold",
     "identity_lut",
     "MembershipFunction",
     "FuzzyConfig",
     "default_config",
-    "default_lut",
     "fuzzy_lut",
     "LUT_COMPILERS",
+    "compile_lut",
     "enhance",
     "MetricsReport",
     "evaluate",

@@ -14,15 +14,16 @@
    rule passes through unchanged.
 
 The public surface is `FuzzyConfig` (of `MembershipFunction` sets),
-`default_config`, `fuzzy_lut` and `default_lut`; `_default_maps` is
-`default_lut` for a (k x 256) stack of histogram counts.
+`default_config` and `fuzzy_lut`. The image-adaptive method is the
+registry's `fuzzy` entry, `_default_maps`, which `methods.compile_lut`
+runs on one histogram.
 
 The fixed full-range output sets are what stretch a narrow input range
-toward the full scale. The image-adaptive method, `default_lut`, maps an
-image whose range is narrower than `MIN_USEFUL_SPAN` by the identity.
-Otherwise it is the identity outside the range [lo, hi] and, inside, the
-table of the width hi - lo in `fuzzy_default.bin`: exact integer centroids
-that tests/fuzzy_table.py rebuilds, so nothing is sampled at run time.
+toward the full scale. `_default_maps` maps an image whose range is
+narrower than `MIN_USEFUL_SPAN` by the identity. Otherwise it is the
+identity outside the range [lo, hi] and, inside, the table of the width
+hi - lo in `fuzzy_default.bin`: exact integer centroids that
+tests/fuzzy_table.py rebuilds, so nothing is sampled at run time.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .histeq import _IDENTITY, IntensityLut
 from .image import LEVELS, MAX_LEVEL, Histogram
 
 # Dynamic ranges narrower than this admit no meaningful input triangles;
-# `default_lut` then falls back to the identity mapping.
+# `_default_maps` then falls back to the identity mapping.
 MIN_USEFUL_SPAN = 2
 
 # The default LUT of each range width w in 2..255 on levels lo..hi: its
@@ -195,8 +196,10 @@ def fuzzy_lut(cfg: FuzzyConfig) -> IntensityLut:
 
 
 def _default_maps(counts: np.ndarray) -> np.ndarray:
-    """`default_lut` of each row of `counts` (k x 256), as a (k x 256)
-    uint8 stack: one table read per row whose range is wide enough."""
+    """For each row of `counts` (k x 256), the LUT of
+    `fuzzy_lut(default_config(hist))` for its histogram, as a (k x 256)
+    uint8 stack: read from the shipped table of the row range's width, or
+    the identity where that range is narrower than `MIN_USEFUL_SPAN`."""
     occupied = counts > 0
     lows = occupied.argmax(axis=1).tolist()
     tops = occupied[:, ::-1].argmax(axis=1).tolist()  # empty levels above the range
@@ -208,10 +211,3 @@ def _default_maps(counts: np.ndarray) -> np.ndarray:
             start = width * (width + 1) // 2 - 3
             row[lo : lo + width + 1] = _DEFAULT_TABLES[start : start + width + 1]
     return out
-
-
-def default_lut(hist: Histogram) -> IntensityLut:
-    """The LUT of `fuzzy_lut(default_config(hist))`, copied from the table
-    of the image range's width, or the identity when that range is
-    narrower than MIN_USEFUL_SPAN."""
-    return IntensityLut(_default_maps(hist.counts[None])[0])

@@ -5,8 +5,8 @@ then applied per pixel or scored from the histogram alone. The compilers
 work on a stack: `_he_maps`, `_bbhe_maps` and `_mmbebhe_maps` take the
 counts of k histograms as a (k x 256) array and return their k maps as a
 (k x 256) uint8 array, so a batch of images pays each NumPy call once.
-`he_lut`, `bbhe_lut`, `mmbebhe_lut` and `mmbebhe_threshold` are the same
-kernels on one histogram.
+`methods.compile_lut` runs them on one histogram, and `mmbebhe_threshold`
+is MMBEBHE's split of one histogram.
 
 HE, BBHE and MMBEBHE are one bi-equalization, `_segment_maps`: levels up
 to a split t equalize onto [0, t], the rest onto [t + 1, 255]. HE splits
@@ -86,12 +86,16 @@ def _segment_maps(cum: np.ndarray, thresholds: list[int]) -> np.ndarray:
 
 def _he_maps(counts: np.ndarray) -> np.ndarray:
     """Classical equalization: the split at 255 maps level k of each row to
-    round(255 * CDF(k))."""
+    round(255 * CDF(k)), rounding half up in exact integers. Each map is
+    non-decreasing and sends every level at which the CDF has reached 1 to
+    255."""
     return _segment_maps(counts.cumsum(axis=1), [MAX_LEVEL] * len(counts))
 
 
 def _bbhe_maps(counts: np.ndarray) -> np.ndarray:
-    """Bi-equalization of each row split at its floored mean, in exact integers."""
+    """Bi-equalization of each row split at floor(sum k * w_k / N), its
+    floored mean in exact integers, rounding half up. The boundary level,
+    exactly at the floored mean, belongs to the lower segment."""
     cum = counts.cumsum(axis=1)
     return _segment_maps(cum, ((counts @ _LEVEL_VALUES) // cum[:, -1]).tolist())
 
@@ -115,8 +119,7 @@ def _bbhe_maps(counts: np.ndarray) -> np.ndarray:
 _BOUND_SLACK = 1.0 + 2.0**-34
 
 # (input, threshold) pairs per block of the exact re-check: its (pairs x
-# levels) temporaries hold at most 2**16 elements (512 KiB of int64), as
-# one histogram's 256 candidates x 256 occupied levels did.
+# 256 levels) temporaries hold at most 2**16 elements (512 KiB of int64).
 _PAIR_BLOCK = (1 << 16) // LEVELS
 # the re-check's score of a dropped threshold: above any exact error
 _NEVER_BEST = 1 << 62
@@ -161,17 +164,15 @@ def _mmbebhe_thresholds(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
        lies within N/2 + eps of the float one (`_BOUND_SLACK`).
     2. An exact re-check scores only the (row, threshold) pairs whose lower
        bound is at most the row's smallest upper bound, with the
-       `_segment_maps` rule over the levels occupied in any row, in
-       blocks of `_PAIR_BLOCK` pairs, and takes each row's first minimum.
-       Every dropped threshold is strictly worse than a kept one, so the
-       result is that of the exact search over all 256.
+       `_segment_maps` rule over all 256 levels of the row (an empty level
+       weighs 0), in blocks of `_PAIR_BLOCK` pairs, and takes each row's
+       first minimum. Every dropped threshold is strictly worse than a kept
+       one, so the result is that of the exact search over all 256.
     """
     total = cum[:, -1:]
     in_sum = counts @ _LEVEL_VALUES
     err = np.abs(_unrounded_out_sums(counts, cum) - in_sum[:, None])
     rows, cand = (err - np.minimum.reduce(err, axis=1, keepdims=True) <= total * _BOUND_SLACK).nonzero()
-    levels = np.add.reduce(counts).nonzero()[0]  # occupied in some row
-    cum_at, counts_at = cum[:, levels], counts[:, levels]
     dev = np.empty(counts.shape, dtype=np.int64)
     dev.fill(_NEVER_BEST)
     for start in range(0, len(rows), _PAIR_BLOCK):
@@ -179,41 +180,23 @@ def _mmbebhe_thresholds(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
         t = c[:, None]
         low = cum[r, c][:, None]
         high = total[r] - low
-        below = levels <= t
+        below = _LEVEL_VALUES <= t
         # the `_segment_maps` rule, the upper start t + 1 folded into the
         # numerator as (t + 1) * high; a level on an empty side holds none of
         # this row's pixels, so a divisor of 1 there only keeps it finite
         low1, high1 = np.maximum(low, 1), np.maximum(high, 1)
         s = MAX_LEVEL - 1 - t
         shift = np.where(below, low1 // 2, (t + 1) * high1 - s * low + high1 // 2)
-        values = (np.where(below, t, s) * cum_at[r] + shift) // np.where(below, low1, high1)
-        dev[r, c] = np.abs(np.add.reduce(values * counts_at[r], axis=1) - in_sum[r])
+        values = (np.where(below, t, s) * cum[r] + shift) // np.where(below, low1, high1)
+        dev[r, c] = np.abs(np.add.reduce(values * counts[r], axis=1) - in_sum[r])
     return dev.argmin(axis=1)  # the first minimum: ties go to the smallest threshold
 
 
 def _mmbebhe_maps(counts: np.ndarray) -> np.ndarray:
-    """Bi-equalization of each row at its minimum-brightness-error threshold."""
+    """Bi-equalization of each row at its minimum-brightness-error threshold
+    (see `_mmbebhe_thresholds`), rounding half up."""
     cum = counts.cumsum(axis=1)
     return _segment_maps(cum, _mmbebhe_thresholds(counts, cum).tolist())
-
-
-def he_lut(hist: Histogram) -> IntensityLut:
-    """Classical equalization table: level k maps to round(255 * CDF(k)).
-
-    Rounding is half up, in exact integers. The map is non-decreasing and
-    sends every level at which the CDF has reached 1 to 255.
-    """
-    return IntensityLut(_he_maps(hist.counts[None])[0])
-
-
-def bbhe_lut(hist: Histogram) -> IntensityLut:
-    """Bi-equalization table split at floor(sum k * w_k / N), the floored
-    mean in exact integers.
-
-    The boundary level (exactly at the floored mean) belongs to the lower
-    segment.
-    """
-    return IntensityLut(_bbhe_maps(hist.counts[None])[0])
 
 
 def mmbebhe_threshold(hist: Histogram) -> int:
@@ -221,8 +204,3 @@ def mmbebhe_threshold(hist: Histogram) -> int:
     sum; ties go to the smallest threshold (see `_mmbebhe_thresholds`)."""
     counts = hist.counts[None]
     return int(_mmbebhe_thresholds(counts, counts.cumsum(axis=1))[0])
-
-
-def mmbebhe_lut(hist: Histogram) -> IntensityLut:
-    """Bi-equalization table at the minimum-brightness-error threshold."""
-    return IntensityLut(_mmbebhe_maps(hist.counts[None])[0])

@@ -2,9 +2,12 @@
 shape: a compiler from the level counts of k histograms, a (k x 256)
 int64 stack, to their k maps, a (k x 256) uint8 stack.
 
-Enhancing is the compile of one image's level counts + `apply_lut`
-(`enhance`); scoring is compile + `metrics._evaluate_maps`, which needs
-no pixel pass, so a batch of images pays each NumPy call once per method.
+Each kind of input has one entry point over the registry: an image goes
+to `enhance`, a histogram to `compile_lut`, and a fuzzy config to
+`fuzzy.fuzzy_lut`. Enhancing compiles one image's level counts and
+applies the map (`apply_lut`); scoring compiles and calls
+`metrics._evaluate_maps`, which needs no pixel pass, so a batch of images
+pays each NumPy call once per method.
 Both take the counts from `image._level_counts` and build no `Histogram`.
 """
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import fuzzy, histeq
 from .histeq import IntensityLut, apply_lut
-from .image import GrayImage, _level_counts
+from .image import GrayImage, Histogram, _level_counts
 
 LutCompiler = Callable[[np.ndarray], np.ndarray]
 
@@ -44,3 +47,9 @@ def enhance(img: GrayImage, method: str, fuzzy_config: fuzzy.FuzzyConfig | None 
     level counts applied to every pixel."""
     maps = lut_compilers(fuzzy_config)[method](_level_counts(img.pixels)[None])
     return apply_lut(img, IntensityLut(maps[0]))
+
+
+def compile_lut(hist: Histogram, method: str, fuzzy_config: fuzzy.FuzzyConfig | None = None) -> IntensityLut:
+    """The LUT that `method`, a key of `LUT_COMPILERS`, compiles for `hist`:
+    the registry's map of a stack of one."""
+    return IntensityLut(lut_compilers(fuzzy_config)[method](hist.counts[None])[0])

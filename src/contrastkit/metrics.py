@@ -43,21 +43,18 @@ def _reports(
     """The report of each row r of `after` (rows x 256): the output level
     counts of `ns[r]` pixels with squared error `sq_errs[r]` and input and
     output level sums `in_sums[r]` and `out_sums[r]`, all int64."""
-    positive = after > 0
-    # elementwise over the stack, so a term does not depend on its row's place
-    p = (after / ns[:, None])[positive]
-    terms = np.log2(p)
-    terms *= p  # p * log2(p) of every positive count, row after row
-    ends = np.add.reduce(positive, axis=1, dtype=np.intp).cumsum().tolist()
-    reports, start = [], 0
-    for n, sq_err, in_sum, out_sum, end in zip(*(a.tolist() for a in (ns, sq_errs, in_sums, out_sums)), ends):
+    # p * log2(p) of each count, 0 where it is 0, elementwise over the
+    # stack; each row sums all 256 of its terms, so a sum does not depend on
+    # how many rows the stack holds
+    p = after / ns[:, None]
+    terms = np.log2(p, out=np.zeros(p.shape), where=after > 0)
+    terms *= p
+    entropies = np.add.reduce(terms, axis=1).tolist()
+    reports = []
+    for n, sq_err, in_sum, out_sum, e in zip(*(a.tolist() for a in (ns, sq_errs, in_sums, out_sums)), entropies):
         err = sq_err / n
         psnr = math.inf if sq_err == 0 else 10.0 * math.log10(PSNR_PEAK_SQ / err)
-        # summed over this row's terms alone: zero padding, or one
-        # `np.add.reduceat` over many rows, changes NumPy's pairwise blocking
-        entropy = -float(np.add.reduce(terms[start:end]))
-        reports.append(MetricsReport(err, psnr, entropy, abs(in_sum / n - out_sum / n)))
-        start = end
+        reports.append(MetricsReport(err, psnr, -e, abs(in_sum / n - out_sum / n)))
     return reports
 
 

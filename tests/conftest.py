@@ -2,8 +2,7 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from contrastkit import GrayImage, IntensityLut
-from contrastkit.methods import lut_compilers
+from contrastkit import GrayImage
 
 
 def pixel_arrays(max_side: int = 16):
@@ -32,7 +31,3 @@ def low_contrast_images(draw, min_span=2, max_span=56):
     )
     return GrayImage.from_flat(w, h, vals)
 
-
-def registry_lut(method, hist, fuzzy_config=None):
-    """The LUT that the registry compiles for one histogram, as a stack of one."""
-    return IntensityLut(lut_compilers(fuzzy_config)[method](hist.counts[None])[0])

@@ -89,7 +89,7 @@ def test_he_lut_monotonicity_and_range():
         if counts.sum() == 0:
             counts[int(rng.integers(256))] = 1
         hist = ck.Histogram(counts)
-        lut = ck.he_lut(hist).map.astype(np.int64)
+        lut = ck.compile_lut(hist, "he").map.astype(np.int64)
         assert np.all(np.diff(lut) >= 0)
         assert lut[np.flatnonzero(counts)[-1]] == 255
 
@@ -232,9 +232,10 @@ def test_public_names_resolve_and_enhance_is_the_one_entry_point():
         assert hasattr(ck, name), name
     # the per-method wrappers and duplicate statistics that `enhance`,
     # `Histogram.level_sum` and `evaluate_luts` replace, and the per-level
-    # fuzzy stages that `fuzzy_lut` compiles
+    # fuzzy stages that `fuzzy_lut` compiles, and the per-method LUT
+    # functions that `compile_lut` replaces
     for name in ("equalize", "bbhe", "mmbebhe", "enhance_fuzzy", "mean_intensity", "evaluate_lut",
-                 "fuzzify", "infer", "defuzzify_centroid"):
+                 "fuzzify", "infer", "defuzzify_centroid", "he_lut", "bbhe_lut", "mmbebhe_lut", "default_lut"):
         assert name not in ck.__all__ and not hasattr(ck, name), name
     # single measures are fields of `evaluate(a, b)`
     for name in ("mse", "psnr", "entropy", "ambe"):

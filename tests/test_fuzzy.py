@@ -13,8 +13,8 @@ from contrastkit import (
     GrayImage,
     MembershipFunction,
     apply_lut,
+    compile_lut,
     default_config,
-    default_lut,
     enhance,
     fuzzy_lut,
     histogram,
@@ -97,7 +97,7 @@ def test_default_config_breakpoints():
     assert (gray.a, gray.b, gray.c) == (50.0, 125.0, 200.0)
     assert (bright.a, bright.b, bright.c) == (125.0, 200.0, 200.0)
     assert cfg.resolution == 256
-    assert default_lut(histogram(img)) == fuzzy_lut(cfg)
+    assert compile_lut(histogram(img), "fuzzy") == fuzzy_lut(cfg)
 
 
 def test_default_config_full_range():
@@ -110,7 +110,7 @@ def test_default_config_full_range():
 def test_default_config_degenerate_on_flat_images():
     for span, identity in ((0, True), (1, True), (2, False)):
         for lo in range(256 - span):
-            lut = default_lut(histogram(GrayImage.from_flat(2, 1, [lo, lo + span])))
+            lut = compile_lut(histogram(GrayImage.from_flat(2, 1, [lo, lo + span])), "fuzzy")
             assert (lut == identity_lut()) == identity, (lo, span)
 
 
@@ -302,7 +302,7 @@ def test_centroid_lies_within_support(values):
 
 def test_fuzzy_lut_degenerate_config_is_identity():
     img = GrayImage.from_flat(2, 2, [7, 7, 7, 7])
-    lut = default_lut(histogram(img))
+    lut = compile_lut(histogram(img), "fuzzy")
     assert lut.map.tolist() == list(range(256))
 
 
@@ -529,7 +529,7 @@ def test_config_resolution_bounds_are_inclusive():
 
 def _span_lut(lo, hi):
     img = GrayImage.from_flat(2, 1, [lo, hi])
-    return default_lut(histogram(img)).map.tolist()
+    return compile_lut(histogram(img), "fuzzy").map.tolist()
 
 
 def _sampled_spans():
@@ -572,7 +572,7 @@ def test_default_lut_matches_the_sampled_compile_at_both_ends_of_every_width():
     for width in range(2, 256):
         for lo in (0, 255 - width):
             hist = histogram(GrayImage.from_flat(2, 1, [lo, lo + width]))
-            if default_lut(hist) != fuzzy_lut(default_config(hist)):
+            if compile_lut(hist, "fuzzy") != fuzzy_lut(default_config(hist)):
                 mismatched.append((lo, lo + width))
     assert mismatched == []
 

@@ -14,14 +14,12 @@ from contrastkit import (
     IntensityLut,
     MembershipFunction,
     apply_lut,
-    bbhe_lut,
+    compile_lut,
     enhance,
     evaluate,
     fuzzy_lut,
-    he_lut,
     histogram,
     identity_lut,
-    mmbebhe_lut,
     mmbebhe_threshold,
 )
 from contrastkit.cli import generate_uniform_image
@@ -29,7 +27,7 @@ from contrastkit.histeq import _unrounded_out_sums
 from contrastkit.image import MAX_TOTAL
 
 import bruteforce
-from conftest import gray_images, registry_lut
+from conftest import gray_images
 
 
 FOUR_LEVELS = GrayImage.from_flat(2, 2, [0, 64, 128, 255])
@@ -73,12 +71,12 @@ def test_identity_lut_maps_everything_to_itself():
 
 
 # ---------------------------------------------------------------------------
-# he_lut
+# HE
 # ---------------------------------------------------------------------------
 
 
 def test_he_lut_four_levels():
-    lut = he_lut(histogram(FOUR_LEVELS))
+    lut = compile_lut(histogram(FOUR_LEVELS), "he")
     # 255 * {1/4, 2/4, 3/4, 4/4} = {63.75, 127.5, 191.25, 255}, halves up
     assert lut.map[0] == 64
     assert lut.map[64] == 128
@@ -90,7 +88,7 @@ def test_he_lut_constant_histogram_saturates():
     for g in (0, 7, 200, 255):
         counts = np.zeros(256, dtype=np.int64)
         counts[g] = 9
-        assert he_lut(Histogram(counts)).map[g] == 255
+        assert compile_lut(Histogram(counts), "he").map[g] == 255
 
 
 @st.composite
@@ -114,13 +112,13 @@ def _max_total_histogram():
 @given(st.one_of(gray_images().map(histogram), large_histograms()))
 @example(_max_total_histogram())
 def test_he_lut_matches_prefix_sum_oracle(hist):
-    assert he_lut(hist).map.tolist() == bruteforce.he_map(hist.counts.tolist())
+    assert compile_lut(hist, "he").map.tolist() == bruteforce.he_map(hist.counts.tolist())
 
 
 @given(gray_images())
 def test_he_lut_monotone_and_range(img):
     hist = histogram(img)
-    lut = he_lut(hist).map
+    lut = compile_lut(hist, "he").map
     assert np.all(np.diff(lut.astype(np.int64)) >= 0)
     occupied = np.flatnonzero(hist.counts)
     assert lut[occupied[-1]] == 255
@@ -144,7 +142,7 @@ def test_apply_constant_lut_zeroes_image():
 
 
 def test_apply_he_lut_four_levels():
-    out = apply_lut(FOUR_LEVELS, he_lut(histogram(FOUR_LEVELS)))
+    out = apply_lut(FOUR_LEVELS, compile_lut(histogram(FOUR_LEVELS), "he"))
     assert out.pixels.ravel().tolist() == [64, 128, 191, 255]
 
 
@@ -160,7 +158,7 @@ def test_equalize_four_levels():
 @pytest.mark.parametrize("method", list(LUT_COMPILERS))
 @given(gray_images())
 def test_enhance_is_lut_expressible(method, img):
-    assert enhance(img, method) == apply_lut(img, registry_lut(method, histogram(img)))
+    assert enhance(img, method) == apply_lut(img, compile_lut(histogram(img), method))
 
 
 @given(gray_images())
@@ -217,7 +215,7 @@ def test_bbhe_lut_segments_monotone():
         img = GrayImage(rng.integers(0, 256, size=(12, 12), dtype=np.uint8))
         hist = histogram(img)
         t = int(np.floor(hist.level_sum / hist.total))
-        lut = bbhe_lut(hist).map.astype(np.int64)
+        lut = compile_lut(hist, "bbhe").map.astype(np.int64)
         assert np.all(np.diff(lut[: t + 1]) >= 0)
         assert np.all(np.diff(lut[t + 1 :]) >= 0)
         assert np.all(lut[: t + 1] <= t)
@@ -230,7 +228,7 @@ def test_bbhe_matches_segment_oracle(img):
     hist = histogram(img)
     t = int(np.floor(hist.level_sum / hist.total))
     expected = bruteforce.segment_map(hist.counts.tolist(), t)
-    assert bbhe_lut(hist).map.tolist() == expected
+    assert compile_lut(hist, "bbhe").map.tolist() == expected
 
 
 def test_bbhe_beats_he_brightness_where_he_shifts():
@@ -310,7 +308,7 @@ def test_mmbebhe_threshold_float_tie_regression():
     counts[[7, 147, 205]] = [2, 2, 8]
     hist = Histogram(counts)
     assert mmbebhe_threshold(hist) == 216
-    assert mmbebhe_lut(hist).map[205] == 216
+    assert compile_lut(hist, "mmbebhe").map[205] == 216
     pixels = [7] * 2 + [147] * 2 + [205] * 8
     assert bruteforce.min_mean_error_threshold(pixels) == 216
 
@@ -339,9 +337,9 @@ def _float_rounded_segment_map(counts, t):
 def test_integer_rounding_matches_float_formula(hist):
     cum = np.cumsum(hist.counts)
     float_he = np.floor(255 * cum / hist.total + 0.5)
-    assert he_lut(hist).map.tolist() == float_he.astype(np.int64).tolist()
+    assert compile_lut(hist, "he").map.tolist() == float_he.astype(np.int64).tolist()
     t = int(np.floor(hist.level_sum / hist.total))
-    assert bbhe_lut(hist).map.tolist() == _float_rounded_segment_map(hist.counts, t).tolist()
+    assert compile_lut(hist, "bbhe").map.tolist() == _float_rounded_segment_map(hist.counts, t).tolist()
 
 
 def test_bbhe_splits_at_the_exact_integer_floor_of_the_mean():
@@ -349,7 +347,7 @@ def test_bbhe_splits_at_the_exact_integer_floor_of_the_mean():
     # floor of sum(k * w_k) / N is 199
     counts = np.zeros(256, dtype=np.int64)
     counts[199], counts[200] = 1, 2**47 - 1
-    lut = bbhe_lut(Histogram(counts))
+    lut = compile_lut(Histogram(counts), "bbhe")
     assert lut.map.tolist() == bruteforce.segment_map(counts.tolist(), 199)
     assert lut.map[199:201].tolist() == [199, 255]
 

@@ -117,9 +117,9 @@ def _peak_bytes(fn, *args):
 def test_a_report_group_keeps_each_temporary_within_its_bound():
     # two occupied levels per row, one of them heavy at 255: every one of a
     # row's 256 thresholds passes the bound pass, so the exact re-check
-    # scores 256 pairs a row, over as many levels as the rows occupy. Its
-    # (pairs x levels) temporaries would hold 2**22 int64 (32 MiB) at once;
-    # in blocks each holds at most 2**16 (512 KiB), and a few live together
+    # scores 256 pairs a row, over all 256 levels. Its (pairs x levels)
+    # temporaries would hold 2**22 int64 (32 MiB) at once; in blocks each
+    # holds at most 2**16 (512 KiB), and a few live together
     counts = np.zeros((_REPORT_GROUP, 256), dtype=np.int64)
     rows = np.arange(_REPORT_GROUP)
     counts[rows, 4 * rows] = 665

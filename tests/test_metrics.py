@@ -16,6 +16,7 @@ from contrastkit import (
     IntensityLut,
     MembershipFunction,
     apply_lut,
+    compile_lut,
     enhance,
     evaluate,
     evaluate_luts,
@@ -26,7 +27,7 @@ from contrastkit.cli import generate_uniform_image
 from contrastkit.image import _HIST_BLOCK
 
 import bruteforce
-from conftest import gray_images, low_contrast_images, pixel_arrays, registry_lut
+from conftest import gray_images, low_contrast_images, pixel_arrays
 
 
 def img_of(*values):
@@ -299,7 +300,7 @@ METHOD_NAMES = sorted(LUT_COMPILERS)
 
 @given(gray_images(max_side=24) | low_contrast_images(), st.sampled_from(METHOD_NAMES))
 def test_evaluate_lut_is_bit_identical_to_pixel_path(img, method):
-    assert_scores_match(img, registry_lut(method, histogram(img)))
+    assert_scores_match(img, compile_lut(histogram(img), method))
 
 
 _breakpoints = st.floats(-40, 300, allow_nan=False, allow_infinity=False)
@@ -316,7 +317,7 @@ _fuzzy_configs = st.builds(
 
 @given(gray_images(max_side=16), _fuzzy_configs)
 def test_evaluate_lut_is_bit_identical_for_custom_fuzzy_configs(img, cfg):
-    assert_scores_match(img, registry_lut("fuzzy", histogram(img), cfg))
+    assert_scores_match(img, compile_lut(histogram(img), "fuzzy", cfg))
 
 
 @given(gray_images(max_side=16), pixel_arrays(max_side=16).map(lambda a: a.ravel()))
@@ -330,7 +331,7 @@ def test_evaluate_lut_is_bit_identical_for_arbitrary_luts(img, values):
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5)])
 def test_evaluate_lut_on_constant_images(method, value, shape):
     img = GrayImage(np.full(shape, value, dtype=np.uint8))
-    lut = registry_lut(method, histogram(img))
+    lut = compile_lut(histogram(img), method)
     assert_scores_match(img, lut)
     rep = evaluate_luts(histogram(img), [lut])[0]
     assert rep.entropy == 0.0
@@ -343,7 +344,7 @@ def test_evaluate_lut_is_bit_identical_on_large_images(method):
     rng = np.random.default_rng(404)
     for shape in [(517, 389), (1024, 1024)]:
         img = GrayImage(np.minimum(rng.gamma(3.0, 20.0, size=shape), 255).astype(np.uint8))
-        assert_scores_match(img, registry_lut(method, histogram(img)))
+        assert_scores_match(img, compile_lut(histogram(img), method))
 
 
 def test_evaluate_lut_merges_bins_into_integer_counts():
@@ -368,7 +369,7 @@ def images_and_lut_stacks(draw):
     random LUTs, so that the rows occupy different numbers of levels."""
     img = draw(gray_images(max_side=24) | low_contrast_images())
     hist = histogram(img)
-    registry = st.sampled_from(METHOD_NAMES).map(lambda m: registry_lut(m, hist))
+    registry = st.sampled_from(METHOD_NAMES).map(lambda m: compile_lut(hist, m))
     luts = st.one_of(registry, st.just(identity_lut()), _constant_luts, _random_luts)
     return img, draw(st.lists(luts, min_size=1, max_size=6))
 
@@ -381,14 +382,15 @@ def test_evaluate_luts_rows_are_bit_identical_to_pixel_path(case):
 
 
 def test_evaluate_luts_sums_each_entropy_over_its_own_row():
-    # summing the entropy terms of all rows with one `np.add.reduceat`, or
-    # over zero-padded rows, changes the pairwise blocking: on NumPy 2.4.6
-    # a `reduceat` sum is off in the last bit on 14 of these 32 rows and a
-    # padded sum on 8, so a rewrite to either fails here
+    # both paths sum each row's entropy over all 256 of its terms, zero
+    # where a count is 0, so a sum does not depend on the rows stacked with
+    # it; one `np.add.reduceat` over the stack's positive terms changes the
+    # pairwise blocking: on NumPy 2.4.6 it is off in the last bit on 15 of
+    # these 32 rows, so a rewrite of the stacked path to it fails here
     rng = np.random.default_rng(7)
     img = GrayImage(rng.integers(0, 256, (32, 32), dtype=np.uint8))
     hist = histogram(img)
-    luts = [registry_lut(m, hist) for m in METHOD_NAMES]
+    luts = [compile_lut(hist, m) for m in METHOD_NAMES]
     luts += [IntensityLut(rng.integers(0, 256, 256, dtype=np.uint8)) for _ in range(28)]
     expected = [evaluate(img, apply_lut(img, lut)).entropy for lut in luts]
     assert [rep.entropy.hex() for rep in evaluate_luts(hist, luts)] == [e.hex() for e in expected]
