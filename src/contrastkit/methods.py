@@ -49,7 +49,7 @@ def enhance(img: GrayImage, method: str, fuzzy_config: fuzzy.FuzzyConfig | None 
     return apply_lut(img, IntensityLut(maps[0]))
 
 
-def compile_lut(hist: Histogram, method: str, fuzzy_config: fuzzy.FuzzyConfig | None = None) -> IntensityLut:
+def compile_lut(hist: Histogram, method: str) -> IntensityLut:
     """The LUT that `method`, a key of `LUT_COMPILERS`, compiles for `hist`:
     the registry's map of a stack of one."""
-    return IntensityLut(lut_compilers(fuzzy_config)[method](hist.counts[None])[0])
+    return IntensityLut(LUT_COMPILERS[method](hist.counts[None])[0])

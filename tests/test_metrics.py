@@ -20,6 +20,7 @@ from contrastkit import (
     enhance,
     evaluate,
     evaluate_luts,
+    fuzzy_lut,
     histogram,
     identity_lut,
 )
@@ -317,7 +318,7 @@ _fuzzy_configs = st.builds(
 
 @given(gray_images(max_side=16), _fuzzy_configs)
 def test_evaluate_lut_is_bit_identical_for_custom_fuzzy_configs(img, cfg):
-    assert_scores_match(img, compile_lut(histogram(img), "fuzzy", cfg))
+    assert_scores_match(img, fuzzy_lut(cfg))
 
 
 @given(gray_images(max_side=16), pixel_arrays(max_side=16).map(lambda a: a.ravel()))
