@@ -15,7 +15,6 @@ from .fuzzy import (
 from .histeq import (
     IntensityLut,
     apply_lut,
-    identity_lut,
     mmbebhe_threshold,
 )
 from .image import (
@@ -41,7 +40,6 @@ __all__ = [
     "IntensityLut",
     "apply_lut",
     "mmbebhe_threshold",
-    "identity_lut",
     "MembershipFunction",
     "FuzzyConfig",
     "default_config",

@@ -98,17 +98,6 @@ class FuzzyConfig:
             raise ValueError(f"resolution must be an integer in [2, 65536], got {r!r}")
         object.__setattr__(self, "resolution", int(r))
 
-    def to_json(self) -> str:
-        def sets(fns):
-            return [{"a": f.a, "b": f.b, "c": f.c} for f in fns]
-
-        doc = {
-            "input_sets": sets(self.input_sets),
-            "output_sets": sets(self.output_sets),
-            "resolution": self.resolution,
-        }
-        return json.dumps(doc, indent=2)
-
     @classmethod
     def from_json(cls, text: str) -> "FuzzyConfig":
         try:

@@ -1,19 +1,17 @@
 """Global histogram equalization and its brightness-preserving variants.
 
 Every method compiles a histogram to a 256-entry lookup table, which is
-then applied per pixel or scored from the histogram alone. The compilers
-work on a stack: `_he_maps`, `_bbhe_maps` and `_mmbebhe_maps` take the
-counts of k histograms as a (k x 256) array and return their k maps as a
+then applied per pixel or scored from the histogram alone. HE, BBHE and
+MMBEBHE are one bi-equalization, `_split_maps`: levels up to a split t
+equalize onto [0, t], the rest onto [t + 1, 255]. It works on a stack,
+the counts of k histograms as a (k x 256) array to their k maps as a
 (k x 256) uint8 array, so a batch of images pays each NumPy call once.
-`methods.compile_lut` runs them on one histogram, and `mmbebhe_threshold`
-is MMBEBHE's split of one histogram.
-
-HE, BBHE and MMBEBHE are one bi-equalization, `_segment_maps`: levels up
-to a split t equalize onto [0, t], the rest onto [t + 1, 255]. HE splits
-at 255, BBHE at the floored mean, and MMBEBHE at the threshold whose
-output mean is nearest the input mean: a float pass over prefix sums
-bounds every threshold's error in O(256), and only the few that can win
-are scored exactly. All maps round in exact integer arithmetic.
+The methods differ only in the rule that picks t, their entries of
+`_SPLIT_RULES`: HE splits at 255, BBHE at the floored mean, and MMBEBHE
+at the threshold whose output mean is nearest the input mean: a float
+pass over prefix sums bounds every threshold's error in O(256), and only
+the few that can win are scored exactly. `mmbebhe_threshold` is that rule
+on one histogram. All maps round in exact integer arithmetic.
 
 At one histogram a kernel's cost is its count of NumPy calls, so the
 kernels call ufunc and array methods (`np.add.reduce`, `x.cumsum`) rather
@@ -23,6 +21,7 @@ than the `np.*` wrappers, whose Python dispatch costs as much as the work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,10 +50,6 @@ _IDENTITY = np.arange(LEVELS, dtype=np.uint8)
 _IDENTITY.setflags(write=False)
 
 
-def identity_lut() -> IntensityLut:
-    return IntensityLut(_IDENTITY)
-
-
 def apply_lut(img: GrayImage, lut: IntensityLut) -> GrayImage:
     """Map each pixel through the LUT; dimensions are unchanged."""
     pixels = lut.map[img.pixels]
@@ -62,19 +57,22 @@ def apply_lut(img: GrayImage, lut: IntensityLut) -> GrayImage:
     return GrayImage(pixels)
 
 
-def _segment_maps(cum: np.ndarray, thresholds: list[int]) -> np.ndarray:
-    """Bi-equalization map of each row of cumulative counts `cum` (k x 256)
-    split at its entry of `thresholds`, as a (k x 256) uint8 stack.
+def _split_maps(counts: np.ndarray, rule: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Bi-equalization maps (k x 256 uint8) of the rows of `counts`, each
+    split at its threshold t of `rule(counts, cum)`, `cum` their cumsum.
 
-    Levels <= t equalize onto [0, t]; levels > t onto [t + 1, 255]. An
-    empty side keeps the identity mapping on its segment. Each side divides
-    by one integer, rounding half up as floor((num + floor(den / 2)) / den):
-    a row's two slices, each divided by a scalar, cost less than one
-    stacked pass that picks a divisor per element.
+    Levels <= t, the boundary level included, equalize onto [0, t] and
+    levels > t onto [t + 1, 255], so every map is non-decreasing; at t = 255
+    each level at which the CDF has reached 1 maps to 255. An empty side
+    keeps the identity. Each side divides by one integer, rounding half up
+    in exact integers as floor((num + floor(den / 2)) / den): a row's two
+    slices, each divided by a scalar, cost less than one pass that picks a
+    divisor per element.
     """
+    cum = counts.cumsum(axis=1)
     out = np.empty(cum.shape, dtype=np.uint8)
     out[:] = _IDENTITY
-    for row, c, t in zip(out, cum, thresholds):
+    for row, c, t in zip(out, cum, rule(counts, cum).tolist()):
         low = int(c[t])
         high = int(c[-1]) - low
         if low:
@@ -82,22 +80,6 @@ def _segment_maps(cum: np.ndarray, thresholds: list[int]) -> np.ndarray:
         if high:
             row[t + 1 :] = (t + 1) + ((MAX_LEVEL - 1 - t) * (c[t + 1 :] - low) + high // 2) // high
     return out
-
-
-def _he_maps(counts: np.ndarray) -> np.ndarray:
-    """Classical equalization: the split at 255 maps level k of each row to
-    round(255 * CDF(k)), rounding half up in exact integers. Each map is
-    non-decreasing and sends every level at which the CDF has reached 1 to
-    255."""
-    return _segment_maps(counts.cumsum(axis=1), [MAX_LEVEL] * len(counts))
-
-
-def _bbhe_maps(counts: np.ndarray) -> np.ndarray:
-    """Bi-equalization of each row split at floor(sum k * w_k / N), its
-    floored mean in exact integers, rounding half up. The boundary level,
-    exactly at the floored mean, belongs to the lower segment."""
-    cum = counts.cumsum(axis=1)
-    return _segment_maps(cum, ((counts @ _LEVEL_VALUES) // cum[:, -1]).tolist())
 
 
 # Slack of the float bound pass in `_mmbebhe_thresholds`, as a multiple of
@@ -119,7 +101,7 @@ def _bbhe_maps(counts: np.ndarray) -> np.ndarray:
 _BOUND_SLACK = 1.0 + 2.0**-34
 
 # (input, threshold) pairs per block of the exact re-check: its (pairs x
-# 256 levels) temporaries hold at most 2**16 elements (512 KiB of int64).
+# occupied levels) temporaries hold at most 2**16 elements (512 KiB).
 _PAIR_BLOCK = (1 << 16) // LEVELS
 # the re-check's score of a dropped threshold: above any exact error
 _NEVER_BEST = 1 << 62
@@ -164,15 +146,18 @@ def _mmbebhe_thresholds(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
        lies within N/2 + eps of the float one (`_BOUND_SLACK`).
     2. An exact re-check scores only the (row, threshold) pairs whose lower
        bound is at most the row's smallest upper bound, with the
-       `_segment_maps` rule over all 256 levels of the row (an empty level
-       weighs 0), in blocks of `_PAIR_BLOCK` pairs, and takes each row's
-       first minimum. Every dropped threshold is strictly worse than a kept
-       one, so the result is that of the exact search over all 256.
+       `_split_maps` rule over the levels occupied in any row of the stack
+       (an empty level weighs 0), in blocks of `_PAIR_BLOCK` pairs, and
+       takes each row's first minimum. Every dropped threshold is strictly
+       worse than a kept one, so the result is that of the exact search
+       over all 256.
     """
     total = cum[:, -1:]
     in_sum = counts @ _LEVEL_VALUES
     err = np.abs(_unrounded_out_sums(counts, cum) - in_sum[:, None])
     rows, cand = (err - np.minimum.reduce(err, axis=1, keepdims=True) <= total * _BOUND_SLACK).nonzero()
+    levels = np.add.reduce(counts).nonzero()[0]  # occupied in some row
+    cum_at, counts_at = cum[:, levels], counts[:, levels]
     dev = np.empty(counts.shape, dtype=np.int64)
     dev.fill(_NEVER_BEST)
     for start in range(0, len(rows), _PAIR_BLOCK):
@@ -180,23 +165,28 @@ def _mmbebhe_thresholds(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
         t = c[:, None]
         low = cum[r, c][:, None]
         high = total[r] - low
-        below = _LEVEL_VALUES <= t
-        # the `_segment_maps` rule, the upper start t + 1 folded into the
+        below = levels <= t
+        # the `_split_maps` rule, the upper start t + 1 folded into the
         # numerator as (t + 1) * high; a level on an empty side holds none of
         # this row's pixels, so a divisor of 1 there only keeps it finite
         low1, high1 = np.maximum(low, 1), np.maximum(high, 1)
         s = MAX_LEVEL - 1 - t
         shift = np.where(below, low1 // 2, (t + 1) * high1 - s * low + high1 // 2)
-        values = (np.where(below, t, s) * cum[r] + shift) // np.where(below, low1, high1)
-        dev[r, c] = np.abs(np.add.reduce(values * counts[r], axis=1) - in_sum[r])
+        values = (np.where(below, t, s) * cum_at[r] + shift) // np.where(below, low1, high1)
+        dev[r, c] = np.abs(np.add.reduce(values * counts_at[r], axis=1) - in_sum[r])
     return dev.argmin(axis=1)  # the first minimum: ties go to the smallest threshold
 
 
-def _mmbebhe_maps(counts: np.ndarray) -> np.ndarray:
-    """Bi-equalization of each row at its minimum-brightness-error threshold
-    (see `_mmbebhe_thresholds`), rounding half up."""
-    cum = counts.cumsum(axis=1)
-    return _segment_maps(cum, _mmbebhe_thresholds(counts, cum).tolist())
+# Each bi-equalization's split rule, (counts, cum) -> (k,) thresholds, from
+# which `methods.LUT_COMPILERS` builds its entry: HE splits at 255 (level k
+# maps to round(255 * CDF(k))), BBHE (Kim 1997) at the floored mean
+# floor(sum k * w_k / N) in exact integers, and MMBEBHE (Chen and Ramli
+# 2003) at the minimum-brightness-error threshold.
+_SPLIT_RULES = {
+    "he": lambda counts, cum: np.full(len(counts), MAX_LEVEL),
+    "bbhe": lambda counts, cum: (counts @ _LEVEL_VALUES) // cum[:, -1],
+    "mmbebhe": _mmbebhe_thresholds,
+}
 
 
 def mmbebhe_threshold(hist: Histogram) -> int:

@@ -1,6 +1,7 @@
 """The enhancement methods by CLI name, one registry of the single method
 shape: a compiler from the level counts of k histograms, a (k x 256)
-int64 stack, to their k maps, a (k x 256) uint8 stack.
+int64 stack, to their k maps, a (k x 256) uint8 stack. HE, BBHE and
+MMBEBHE are `histeq._split_maps` over their `histeq._SPLIT_RULES`.
 
 Each kind of input has one entry point over the registry: an image goes
 to `enhance`, a histogram to `compile_lut`, and a fuzzy config to
@@ -24,10 +25,9 @@ from .image import GrayImage, Histogram, _level_counts
 
 LutCompiler = Callable[[np.ndarray], np.ndarray]
 
+# in the key order of `cli.METHOD_NAMES` and the CLI usage text
 LUT_COMPILERS: dict[str, LutCompiler] = {
-    "he": histeq._he_maps,
-    "bbhe": histeq._bbhe_maps,
-    "mmbebhe": histeq._mmbebhe_maps,
+    **{name: functools.partial(histeq._split_maps, rule=rule) for name, rule in histeq._SPLIT_RULES.items()},
     "fuzzy": fuzzy._default_maps,
 }
 

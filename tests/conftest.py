@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -31,3 +33,12 @@ def low_contrast_images(draw, min_span=2, max_span=56):
     )
     return GrayImage.from_flat(w, h, vals)
 
+
+def config_json(cfg) -> str:
+    """`cfg`, a `FuzzyConfig`, as the JSON document that `FuzzyConfig.from_json`
+    and `--fuzzy-config` read."""
+    def sets(fns):
+        return [{"a": f.a, "b": f.b, "c": f.c} for f in fns]
+
+    doc = {"input_sets": sets(cfg.input_sets), "output_sets": sets(cfg.output_sets), "resolution": cfg.resolution}
+    return json.dumps(doc, indent=2)

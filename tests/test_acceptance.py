@@ -232,10 +232,11 @@ def test_public_names_resolve_and_enhance_is_the_one_entry_point():
         assert hasattr(ck, name), name
     # the per-method wrappers and duplicate statistics that `enhance`,
     # `Histogram.level_sum` and `evaluate_luts` replace, and the per-level
-    # fuzzy stages that `fuzzy_lut` compiles, and the per-method LUT
-    # functions that `compile_lut` replaces
+    # fuzzy stages that `fuzzy_lut` compiles, the per-method LUT functions
+    # that `compile_lut` replaces, and `identity_lut`, which no path used
     for name in ("equalize", "bbhe", "mmbebhe", "enhance_fuzzy", "mean_intensity", "evaluate_lut",
-                 "fuzzify", "infer", "defuzzify_centroid", "he_lut", "bbhe_lut", "mmbebhe_lut", "default_lut"):
+                 "fuzzify", "infer", "defuzzify_centroid", "he_lut", "bbhe_lut", "mmbebhe_lut", "default_lut",
+                 "identity_lut"):
         assert name not in ck.__all__ and not hasattr(ck, name), name
     # single measures are fields of `evaluate(a, b)`
     for name in ("mse", "psnr", "entropy", "ambe"):
@@ -243,6 +244,7 @@ def test_public_names_resolve_and_enhance_is_the_one_entry_point():
         assert not hasattr(ck.metrics, name), name
     assert not hasattr(ck.Histogram, "cdf")
     assert not hasattr(ck.Histogram, "mean")
+    assert not hasattr(ck.FuzzyConfig, "to_json")  # configs are read, never written
     # `fuzzy_lut` builds its membership plane and grid itself
     for name in ("membership_plane", "sample_grid"):
         assert not hasattr(ck.fuzzy, name), name

@@ -29,6 +29,7 @@ from contrastkit import LUT_COMPILERS, cli
 from contrastkit.cli import _SYNTH_BLOCK, METHOD_NAMES, generate_uniform_image, main
 
 from bruteforce import splitmix64
+from conftest import config_json
 
 FOUR_LEVELS = GrayImage.from_flat(2, 2, [0, 64, 128, 255])
 
@@ -112,7 +113,7 @@ def test_enhance_with_custom_fuzzy_config(tmp_path):
     src = write_pgm(tmp_path / "in.pgm", img)
     cfg = default_config(histogram(img))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(cfg.to_json())
+    cfg_path.write_text(config_json(cfg))
     dst = tmp_path / "out.pgm"
     assert main(["enhance", src, str(dst), "--method", "fuzzy", "--fuzzy-config", str(cfg_path)]) == 0
     expected = apply_lut(img, fuzzy_lut(FuzzyConfig.from_json(cfg_path.read_text())))
@@ -138,7 +139,7 @@ INVALID_CONFIG_EDITS = [
 
 def write_invalid_config(path, edit):
     field, value = edit
-    doc = json.loads(default_config(histogram(FOUR_LEVELS)).to_json())
+    doc = json.loads(config_json(default_config(histogram(FOUR_LEVELS))))
     if field == "resolution":
         doc["resolution"] = value
     else:
@@ -297,7 +298,7 @@ def test_report_compiles_a_fuzzy_config_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr("contrastkit.fuzzy.fuzzy_lut", counting_fuzzy_lut)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(default_config(histogram(FOUR_LEVELS)).to_json())  # no input's own default
+    cfg.write_text(config_json(default_config(histogram(FOUR_LEVELS))))  # no input's own default
     imgs = [generate_uniform_image(6, 5, 20 * i, 90 + 20 * i, i) for i in range(3)]
     srcs = [write_pgm(tmp_path / f"{i}.pgm", img) for i, img in enumerate(imgs)]
     out = tmp_path / "r.csv"
@@ -594,7 +595,7 @@ def _path_pool(root):
     write_pgm(root / "good.pgm", generate_uniform_image(5, 4, 90, 160, 7))
     write_pgm(root / "flat.pgm", generate_uniform_image(3, 3, 9, 9, 0), "P2")
     (root / "bad.pgm").write_bytes(b"P5\n4 4\n255\n\x00")
-    (root / "cfg.json").write_text(default_config(histogram(FOUR_LEVELS)).to_json())
+    (root / "cfg.json").write_text(config_json(default_config(histogram(FOUR_LEVELS))))
     (root / "badcfg.json").write_text('{"input_sets": [[]]}')
     (root / "dir").mkdir(exist_ok=True)
     names = ["good.pgm", "flat.pgm", "bad.pgm", "cfg.json", "badcfg.json", "dir",
@@ -729,7 +730,7 @@ def test_input_path_is_used_as_typed(tmp_path, capsys, monkeypatch, argv, code, 
     # "in.pgm/" names a folder, not the file in.pgm, as a plain open reads it
     monkeypatch.chdir(tmp_path)
     write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
-    (tmp_path / "cfg.json").write_text(default_config(histogram(FOUR_LEVELS)).to_json())
+    (tmp_path / "cfg.json").write_text(config_json(default_config(histogram(FOUR_LEVELS))))
     assert main(argv) == code
     assert capsys.readouterr().err == err
     if code == 3:  # the other input's rows are still written

@@ -19,7 +19,6 @@ from contrastkit import (
     evaluate,
     fuzzy_lut,
     histogram,
-    identity_lut,
     mmbebhe_threshold,
 )
 from contrastkit.cli import generate_uniform_image
@@ -60,14 +59,9 @@ def test_lut_neither_aliases_nor_freezes_a_writable_map():
 
 def test_apply_lut_result_owns_its_pixels():
     img = GrayImage.from_flat(2, 2, [0, 64, 128, 255])
-    out = apply_lut(img, identity_lut())
+    out = apply_lut(img, IntensityLut(np.arange(256)))
     assert out == img and not np.shares_memory(out.pixels, img.pixels)
     assert not out.pixels.flags.writeable
-
-
-def test_identity_lut_maps_everything_to_itself():
-    lut = identity_lut()
-    assert lut.map.tolist() == list(range(256))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +126,7 @@ def test_he_lut_monotone_and_range(img):
 
 
 def test_apply_identity_lut_is_noop():
-    assert apply_lut(FOUR_LEVELS, identity_lut()) == FOUR_LEVELS
+    assert apply_lut(FOUR_LEVELS, IntensityLut(np.arange(256))) == FOUR_LEVELS
 
 
 def test_apply_constant_lut_zeroes_image():

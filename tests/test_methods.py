@@ -18,8 +18,8 @@ from contrastkit import (
     evaluate,
     histogram,
 )
-from contrastkit import metrics
-from contrastkit.cli import _REPORT_GROUP
+from contrastkit import enhance, histeq, metrics
+from contrastkit.cli import _REPORT_GROUP, generate_uniform_image
 from contrastkit.methods import lut_compilers
 
 import bruteforce
@@ -35,6 +35,11 @@ CUSTOM_MAP = bruteforce.fuzzy_per_level_map(CUSTOM)
 
 # MMBEBHE's tie: thresholds 216 and 217 both miss the input sum by 4, and 216 wins
 TIE = {7: 2, 147: 2, 205: 8}
+# MMBEBHE's costly inputs: an equalized image, whose histogram is sparse
+# and wide, and a flat full-range histogram, which keeps all 256 thresholds
+SOURCE = generate_uniform_image(16, 16, 100, 156, 7)
+EQUALIZED = enhance(SOURCE, "he")
+FLAT = {v: 1 for v in range(256)}
 
 
 def image_of(levels):
@@ -79,6 +84,8 @@ def image_groups(draw):
 @given(image_groups())
 @example([image_of(TIE)])
 @example([image_of({3: 1}), image_of(TIE), image_of({3: 1}), image_of({0: 2, 255: 1})])
+@example([EQUALIZED, SOURCE])
+@example([image_of(FLAT)])
 @settings(max_examples=80, deadline=None)
 def test_a_stacked_compile_equals_the_per_histogram_oracles(imgs):
     counts = np.array([histogram(img).counts for img in imgs])
@@ -96,6 +103,20 @@ def test_a_stacked_compile_equals_the_per_histogram_oracles(imgs):
 
 def _bits(rep):
     return tuple(float(v).hex() for v in (rep.mse, rep.psnr, rep.entropy, rep.ambe))
+
+
+@given(image_groups())
+@example([EQUALIZED, image_of(FLAT), image_of(TIE)])
+@settings(max_examples=80, deadline=None)
+def test_each_split_rule_gives_every_row_its_threshold(imgs):
+    counts = np.array([histogram(img).counts for img in imgs])
+    cum = counts.cumsum(axis=1)
+    assert list(histeq._SPLIT_RULES) == list(LUT_COMPILERS)[:3]
+    thresholds = {name: rule(counts, cum) for name, rule in histeq._SPLIT_RULES.items()}
+    assert all(t.shape == (len(imgs),) for t in thresholds.values())
+    assert thresholds["he"].tolist() == [255] * len(imgs)
+    assert thresholds["bbhe"].tolist() == [sum(img.pixels.ravel().tolist()) // img.pixels.size for img in imgs]
+    assert thresholds["mmbebhe"].tolist() == [bruteforce.mmbebhe_threshold_all_rows(row) for row in counts]
 
 
 def test_the_tie_goes_to_the_smaller_threshold():
@@ -117,7 +138,8 @@ def _peak_bytes(fn, *args):
 def test_a_report_group_keeps_each_temporary_within_its_bound():
     # two occupied levels per row, one of them heavy at 255: every one of a
     # row's 256 thresholds passes the bound pass, so the exact re-check
-    # scores 256 pairs a row, over all 256 levels. Its (pairs x levels)
+    # scores 256 pairs a row, over the levels occupied in any row of the
+    # group. The odd rows occupy all 256 levels, so its (pairs x levels)
     # temporaries would hold 2**22 int64 (32 MiB) at once; in blocks each
     # holds at most 2**16 (512 KiB), and a few live together
     counts = np.zeros((_REPORT_GROUP, 256), dtype=np.int64)

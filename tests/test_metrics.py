@@ -22,7 +22,6 @@ from contrastkit import (
     evaluate_luts,
     fuzzy_lut,
     histogram,
-    identity_lut,
 )
 from contrastkit.cli import generate_uniform_image
 from contrastkit.image import _HIST_BLOCK
@@ -97,7 +96,7 @@ def test_evaluate_lut_exact_at_the_histogram_total_bound():
     lut = IntensityLut(np.full(256, 255, dtype=np.uint8))
     rep = evaluate_luts(Histogram(counts), [lut])[0]
     assert (rep.mse, rep.psnr, rep.entropy, rep.ambe) == (65025.0, 0.0, 0.0, 255.0)
-    reps = evaluate_luts(Histogram(counts), [lut, identity_lut(), lut])
+    reps = evaluate_luts(Histogram(counts), [lut, IntensityLut(np.arange(256)), lut])
     assert [(r.mse, r.psnr, r.entropy, r.ambe) for r in reps] == [
         (65025.0, 0.0, 0.0, 255.0),
         (0.0, math.inf, 0.0, 0.0),
@@ -106,7 +105,7 @@ def test_evaluate_lut_exact_at_the_histogram_total_bound():
     # two heavy levels merged into one output bin of exactly 2**47 pixels
     counts[0], counts[255] = 2**46, 2**46
     to_gray = IntensityLut(np.full(256, 128, dtype=np.uint8))
-    gray, same = evaluate_luts(Histogram(counts), [to_gray, identity_lut()])
+    gray, same = evaluate_luts(Histogram(counts), [to_gray, IntensityLut(np.arange(256))])
     assert (gray.mse, gray.entropy, gray.ambe) == ((128**2 + 127**2) / 2, 0.0, 0.5)
     assert (same.mse, same.entropy, same.ambe) == (0.0, 1.0, 0.0)
 
@@ -371,7 +370,7 @@ def images_and_lut_stacks(draw):
     img = draw(gray_images(max_side=24) | low_contrast_images())
     hist = histogram(img)
     registry = st.sampled_from(METHOD_NAMES).map(lambda m: compile_lut(hist, m))
-    luts = st.one_of(registry, st.just(identity_lut()), _constant_luts, _random_luts)
+    luts = st.one_of(registry, st.just(IntensityLut(np.arange(256))), _constant_luts, _random_luts)
     return img, draw(st.lists(luts, min_size=1, max_size=6))
 
 
