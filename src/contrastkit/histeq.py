@@ -52,7 +52,7 @@ _IDENTITY.setflags(write=False)
 
 def apply_lut(img: GrayImage, lut: IntensityLut) -> GrayImage:
     """Map each pixel through the LUT; dimensions are unchanged."""
-    pixels = lut.map[img.pixels]
+    pixels = lut.map.take(img.pixels)  # `take` skips the intp cast of the uint8 index
     pixels.setflags(write=False)  # fresh, so the image keeps it without a copy
     return GrayImage(pixels)
 

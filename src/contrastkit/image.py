@@ -207,34 +207,52 @@ def _parse_ascii_raster(raster: bytes, count: int, maxval: int) -> np.ndarray:
     comments running to the next CR or LF. Errors come in the order a
     token-at-a-time scan meets them: a malformed token among the first
     `count`, then too few tokens, then too many.
+
+    Each sample is read by place value over the whole raster: at every
+    byte, the ones, tens and hundreds of the token ending there, where a
+    separator weighs 0 and the hundreds digit counts only when the tens
+    byte is a digit. One gather at each token's last byte then picks the
+    samples. Only byte-wide arrays span the raster, so the peak is about 8x
+    the raster's length. A token of 4+ bytes is re-read from its bytes.
     """
     if b"#" in raster:  # a C scan, much cheaper than the regex on a raster without comments
         raster = _COMMENT.sub(b" ", raster)
-    classes = raster.translate(_BYTE_CLASS)
+    # two spaces before the raster and one after: raster byte i is byte
+    # i + 2 of `classes`, and every place of every token has a byte
+    classes = b"".join((b"  ", raster, b" ")).translate(_BYTE_CLASS)
     values = np.frombuffer(classes, dtype=np.uint8)
-    edges = np.flatnonzero(np.diff(values != _SEPARATOR, prepend=False, append=False))
-    starts, ends = edges[::2], edges[1::2]
+    digits = values != _SEPARATOR  # the bytes of tokens, digits or not
+    ends = np.flatnonzero(digits[2:-1] > digits[3:])  # each token's last byte
     bad = classes.find(_MALFORMED)
     if bad >= 0:
-        k = int(np.searchsorted(starts, bad, side="right")) - 1
+        k = int(np.searchsorted(ends, bad - 2))  # the tokens before the malformed one
         if k < count:
-            raise PgmDecodeError(f"malformed pixel sample: {raster[starts[k] : ends[k]]!r}")
-    if len(starts) < count:
+            start = classes.rfind(_SEPARATOR, 0, bad) - 1  # a C search back to its first byte
+            raise PgmDecodeError(f"malformed pixel sample: {raster[start : ends[k] + 1]!r}")
+    if len(ends) < count:
         raise PgmDecodeError(
-            f"truncated pixel data: expected {count} samples, got {len(starts)}"
+            f"truncated pixel data: expected {count} samples, got {len(ends)}"
         )
-    if len(starts) > count:
+    if len(ends) > count:
         raise PgmDecodeError("trailing data after ASCII raster")
 
-    # Every token is now all digits: sum its last three by place, masking
-    # the places a shorter token lacks.
-    lengths = ends - starts
-    samples = values[ends - 1].astype(np.uint16)  # wide enough for 999
-    samples += 10 * values.take(ends - 2, mode="clip").astype(np.uint16) * (lengths > 1)
-    samples += 100 * values.take(ends - 3, mode="clip").astype(np.uint16) * (lengths > 2)
+    # Every token is now all digits. Ones + tens stay below 100, so they
+    # share one uint8 array; hundreds are widened only once gathered.
+    place = values * digits  # a digit's value, 0 at a separator
+    ones_tens = 10 * place[1:-2]
+    ones_tens += place[2:-1]
+    place[:-3] *= digits[1:-2]  # hundreds, where the tens byte is a digit
+    # widened before the product, which a uint8 result would wrap on any NumPy
+    samples = np.multiply(place[:-3].take(ends), 100, dtype=np.uint16)
+    samples += ones_tens.take(ends)
+    del place, ones_tens  # so that the check below does not add to the peak
+    pairs = digits[:-1] & digits[1:]
+    if not (pairs[:-2] & pairs[2:]).any():  # no run of 4 token bytes
+        return samples
+    starts = np.flatnonzero(digits[2:-1] > digits[1:-2])
     oversized = []
-    for k in np.flatnonzero(lengths > 3).tolist():
-        token = raster[starts[k] : ends[k]].lstrip(b"0")
+    for k in np.flatnonzero(ends - starts > 2).tolist():
+        token = raster[starts[k] : ends[k] + 1].lstrip(b"0")
         if len(token) > 3:
             oversized.append(token)
         else:
@@ -313,7 +331,7 @@ def save_pgm(img: GrayImage, format: str = "P5") -> bytes:
     # each block of about _HIST_BLOCK pixels gathers its padded tokens, then drops the padding
     rows = max(1, _HIST_BLOCK // img.width)
     blocks = [
-        _P2_WORDS[img.pixels[top : top + rows] + line_end].tobytes().translate(None, b"\0")
+        _P2_WORDS.take(img.pixels[top : top + rows] + line_end).tobytes().translate(None, b"\0")
         for top in range(0, img.height, rows)
     ]
     return b"".join([header, *blocks])

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contrastkit import (
@@ -227,6 +227,13 @@ def test_load_p5_views_the_file_bytes():
     assert _traced_peak(load_pgm, data) < 64 * 1024
 
 
+def test_load_p2_memory_is_bounded():
+    pixels = np.random.default_rng(5).integers(0, 256, (2048, 2048), dtype=np.uint8)
+    data = save_pgm(GrayImage(pixels), "P2")
+    # uint8 place values over the raster, int64 only per token end
+    assert _traced_peak(load_pgm, data) <= 9 * len(data)
+
+
 def test_load_trailing_data_is_error():
     with pytest.raises(PgmDecodeError, match="trailing"):
         load_pgm(b"P5\n1 1\n255\n\x00\x00")
@@ -302,6 +309,8 @@ def test_load_p2_leading_zeros_keep_value():
         (b"P2 1 1 255 1 x", "trailing data after ASCII raster"),
         (b"P2 2 1 255 1 2 3", "trailing data after ASCII raster"),
         (b"P2 2 1 255 1#2\r", "truncated pixel data: expected 2 samples, got 1"),
+        # the message holds the whole token, not just its bytes from the bad one
+        (b"P2 2 1 255 1 12x4", "malformed pixel sample: b'12x4'"),
     ],
 )
 def test_load_p2_error_order(data, message):
@@ -350,6 +359,12 @@ def p2_files(draw):
 
 @settings(max_examples=300)
 @given(p2_files())
+# a malformed token that ends the file with no whitespace after it; a
+# 4-byte token with a leading zero beside 1-digit tokens; a raster whose
+# only token is a long malformed run
+@example((b"P2 2 1 255", b"\n7 5x", 2, 255))
+@example((b"P2 3 1 255", b" 0255 7 1\n", 3, 255))
+@example((b"P2 1 1 255", b" " + b"9x" * 10_000, 1, 255))
 def test_p2_decoder_matches_token_scanner(case):
     header, raster, count, maxval = case
     try:
