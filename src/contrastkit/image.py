@@ -35,6 +35,8 @@ _COMMENT = re.compile(rb"#[^\n\r]*")
 # without a repeated group, so a header of any padding is read in linear
 # time and constant memory.
 _TOKEN_OR_COMMENT = re.compile(rb"[^\s#]+|" + _COMMENT.pattern)
+# the significant digits of a P2 sample of 1000 or more
+_OVERSIZED = re.compile(rb"[1-9][0-9]{3,}")
 
 # Class of each byte in a P2 raster, as a `bytes.translate` table: a
 # digit's value, or one of two markers for whitespace and for any other byte.
@@ -212,8 +214,9 @@ def _parse_ascii_raster(raster: bytes, count: int, maxval: int) -> np.ndarray:
     byte, the ones, tens and hundreds of the token ending there, where a
     separator weighs 0 and the hundreds digit counts only when the tens
     byte is a digit. One gather at each token's last byte then picks the
-    samples. Only byte-wide arrays span the raster, so the peak is about 8x
-    the raster's length. A token of 4+ bytes is re-read from its bytes.
+    samples; leading zeros weigh 0, so zero padding costs nothing. Only
+    byte-wide arrays span the raster, so the peak is about 8x the raster's
+    length. A sample of 1000 or more is read from its bytes only to report it.
     """
     if b"#" in raster:  # a C scan, much cheaper than the regex on a raster without comments
         raster = _COMMENT.sub(b" ", raster)
@@ -245,23 +248,17 @@ def _parse_ascii_raster(raster: bytes, count: int, maxval: int) -> np.ndarray:
     # widened before the product, which a uint8 result would wrap on any NumPy
     samples = np.multiply(place[:-3].take(ends), 100, dtype=np.uint16)
     samples += ones_tens.take(ends)
-    del place, ones_tens  # so that the check below does not add to the peak
-    pairs = digits[:-1] & digits[1:]
-    if not (pairs[:-2] & pairs[2:]).any():  # no run of 4 token bytes
-        return samples
-    starts = np.flatnonzero(digits[2:-1] > digits[1:-2])
-    oversized = []
-    for k in np.flatnonzero(ends - starts > 2).tolist():
-        token = raster[starts[k] : ends[k] + 1].lstrip(b"0")
-        if len(token) > 3:
-            oversized.append(token)
-        else:
-            samples[k] = int(token or b"0")
-    if oversized:
+    del ones_tens  # so that the check below does not add to the peak
+    # a non-zero hundreds digit with 2 more token bytes after it: a sample of 1000+
+    big = place[:-3] > 0
+    del place
+    big &= digits[2:-1]
+    big &= digits[3:]
+    if big.any():
         # 4+ significant digits exceed any maxval; compare as decimal
         # strings so the message is exact at any length
-        largest = max(oversized, key=lambda t: (len(t), t)).decode("ascii")
-        raise PgmDecodeError(f"pixel sample {largest} exceeds declared maxval {maxval}")
+        largest = max((m[0] for m in _OVERSIZED.finditer(raster)), key=lambda t: (len(t), t))
+        raise PgmDecodeError(f"pixel sample {largest.decode()} exceeds declared maxval {maxval}")
     return samples
 
 

@@ -228,10 +228,16 @@ def test_load_p5_views_the_file_bytes():
 
 
 def test_load_p2_memory_is_bounded():
-    pixels = np.random.default_rng(5).integers(0, 256, (2048, 2048), dtype=np.uint8)
-    data = save_pgm(GrayImage(pixels), "P2")
-    # uint8 place values over the raster, int64 only per token end
-    assert _traced_peak(load_pgm, data) <= 9 * len(data)
+    rng = np.random.default_rng(5)
+    pixels = rng.integers(0, 256, (2048, 2048), dtype=np.uint8)
+    # and a 1024² raster of samples zero-padded to 4 digits: "0007 0255 ..."
+    levels = rng.integers(0, 256, 1024 * 1024)
+    digits = levels[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    padded = np.c_[digits, np.full(levels.size, ord(" "))].astype(np.uint8).tobytes()
+    for data in (save_pgm(GrayImage(pixels), "P2"), b"P2 1024 1024 255\n" + padded):
+        # uint8 place values over the raster, int64 only per token end
+        assert _traced_peak(load_pgm, data) <= 9 * len(data)
+    assert np.array_equal(load_pgm(data).pixels.ravel(), levels)
 
 
 def test_load_trailing_data_is_error():
@@ -281,18 +287,32 @@ def test_load_p2_sample_must_be_ascii_digits(token):
 
 
 @pytest.mark.parametrize(
-    "token, value",
+    "raster, value",
     [
-        (b"99999999999999999999999", "99999999999999999999999"),
-        (b"0000256", "256"),
-        (b"00" + b"9" * 5000, "9" * 5000),
+        (b"7 99999999999999999999999", "99999999999999999999999"),
+        (b"7 0000256", "256"),
+        (b"7 00" + b"9" * 5000, "9" * 5000),
+        (b"7 0001000", "1000"),
+        # the largest of two oversized samples, whichever comes first
+        (b"1000 9999", "9999"),
+        (b"99999 1000", "99999"),
+        # a valid zero-padded sample is not reported
+        (b"00255 1000", "1000"),
     ],
-    ids=["23-digits", "leading-zeros", "5000-digits"],
+    ids=[
+        "23-digits",
+        "leading-zeros",
+        "5000-digits",
+        "zeros-before-1000",
+        "equal-lengths",
+        "earlier-is-larger",
+        "beside-zero-padded",
+    ],
 )
-def test_load_p2_oversized_sample_reports_exact_value(token, value):
+def test_load_p2_oversized_sample_reports_exact_value(raster, value):
     expected = f"pixel sample {value} exceeds declared maxval 255"
     with pytest.raises(PgmDecodeError, match=f"^{re.escape(expected)}$"):
-        load_pgm(b"P2\n2 1\n255\n7 " + token + b"\n")
+        load_pgm(b"P2\n2 1\n255\n" + raster + b"\n")
 
 
 def test_load_p2_leading_zeros_keep_value():
