@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import os
@@ -94,10 +95,9 @@ class UsageError(Exception):
     """A command-line value the command rejects: exit code 1."""
 
 
-def _scores(rep: metrics.MetricsReport) -> list[str]:
-    """MSE, PSNR, entropy and AMBE to 4 places; the PSNR of a zero MSE is `inf`."""
-    values = (rep.mse, rep.psnr, rep.entropy, rep.ambe)
-    return ["inf" if v == float("inf") else f"{v:.4f}" for v in values]
+def _scores(values: tuple[float, ...]) -> list[str]:
+    """MSE, PSNR, entropy and AMBE to 4 places; the PSNR of a zero MSE, +inf, is `inf`."""
+    return [f"{v:.4f}" for v in values]
 
 
 def _read_file(path: str) -> bytes:
@@ -164,7 +164,7 @@ def cmd_enhance(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     report = metrics.evaluate(_read_image(args.original), _read_image(args.processed))
     print("mse,psnr,entropy,ambe")
-    print(",".join(_scores(report)))
+    print(",".join(_scores(dataclasses.astuple(report))))
     return EXIT_OK
 
 
@@ -195,10 +195,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not paths:
             continue
         stack = np.array(counts)
-        reports = metrics._evaluate_maps(stack, np.array([compilers[m](stack) for m in distinct]))
-        for i, path in enumerate(paths):  # method j's report of input i is at j * len(paths) + i
-            row = [reports[distinct.index(m) * len(paths) + i] for m in methods]
-            writer.writerows([path, m, *_scores(rep)] for m, rep in zip(methods, row))
+        scores = metrics._evaluate_maps(stack, np.array([compilers[m](stack) for m in distinct]))
+        for i, path in enumerate(paths):  # method j's scores of input i are at j * len(paths) + i
+            row = [scores[distinct.index(m) * len(paths) + i] for m in methods]
+            writer.writerows([path, m, *_scores(values)] for m, values in zip(methods, row))
     # an undecodable argv path comes back as the bytes it was given
     _write_output(args.output, text.getvalue().encode("utf-8", "surrogateescape"))
     return EXIT_PARTIAL if failed else EXIT_OK

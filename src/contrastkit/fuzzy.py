@@ -119,17 +119,20 @@ def _breakpoint(value: object) -> float:
     return float(value)
 
 
-def _intensity_range(hist: Histogram) -> tuple[int, int]:
-    """The first and last non-zero bins of `hist`."""
-    occupied = np.flatnonzero(hist.counts)
-    return int(occupied[0]), int(occupied[-1])
+def _ranges(counts: np.ndarray) -> tuple[list[int], list[int]]:
+    """The first and the last occupied level of each row of `counts`
+    (k x 256), as two lists; every row holds a pixel."""
+    occupied = counts > 0
+    highs = MAX_LEVEL - occupied[:, ::-1].argmax(axis=1)  # less the empty levels above the range
+    return occupied.argmax(axis=1).tolist(), highs.tolist()
 
 
 def default_config(hist: Histogram) -> FuzzyConfig:
     """Image-adaptive config: input triangles anchored at the image's min,
     midpoint, and max intensity (the first and last non-zero bins of its
     histogram); fixed full-range output triangles."""
-    g_min, g_max = (float(g) for g in _intensity_range(hist))
+    (lo,), (hi,) = _ranges(hist.counts[None])
+    g_min, g_max = float(lo), float(hi)
     m = (g_min + g_max) / 2.0
     inputs = (
         MembershipFunction(g_min, g_min, m),
@@ -189,13 +192,10 @@ def _default_maps(counts: np.ndarray) -> np.ndarray:
     `fuzzy_lut(default_config(hist))` for its histogram, as a (k x 256)
     uint8 stack: read from the shipped table of the row range's width, or
     the identity where that range is narrower than `MIN_USEFUL_SPAN`."""
-    occupied = counts > 0
-    lows = occupied.argmax(axis=1).tolist()
-    tops = occupied[:, ::-1].argmax(axis=1).tolist()  # empty levels above the range
     out = np.empty(counts.shape, dtype=np.uint8)
     out[:] = _IDENTITY
-    for row, lo, top in zip(out, lows, tops):
-        width = MAX_LEVEL - top - lo
+    for row, lo, hi in zip(out, *_ranges(counts)):
+        width = hi - lo
         if width >= MIN_USEFUL_SPAN:
             start = width * (width + 1) // 2 - 3
             row[lo : lo + width + 1] = _DEFAULT_TABLES[start : start + width + 1]

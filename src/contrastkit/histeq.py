@@ -5,13 +5,14 @@ then applied per pixel or scored from the histogram alone. HE, BBHE and
 MMBEBHE are one bi-equalization, `_split_maps`: levels up to a split t
 equalize onto [0, t], the rest onto [t + 1, 255]. It works on a stack,
 the counts of k histograms as a (k x 256) array to their k maps as a
-(k x 256) uint8 array, so a batch of images pays each NumPy call once.
-The methods differ only in the rule that picks t, their entries of
-`_SPLIT_RULES`: HE splits at 255, BBHE at the floored mean, and MMBEBHE
-at the threshold whose output mean is nearest the input mean: a float
-pass over prefix sums bounds every threshold's error in O(256), and only
-the few that can win are scored exactly. `mmbebhe_threshold` is that rule
-on one histogram. All maps round in exact integer arithmetic.
+(k x 256) uint8 array, filled row by row as `fuzzy._default_maps` fills
+its table: that measured faster than one stacked pass. The methods differ only in the rule that picks t, their
+entries of `_SPLIT_RULES`: HE splits at 255, BBHE at the floored mean,
+and MMBEBHE at the threshold whose output mean is nearest the input mean:
+a float pass over prefix sums bounds every threshold's error in O(256),
+and only its best and the few that can beat that best are scored
+exactly. `mmbebhe_threshold` is that rule on one histogram. All maps
+round in exact integer arithmetic.
 
 At one histogram a kernel's cost is its count of NumPy calls, so the
 kernels call ufunc and array methods (`np.add.reduce`, `x.cumsum`) rather
@@ -82,23 +83,25 @@ def _split_maps(counts: np.ndarray, rule: Callable[[np.ndarray, np.ndarray], np.
     return out
 
 
-# Slack of the float bound pass in `_mmbebhe_thresholds`, as a multiple of
-# N. With unit roundoff u = 2**-53 and gamma_k = k*u / (1 - k*u), a product
-# of floats with k roundings, and any summation of k + 1 nonnegative terms,
-# is off by at most gamma_k of its exact value (Higham, "Accuracy and
-# Stability of Numerical Algorithms", 2nd ed., Lemma 3.1 and §4.2, for any
-# summation order). In `_unrounded_out_sums` the lower side takes one
-# product, t additions, a scale and a divide: gamma_258 of at most
+# Slack of the re-check's keep test in `_mmbebhe_thresholds`, as a
+# multiple of N. With unit roundoff u = 2**-53 and gamma_k = k*u / (1 - k*u),
+# a product of floats with k roundings, and any summation of k + 1
+# nonnegative terms, is off by at most gamma_k of its exact value (Higham,
+# "Accuracy and Stability of Numerical Algorithms", 2nd ed., Lemma 3.1 and
+# §4.2, for any summation order). In `_unrounded_out_sums` the lower side
+# takes one product, t additions, a scale and a divide: gamma_258 of at most
 # 255*n_low. The upper side takes one product, 254 - t additions, a divide,
 # a subtraction from n_high and a scale: gamma_258 of at most 254*n_high.
 # The two sides, the int64 upper start and the input sum take five more
 # roundings (two int-to-float casts, two additions, one subtraction), so a
-# computed |approx - input sum| is within eps = 255*gamma_263*N < 2**-36 * N
-# of the exact one. A threshold is kept when its float error is within
-# N + 2*eps of the smallest: the factor below exceeds 1 + 2**-35 even after
-# its own rounding, and float rounding is monotone, so rounding can only
-# keep more thresholds, never fewer.
-_BOUND_SLACK = 1.0 + 2.0**-34
+# computed float error `err` is within eps = 255*gamma_263*N < 2**-36 * N of
+# the exact unrounded one, and the exact rounded error E of the threshold
+# is at least err - N/2 - eps. A threshold is kept when err <= I + c*N, I
+# the incumbent's exact error, both sides in float64. The right side is
+# fl(fl(I) + fl(c*N)), N <= 2**47 casting exactly; with I <= 255*N it is at
+# least (I + c*N)(1 - 2u) > I + N/2 + eps for any c >= 1/2 + 2**-35. So
+# every threshold with E <= I is kept, and a dropped one has E > I.
+_BOUND_SLACK = 0.5 + 2.0**-35
 
 # (input, threshold) pairs per block of the exact re-check: its (pairs x
 # occupied levels) temporaries hold at most 2**16 elements (512 KiB).
@@ -138,42 +141,51 @@ def _mmbebhe_thresholds(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
     ties go to the smallest threshold.
 
     The comparison is of exact integer sums, `|S_in - S_t|`, computed from
-    the counts alone, in two passes:
+    the counts alone, in three steps:
 
     1. A float bound pass computes every threshold's unrounded output sum
        in O(256) per row from prefix and suffix sums (`_unrounded_out_sums`).
        Half-up rounding moves each pixel by at most 1/2, so the exact error
        lies within N/2 + eps of the float one (`_BOUND_SLACK`).
-    2. An exact re-check scores only the (row, threshold) pairs whose lower
-       bound is at most the row's smallest upper bound, with the
+    2. Each row's float argmin, its incumbent, is scored exactly with the
        `_split_maps` rule over the levels occupied in any row of the stack
-       (an empty level weighs 0), in blocks of `_PAIR_BLOCK` pairs, and
-       takes each row's first minimum. Every dropped threshold is strictly
-       worse than a kept one, so the result is that of the exact search
-       over all 256.
+       (an empty level weighs 0), in blocks of `_PAIR_BLOCK` pairs.
+    3. An exact re-check scores only the other thresholds whose lower bound
+       is at most the incumbent's exact error, and takes each row's first
+       minimum. Every dropped threshold is strictly worse than the
+       incumbent, so the result is that of the exact search over all 256.
     """
     total = cum[:, -1:]
     in_sum = counts @ _LEVEL_VALUES
-    err = np.abs(_unrounded_out_sums(counts, cum) - in_sum[:, None])
-    rows, cand = (err - np.minimum.reduce(err, axis=1, keepdims=True) <= total * _BOUND_SLACK).nonzero()
     levels = np.add.reduce(counts).nonzero()[0]  # occupied in some row
     cum_at, counts_at = cum[:, levels], counts[:, levels]
     dev = np.empty(counts.shape, dtype=np.int64)
     dev.fill(_NEVER_BEST)
-    for start in range(0, len(rows), _PAIR_BLOCK):
-        r, c = rows[start : start + _PAIR_BLOCK], cand[start : start + _PAIR_BLOCK]
-        t = c[:, None]
-        low = cum[r, c][:, None]
-        high = total[r] - low
-        below = levels <= t
-        # the `_split_maps` rule, the upper start t + 1 folded into the
-        # numerator as (t + 1) * high; a level on an empty side holds none of
-        # this row's pixels, so a divisor of 1 there only keeps it finite
-        low1, high1 = np.maximum(low, 1), np.maximum(high, 1)
-        s = MAX_LEVEL - 1 - t
-        shift = np.where(below, low1 // 2, (t + 1) * high1 - s * low + high1 // 2)
-        values = (np.where(below, t, s) * cum_at[r] + shift) // np.where(below, low1, high1)
-        dev[r, c] = np.abs(np.add.reduce(values * counts_at[r], axis=1) - in_sum[r])
+
+    def score(rows: np.ndarray, cand: np.ndarray) -> None:
+        """Set dev[rows, cand] to the exact error of each (row, threshold) pair."""
+        for start in range(0, len(rows), _PAIR_BLOCK):
+            r, c = rows[start : start + _PAIR_BLOCK], cand[start : start + _PAIR_BLOCK]
+            t = c[:, None]
+            low = cum[r, c][:, None]
+            high = total[r] - low
+            below = levels <= t
+            # the `_split_maps` rule, the upper start t + 1 folded into the
+            # numerator as (t + 1) * high; a level on an empty side holds none of
+            # this row's pixels, so a divisor of 1 there only keeps it finite
+            low1, high1 = np.maximum(low, 1), np.maximum(high, 1)
+            s = MAX_LEVEL - 1 - t
+            shift = np.where(below, low1 // 2, (t + 1) * high1 - s * low + high1 // 2)
+            values = (np.where(below, t, s) * cum_at[r] + shift) // np.where(below, low1, high1)
+            dev[r, c] = np.abs(np.add.reduce(values * counts_at[r], axis=1) - in_sum[r])
+
+    err = np.abs(_unrounded_out_sums(counts, cum) - in_sum[:, None])
+    rows = np.arange(len(counts))
+    best = err.argmin(axis=1)
+    score(rows, best)
+    keep = err <= dev[rows, best][:, None] + total * _BOUND_SLACK
+    keep[rows, best] = False  # already scored
+    score(*keep.nonzero())
     return dev.argmin(axis=1)  # the first minimum: ties go to the smallest threshold
 
 

@@ -8,7 +8,7 @@ to `enhance`, a histogram to `compile_lut`, and a fuzzy config to
 `fuzzy.fuzzy_lut`. Enhancing compiles one image's level counts and
 applies the map (`apply_lut`); scoring compiles and calls
 `metrics._evaluate_maps`, which needs no pixel pass, so a batch of images
-pays each NumPy call once per method.
+compiles in one call per method and is scored in one pass.
 Both take the counts from `image._level_counts` and build no `Histogram`.
 """
 

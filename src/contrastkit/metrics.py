@@ -5,11 +5,12 @@ zero MSE so that a perfect reconstruction is representable rather than an
 error. Entropy is in bits (log base 2), bounded by 8 for 8-bit images.
 
 `_reports` is the one derivation of the four measures, from exact
-integers, for a stack of rows. `evaluate` scores two arbitrary images
-pixel by pixel. `_evaluate_maps` scores k images against m maps each in
-one stacked (m x k x 256) pass over their histograms alone;
-`evaluate_luts` is that pass for one image. Every report is
-bit-identical to `evaluate(img, apply_lut(img, lut))`. As in `histeq`,
+integers, for a stack of rows, as plain (mse, psnr, entropy, ambe) float
+tuples. `evaluate` scores two arbitrary images pixel by pixel.
+`_evaluate_maps` scores k images against m maps each in one stacked
+(m x k x 256) pass over their histograms alone; `evaluate_luts` is that
+pass for one image. Every score is bit-identical to
+`evaluate(img, apply_lut(img, lut))`. As in `histeq`,
 the stacked kernels call ufunc methods rather than the `np.*` wrappers.
 """
 
@@ -39,10 +40,11 @@ class MetricsReport:
 
 def _reports(
     ns: np.ndarray, sq_errs: np.ndarray, in_sums: np.ndarray, out_sums: np.ndarray, after: np.ndarray
-) -> list[MetricsReport]:
-    """The report of each row r of `after` (rows x 256): the output level
-    counts of `ns[r]` pixels with squared error `sq_errs[r]` and input and
-    output level sums `in_sums[r]` and `out_sums[r]`, all int64."""
+) -> list[tuple[float, float, float, float]]:
+    """The (mse, psnr, entropy, ambe) scores of each row r of `after`
+    (rows x 256): the output level counts of `ns[r]` pixels with squared
+    error `sq_errs[r]` and input and output level sums `in_sums[r]` and
+    `out_sums[r]`, all int64."""
     # p * log2(p) of each count, 0 where it is 0, elementwise over the
     # stack; each row sums all 256 of its terms, so a sum does not depend on
     # how many rows the stack holds
@@ -50,12 +52,12 @@ def _reports(
     terms = np.log2(p, out=np.zeros(p.shape), where=after > 0)
     terms *= p
     entropies = np.add.reduce(terms, axis=1).tolist()
-    reports = []
+    scores = []
     for n, sq_err, in_sum, out_sum, e in zip(*(a.tolist() for a in (ns, sq_errs, in_sums, out_sums)), entropies):
         err = sq_err / n
         psnr = math.inf if sq_err == 0 else 10.0 * math.log10(PSNR_PEAK_SQ / err)
-        reports.append(MetricsReport(err, psnr, -e, abs(in_sum / n - out_sum / n)))
-    return reports
+        scores.append((err, psnr, -e, abs(in_sum / n - out_sum / n)))
+    return scores
 
 
 def evaluate(original: GrayImage, processed: GrayImage) -> MetricsReport:
@@ -77,16 +79,17 @@ def evaluate(original: GrayImage, processed: GrayImage) -> MetricsReport:
     after = _level_counts(processed.pixels)
     in_sum = original.pixels.sum(dtype=np.int64)  # exact: at most 255 * 2**47
     ints = np.array([[original.size], [sq_err], [in_sum], [_LEVEL_VALUES @ after]])
-    return _reports(*ints, after[None])[0]
+    return MetricsReport(*_reports(*ints, after[None])[0])
 
 
-def _evaluate_maps(counts: np.ndarray, maps: np.ndarray) -> list[MetricsReport]:
-    """:func:`evaluate` of k images against m maps each, from their level
-    counts `counts` (k x 256) alone: `maps` (m x k x 256, uint8) holds map j
-    of image i at [j, i], and the reports come in that row-major order.
+def _evaluate_maps(counts: np.ndarray, maps: np.ndarray) -> list[tuple[float, float, float, float]]:
+    """The scores of :func:`evaluate` of k images against m maps each, from
+    their level counts `counts` (k x 256) alone, as (mse, psnr, entropy,
+    ambe) tuples: `maps` (m x k x 256, uint8) holds map j of image i at
+    [j, i], and the scores come in that row-major order.
 
     The squared errors, output sums and output counts are the same exact
-    integers the pixel path takes, so every report is bit-identical.
+    integers the pixel path takes, so every score is bit-identical.
     """
     rows = maps.reshape(-1, LEVELS)
     weights = np.concatenate([counts] * len(maps))  # row r holds the counts of image r % k
@@ -106,4 +109,5 @@ def evaluate_luts(hist: Histogram, luts: Sequence[IntensityLut]) -> list[Metrics
     image's histogram `hist` alone; no LUTs give no reports."""
     if not luts:
         return []
-    return _evaluate_maps(hist.counts[None], np.array([lut.map for lut in luts])[:, None])
+    maps = np.array([lut.map for lut in luts])[:, None]
+    return [MetricsReport(*scores) for scores in _evaluate_maps(hist.counts[None], maps)]

@@ -6,6 +6,7 @@ import json
 import os
 import stat
 import sys
+from dataclasses import astuple
 from itertools import islice
 
 import numpy as np
@@ -308,7 +309,7 @@ def test_report_compiles_a_fuzzy_config_once(tmp_path, monkeypatch):
     expected = fuzzy_lut(FuzzyConfig.from_json(cfg.read_text()))
     rows = out.read_text().splitlines()[1::2]
     for img, row in zip(imgs, rows):
-        assert row.split(",")[2:] == cli._scores(evaluate(img, apply_lut(img, expected)))
+        assert row.split(",")[2:] == cli._scores(astuple(evaluate(img, apply_lut(img, expected))))
 
 
 def test_report_deterministic_bytes(tmp_path):

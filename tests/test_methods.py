@@ -3,6 +3,7 @@ histogram counts to a (k x 256) stack of maps, and a report scores every
 (method, image) row of a group in one pass."""
 
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -40,6 +41,9 @@ TIE = {7: 2, 147: 2, 205: 8}
 SOURCE = generate_uniform_image(16, 16, 100, 156, 7)
 EQUALIZED = enhance(SOURCE, "he")
 FLAT = {v: 1 for v in range(256)}
+# MMBEBHE's float argmin, threshold 133, is not its exact argmin: 132,
+# below it, misses the input sum by less once rounded
+BELOW_INCUMBENT = {76: 4, 123: 4}
 
 
 def image_of(levels):
@@ -98,15 +102,17 @@ def test_a_stacked_compile_equals_the_per_histogram_oracles(imgs):
     reports = metrics._evaluate_maps(counts, maps)
     expected = [evaluate(img, apply_lut(img, IntensityLut(m)))
                 for stack in maps for img, m in zip(imgs, stack)]
-    assert list(map(_bits, reports)) == list(map(_bits, expected))
+    assert list(map(_bits, reports)) == [_bits(astuple(rep)) for rep in expected]
 
 
-def _bits(rep):
-    return tuple(float(v).hex() for v in (rep.mse, rep.psnr, rep.entropy, rep.ambe))
+def _bits(scores):
+    return tuple(float(v).hex() for v in scores)
 
 
 @given(image_groups())
 @example([EQUALIZED, image_of(FLAT), image_of(TIE)])
+@example([image_of(BELOW_INCUMBENT)])
+@example([image_of(TIE), image_of(BELOW_INCUMBENT), image_of(FLAT), image_of(BELOW_INCUMBENT)])
 @settings(max_examples=80, deadline=None)
 def test_each_split_rule_gives_every_row_its_threshold(imgs):
     counts = np.array([histogram(img).counts for img in imgs])
