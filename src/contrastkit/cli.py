@@ -31,7 +31,7 @@ import numpy as np
 from . import fuzzy as fz
 from . import metrics
 from .image import GrayImage, _level_counts, histogram, load_pgm, save_pgm
-from .methods import LUT_COMPILERS, enhance, lut_compilers
+from .methods import LUT_COMPILERS, _compile_group, enhance, lut_compilers
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,7 +50,8 @@ _SYNTH_BLOCK = 1 << 16
 SYNTH_MAX_PIXELS = 1 << 28
 # inputs that `report` compiles and scores together: with at most the four
 # methods, its (inputs x methods x 256) scoring stack holds at most 2**16
-# elements (512 KiB of int64), and each compile stack a quarter of that
+# elements (512 KiB of int64), and each temporary of the one compile pass
+# of its three split methods holds 3 x 64 x 256 = 49,152, under that bound
 _REPORT_GROUP = 64
 
 
@@ -95,9 +96,18 @@ class UsageError(Exception):
     """A command-line value the command rejects: exit code 1."""
 
 
-def _scores(values: tuple[float, ...]) -> list[str]:
-    """MSE, PSNR, entropy and AMBE to 4 places; the PSNR of a zero MSE, +inf, is `inf`."""
-    return [f"{v:.4f}" for v in values]
+# MSE, PSNR, entropy and AMBE to 4 places; the PSNR of a zero MSE, +inf, is `inf`
+_SCORES = "%.4f,%.4f,%.4f,%.4f"
+# a `report` row: the input path as one CSV field, the method, then its scores
+_REPORT_ROW = f"%s,%s,{_SCORES}\n"
+
+
+def _csv_field(text: str) -> str:
+    """`text` as one field of a CSV row, quoted as a `csv.writer` with
+    minimal quoting quotes it, so a plain path stays bare."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
 
 
 def _read_file(path: str) -> bytes:
@@ -164,7 +174,7 @@ def cmd_enhance(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     report = metrics.evaluate(_read_image(args.original), _read_image(args.processed))
     print("mse,psnr,entropy,ambe")
-    print(",".join(_scores(dataclasses.astuple(report))))
+    print(_SCORES % dataclasses.astuple(report))
     return EXIT_OK
 
 
@@ -178,9 +188,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     compilers = lut_compilers(_load_fuzzy_config(args.fuzzy_config))
     distinct = list(dict.fromkeys(methods))  # each compiled and scored once
 
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")  # minimal quoting: plain paths stay bare
-    writer.writerow(["image", "method", "mse", "psnr", "entropy", "ambe"])
+    rows = ["image,method,mse,psnr,entropy,ambe\n"]
     failed = False
     for start in range(0, len(args.inputs), _REPORT_GROUP):
         paths, counts = [], []
@@ -195,12 +203,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not paths:
             continue
         stack = np.array(counts)
-        scores = metrics._evaluate_maps(stack, np.array([compilers[m](stack) for m in distinct]))
+        scores = metrics._evaluate_maps(stack, _compile_group(compilers, distinct, stack))
         for i, path in enumerate(paths):  # method j's scores of input i are at j * len(paths) + i
-            row = [scores[distinct.index(m) * len(paths) + i] for m in methods]
-            writer.writerows([path, m, *_scores(values)] for m, values in zip(methods, row))
+            field = _csv_field(path)
+            rows += [_REPORT_ROW % (field, m, *scores[distinct.index(m) * len(paths) + i]) for m in methods]
     # an undecodable argv path comes back as the bytes it was given
-    _write_output(args.output, text.getvalue().encode("utf-8", "surrogateescape"))
+    _write_output(args.output, "".join(rows).encode("utf-8", "surrogateescape"))
     return EXIT_PARTIAL if failed else EXIT_OK
 
 

@@ -4,14 +4,16 @@ Every method compiles a histogram to a 256-entry lookup table, which is
 then applied per pixel or scored from the histogram alone. HE, BBHE and
 MMBEBHE are one bi-equalization, `_split_maps`: levels up to a split t
 equalize onto [0, t], the rest onto [t + 1, 255]. It works on a stack,
-the counts of k histograms as a (k x 256) array to their k maps as a
-(k x 256) uint8 array, filled row by row as `fuzzy._default_maps` fills
-its table: that measured faster than one stacked pass. The methods differ only in the rule that picks t, their
-entries of `_SPLIT_RULES`: HE splits at 255, BBHE at the floored mean,
-and MMBEBHE at the threshold whose output mean is nearest the input mean:
-a float pass over prefix sums bounds every threshold's error in O(256),
-and only its best and the few that can beat that best are scored
-exactly. `mmbebhe_threshold` is that rule on one histogram. All maps
+the cumulative counts of k histograms as a (k x 256) array and their k
+thresholds to their k maps as a (k x 256) uint8 array, filled in one
+stacked pass of `_split_values`, the exact integer kernel that MMBEBHE's
+search also scores with; `report` fills the maps of every split method
+of a group in one such pass. The methods differ only in the rule
+that picks t, their entries of `_SPLIT_RULES`: HE splits at 255, BBHE at
+the floored mean, and MMBEBHE at the threshold whose output mean is
+nearest the input mean: a float pass over prefix sums bounds every
+threshold's error in O(256), and only its best and the few that can beat
+that best are scored exactly. `mmbebhe_threshold` is that rule on one histogram. All maps
 round in exact integer arithmetic.
 
 At one histogram a kernel's cost is its count of NumPy calls, so the
@@ -58,28 +60,48 @@ def apply_lut(img: GrayImage, lut: IntensityLut) -> GrayImage:
     return GrayImage(pixels)
 
 
-def _split_maps(counts: np.ndarray, rule: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Bi-equalization maps (k x 256 uint8) of the rows of `counts`, each
-    split at its threshold t of `rule(counts, cum)`, `cum` their cumsum.
+def _split_values(
+    cum: np.ndarray, levels: np.ndarray, t: np.ndarray, low: np.ndarray, high: np.ndarray
+) -> np.ndarray:
+    """The `_split_maps` value of each row's map at each of `levels`, int64,
+    from the row's cumulative counts `cum` at those levels (rows x levels),
+    its threshold `t` and the pixels `low` and `high` on either side of it
+    (each rows x 1).
+
+    The upper start t + 1 is folded into the numerator as (t + 1) * high. A
+    level on an empty side holds none of its row's pixels: a divisor of 1
+    there only keeps its value finite, and that value is not the identity.
+    """
+    below = levels <= t
+    low1, high1 = np.maximum(low, 1), np.maximum(high, 1)
+    s = MAX_LEVEL - 1 - t
+    shift = np.where(below, low1 // 2, (t + 1) * high1 - s * low + high1 // 2)
+    return (np.where(below, t, s) * cum + shift) // np.where(below, low1, high1)
+
+
+def _split_maps(cum: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Bi-equalization maps (k x 256 uint8) of the k histograms whose
+    cumulative counts are the rows of `cum`, each split at its entry of
+    `thresholds` (k,).
 
     Levels <= t, the boundary level included, equalize onto [0, t] and
     levels > t onto [t + 1, 255], so every map is non-decreasing; at t = 255
     each level at which the CDF has reached 1 maps to 255. An empty side
     keeps the identity. Each side divides by one integer, rounding half up
-    in exact integers as floor((num + floor(den / 2)) / den): a row's two
-    slices, each divided by a scalar, cost less than one pass that picks a
-    divisor per element.
+    in exact integers as floor((num + floor(den / 2)) / den), in one
+    `_split_values` pass over every row.
     """
-    cum = counts.cumsum(axis=1)
-    out = np.empty(cum.shape, dtype=np.uint8)
-    out[:] = _IDENTITY
-    for row, c, t in zip(out, cum, rule(counts, cum).tolist()):
-        low = int(c[t])
-        high = int(c[-1]) - low
-        if low:
-            row[: t + 1] = (t * c[: t + 1] + low // 2) // low
-        if high:
-            row[t + 1 :] = (t + 1) + ((MAX_LEVEL - 1 - t) * (c[t + 1 :] - low) + high // 2) // high
+    t = thresholds[:, None]
+    low = cum[np.arange(len(cum)), thresholds][:, None]
+    high = cum[:, -1:] - low
+    out = _split_values(cum, _LEVEL_VALUES, t, low, high).astype(np.uint8)
+    # an empty side keeps the identity; at t = 255 the upper side holds no level
+    for r in ((low == 0) | (high == 0) & (t < MAX_LEVEL)).nonzero()[0].tolist():
+        start = int(thresholds[r]) + 1  # of the upper side
+        if not low[r]:
+            out[r, :start] = _IDENTITY[:start]
+        if not high[r]:
+            out[r, start:] = _IDENTITY[start:]
     return out
 
 
@@ -147,8 +169,8 @@ def _mmbebhe_thresholds(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
        in O(256) per row from prefix and suffix sums (`_unrounded_out_sums`).
        Half-up rounding moves each pixel by at most 1/2, so the exact error
        lies within N/2 + eps of the float one (`_BOUND_SLACK`).
-    2. Each row's float argmin, its incumbent, is scored exactly with the
-       `_split_maps` rule over the levels occupied in any row of the stack
+    2. Each row's float argmin, its incumbent, is scored exactly with
+       `_split_values` over the levels occupied in any row of the stack
        (an empty level weighs 0), in blocks of `_PAIR_BLOCK` pairs.
     3. An exact re-check scores only the other thresholds whose lower bound
        is at most the incumbent's exact error, and takes each row's first
@@ -166,17 +188,8 @@ def _mmbebhe_thresholds(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
         """Set dev[rows, cand] to the exact error of each (row, threshold) pair."""
         for start in range(0, len(rows), _PAIR_BLOCK):
             r, c = rows[start : start + _PAIR_BLOCK], cand[start : start + _PAIR_BLOCK]
-            t = c[:, None]
             low = cum[r, c][:, None]
-            high = total[r] - low
-            below = levels <= t
-            # the `_split_maps` rule, the upper start t + 1 folded into the
-            # numerator as (t + 1) * high; a level on an empty side holds none of
-            # this row's pixels, so a divisor of 1 there only keeps it finite
-            low1, high1 = np.maximum(low, 1), np.maximum(high, 1)
-            s = MAX_LEVEL - 1 - t
-            shift = np.where(below, low1 // 2, (t + 1) * high1 - s * low + high1 // 2)
-            values = (np.where(below, t, s) * cum_at[r] + shift) // np.where(below, low1, high1)
+            values = _split_values(cum_at[r], levels, c[:, None], low, total[r] - low)
             dev[r, c] = np.abs(np.add.reduce(values * counts_at[r], axis=1) - in_sum[r])
 
     err = np.abs(_unrounded_out_sums(counts, cum) - in_sum[:, None])
@@ -199,6 +212,18 @@ _SPLIT_RULES = {
     "bbhe": lambda counts, cum: (counts @ _LEVEL_VALUES) // cum[:, -1],
     "mmbebhe": _mmbebhe_thresholds,
 }
+
+
+@dataclass(frozen=True)
+class _SplitCompiler:
+    """A registry entry built from a split rule: the `_split_maps` of a stack
+    of counts at the thresholds that `rule` picks from them."""
+
+    rule: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def __call__(self, counts: np.ndarray) -> np.ndarray:
+        cum = counts.cumsum(axis=1)
+        return _split_maps(cum, self.rule(counts, cum))
 
 
 def mmbebhe_threshold(hist: Histogram) -> int:

@@ -302,7 +302,8 @@ def load_pgm(data: bytes) -> GrayImage:
     else:
         samples = _parse_ascii_raster(data[pos:], count, maxval)
 
-    if int(samples.max()) > maxval:
+    # a P5 byte cannot exceed a maxval of 255, so only a smaller maxval or a P2 sample is scanned
+    if (maxval < MAX_LEVEL or magic == b"P2") and int(samples.max()) > maxval:
         raise PgmDecodeError(
             f"pixel sample {int(samples.max())} exceeds declared maxval {maxval}"
         )

@@ -20,6 +20,7 @@ from contrastkit import (
     Histogram,
     apply_lut,
     default_config,
+    enhance,
     evaluate,
     fuzzy_lut,
     histogram,
@@ -309,7 +310,7 @@ def test_report_compiles_a_fuzzy_config_once(tmp_path, monkeypatch):
     expected = fuzzy_lut(FuzzyConfig.from_json(cfg.read_text()))
     rows = out.read_text().splitlines()[1::2]
     for img, row in zip(imgs, rows):
-        assert row.split(",")[2:] == cli._scores(astuple(evaluate(img, apply_lut(img, expected))))
+        assert row.split(",", 2)[2] == cli._SCORES % astuple(evaluate(img, apply_lut(img, expected)))
 
 
 def test_report_deterministic_bytes(tmp_path):
@@ -340,6 +341,28 @@ def test_report_quotes_paths_with_commas(tmp_path):
     assert [len(row) for row in rows] == [6, 6, 6]
     assert rows[1][:2] == [src, "he"]
     assert out.read_text().splitlines()[2].startswith(f"{plain},he,")  # no quotes when not needed
+
+
+def test_report_rows_match_a_csv_writer_reference(tmp_path):
+    # each row is one format of its scores, and its path one field quoted
+    # by the `csv` module's rule: the bytes are those of a `csv.writer`
+    # with every score formatted alone. An image all at 255 keeps HE's
+    # identity, an MSE of 0, so its PSNR is `inf` and its entropy -0.0
+    imgs = [generate_uniform_image(9, 7, 40 + 30 * i, 90 + 40 * i, i) for i in range(3)]
+    imgs.append(GrayImage(np.full((2, 3), 255, dtype=np.uint8)))
+    names = ['say "hi".pgm', "a,b.pgm", "two\nlines.pgm", "plain.pgm"]
+    srcs = [write_pgm(tmp_path / name, img) for name, img in zip(names, imgs)]
+    methods = ["mmbebhe", "he", "fuzzy", "he", "bbhe"]  # a repeated method, a changed order
+    out = tmp_path / "r.csv"
+    assert main(["report", *srcs, "--methods", ",".join(methods), "--output", str(out)]) == 0
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["image", "method", "mse", "psnr", "entropy", "ambe"])
+    for src, img in zip(srcs, imgs):
+        for m in methods:
+            writer.writerow([src, m, *(f"{v:.4f}" for v in astuple(evaluate(img, enhance(img, m))))])
+    assert out.read_bytes() == text.getvalue().encode("utf-8")
+    assert f"{srcs[3]},he,0.0000,inf,-0.0000,0.0000\n" in out.read_text()
 
 
 def test_report_writes_non_ascii_paths_as_utf8(tmp_path):

@@ -21,7 +21,7 @@ from contrastkit import (
 )
 from contrastkit import enhance, histeq, metrics
 from contrastkit.cli import _REPORT_GROUP, generate_uniform_image
-from contrastkit.methods import lut_compilers
+from contrastkit.methods import _compile_group, lut_compilers
 
 import bruteforce
 from conftest import gray_images, low_contrast_images
@@ -125,6 +125,36 @@ def test_each_split_rule_gives_every_row_its_threshold(imgs):
     assert thresholds["mmbebhe"].tolist() == [bruteforce.mmbebhe_threshold_all_rows(row) for row in counts]
 
 
+_split_rows = st.tuples(
+    st.dictionaries(st.integers(0, 255), st.integers(1, 2**40), min_size=1, max_size=6), st.integers(0, 255)
+)
+
+
+@given(
+    st.lists(_split_rows, min_size=1, max_size=6),
+    st.sampled_from([1, 3, 24, 192]),
+)
+# an empty lower side: the threshold lies below the lowest occupied level
+@example([({100: 3, 200: 1}, 50)], 1)
+@example([({100: 3, 200: 1}, 50)], 24)
+# an empty upper side: HE's 255, and a single-level image split at its level
+@example([({77: 5}, 255), ({77: 5}, 77), ({0: 1}, 0)], 3)
+@example([({77: 5}, 255), ({77: 5}, 77), ({0: 1}, 0)], 192)
+# the largest histogram: no product of the stacked pass wraps in int64
+@example([({0: 2**46, 128: 2**46 - 1}, 0), ({0: 2**46, 128: 2**46 - 1}, 254)], 24)
+@settings(max_examples=60, deadline=None)
+def test_split_maps_fills_every_row_as_the_oracle_does(rows, size):
+    # the stack cycles through `rows`, so rows of every kind share one pass
+    picked = [rows[i % len(rows)] for i in range(size)]
+    counts = np.zeros((size, 256), dtype=np.int64)
+    for row, (levels, _) in zip(counts, picked):
+        row[list(levels)] = list(levels.values())
+    thresholds = np.array([t for _, t in picked])
+    maps = histeq._split_maps(counts.cumsum(axis=1), thresholds)
+    assert maps.dtype == np.uint8 and maps.shape == (size, 256)
+    assert maps.tolist() == [bruteforce.segment_map(c, t) for c, t in zip(counts.tolist(), thresholds.tolist())]
+
+
 def test_the_tie_goes_to_the_smaller_threshold():
     counts = histogram(image_of(TIE)).counts[None]
     assert LUT_COMPILERS["mmbebhe"](counts).tolist() == [bruteforce.segment_map(counts[0].tolist(), 216)]
@@ -154,5 +184,10 @@ def test_a_report_group_keeps_each_temporary_within_its_bound():
     counts[:, 255] = 756954 + rows
     counts[1::2] = 1  # and rows occupying all 256 levels, which do the same
     assert _peak_bytes(LUT_COMPILERS["mmbebhe"], counts) < 4 * 2**20
+    # the group pass of all three split methods fills 3 x 64 rows in one
+    # `_split_maps` pass, whose (rows x 256) temporaries each hold 49,152 int64
+    split = list(histeq._SPLIT_RULES)
+    assert _peak_bytes(_compile_group, LUT_COMPILERS, split, counts) < 4 * 2**20
     maps = np.array([LUT_COMPILERS[m](counts) for m in LUT_COMPILERS])
+    assert _compile_group(LUT_COMPILERS, split, counts).tolist() == maps[:3].tolist()
     assert _peak_bytes(metrics._evaluate_maps, counts, maps) < 4 * 2**20
