@@ -25,7 +25,7 @@ from .image import (
     load_pgm,
     save_pgm,
 )
-from .methods import LUT_COMPILERS, compile_lut, enhance
+from .methods import METHODS, compile_lut, compile_maps, enhance
 from .metrics import MetricsReport, evaluate, evaluate_luts
 
 __version__ = "0.1.0"
@@ -44,8 +44,9 @@ __all__ = [
     "FuzzyConfig",
     "default_config",
     "fuzzy_lut",
-    "LUT_COMPILERS",
+    "METHODS",
     "compile_lut",
+    "compile_maps",
     "enhance",
     "MetricsReport",
     "evaluate",

@@ -31,14 +31,12 @@ import numpy as np
 from . import fuzzy as fz
 from . import metrics
 from .image import GrayImage, _level_counts, histogram, load_pgm, save_pgm
-from .methods import LUT_COMPILERS, _compile_group, enhance, lut_compilers
+from .methods import METHODS, compile_maps, enhance
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_PARTIAL = 3
-
-METHOD_NAMES = tuple(LUT_COMPILERS)
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -183,9 +181,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not methods:
         raise UsageError("empty methods list")
     for m in methods:
-        if m not in METHOD_NAMES:
+        if m not in METHODS:
             raise UsageError(f"unknown method {m!r}")
-    compilers = lut_compilers(_load_fuzzy_config(args.fuzzy_config))
+    cfg = _load_fuzzy_config(args.fuzzy_config)
+    # its LUT depends on no histogram: compiled once for every group
+    custom_fuzzy = fz.fuzzy_lut(cfg) if cfg is not None and "fuzzy" in methods else None
     distinct = list(dict.fromkeys(methods))  # each compiled and scored once
 
     rows = ["image,method,mse,psnr,entropy,ambe\n"]
@@ -203,7 +203,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not paths:
             continue
         stack = np.array(counts)
-        scores = metrics._evaluate_maps(stack, _compile_group(compilers, distinct, stack))
+        scores = metrics._evaluate_maps(stack, compile_maps(distinct, stack, custom_fuzzy))
         for i, path in enumerate(paths):  # method j's scores of input i are at j * len(paths) + i
             field = _csv_field(path)
             rows += [_REPORT_ROW % (field, m, *scores[distinct.index(m) * len(paths) + i]) for m in methods]
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enhance", help="enhance one PGM image")
     p.add_argument("input", help="input PGM path (P2 or P5)")
     p.add_argument("output", help="output PGM path")
-    p.add_argument("--method", required=True, choices=METHOD_NAMES)
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--fuzzy-config", help="JSON membership config (fuzzy method only)")
     p.add_argument("--format", choices=("P2", "P5"), default="P5", help="output encoding")
     p.set_defaults(func=cmd_enhance)

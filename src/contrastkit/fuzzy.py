@@ -14,9 +14,9 @@
    rule passes through unchanged.
 
 The public surface is `FuzzyConfig` (of `MembershipFunction` sets),
-`default_config` and `fuzzy_lut`. The image-adaptive method is the
-registry's `fuzzy` entry, `_default_maps`, which `methods.compile_lut`
-runs on one histogram.
+`default_config` and `fuzzy_lut`. The `fuzzy` method's image-adaptive
+default is `_default_maps`, which `methods.compile_maps` runs on a stack
+of histograms.
 
 The fixed full-range output sets are what stretch a narrow input range
 toward the full scale. `_default_maps` maps an image whose range is

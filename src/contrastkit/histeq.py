@@ -7,10 +7,10 @@ equalize onto [0, t], the rest onto [t + 1, 255]. It works on a stack,
 the cumulative counts of k histograms as a (k x 256) array and their k
 thresholds to their k maps as a (k x 256) uint8 array, filled in one
 stacked pass of `_split_values`, the exact integer kernel that MMBEBHE's
-search also scores with; `report` fills the maps of every split method
-of a group in one such pass. The methods differ only in the rule
-that picks t, their entries of `_SPLIT_RULES`: HE splits at 255, BBHE at
-the floored mean, and MMBEBHE at the threshold whose output mean is
+search also scores with; `methods.compile_maps` fills the maps of every
+split method it is asked for in one such pass. The methods differ only
+in the rule that picks t, their entries of `_SPLIT_RULES`: HE splits at
+255, BBHE at the floored mean, and MMBEBHE at the threshold whose output mean is
 nearest the input mean: a float pass over prefix sums bounds every
 threshold's error in O(256), and only its best and the few that can beat
 that best are scored exactly. `mmbebhe_threshold` is that rule on one histogram. All maps
@@ -24,7 +24,6 @@ than the `np.*` wrappers, whose Python dispatch costs as much as the work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -202,8 +201,8 @@ def _mmbebhe_thresholds(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return dev.argmin(axis=1)  # the first minimum: ties go to the smallest threshold
 
 
-# Each bi-equalization's split rule, (counts, cum) -> (k,) thresholds, from
-# which `methods.LUT_COMPILERS` builds its entry: HE splits at 255 (level k
+# Each bi-equalization's split rule, (counts, cum) -> (k,) thresholds, at
+# which `methods.compile_maps` splits its maps: HE splits at 255 (level k
 # maps to round(255 * CDF(k))), BBHE (Kim 1997) at the floored mean
 # floor(sum k * w_k / N) in exact integers, and MMBEBHE (Chen and Ramli
 # 2003) at the minimum-brightness-error threshold.
@@ -212,18 +211,6 @@ _SPLIT_RULES = {
     "bbhe": lambda counts, cum: (counts @ _LEVEL_VALUES) // cum[:, -1],
     "mmbebhe": _mmbebhe_thresholds,
 }
-
-
-@dataclass(frozen=True)
-class _SplitCompiler:
-    """A registry entry built from a split rule: the `_split_maps` of a stack
-    of counts at the thresholds that `rule` picks from them."""
-
-    rule: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __call__(self, counts: np.ndarray) -> np.ndarray:
-        cum = counts.cumsum(axis=1)
-        return _split_maps(cum, self.rule(counts, cum))
 
 
 def mmbebhe_threshold(hist: Histogram) -> int:

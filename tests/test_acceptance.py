@@ -233,11 +233,16 @@ def test_public_names_resolve_and_enhance_is_the_one_entry_point():
     # the per-method wrappers and duplicate statistics that `enhance`,
     # `Histogram.level_sum` and `evaluate_luts` replace, and the per-level
     # fuzzy stages that `fuzzy_lut` compiles, the per-method LUT functions
-    # that `compile_lut` replaces, and `identity_lut`, which no path used
+    # that `compile_lut` replaces, `identity_lut`, which no path used, and
+    # the per-method compiler registries that `compile_maps` replaces
     for name in ("equalize", "bbhe", "mmbebhe", "enhance_fuzzy", "mean_intensity", "evaluate_lut",
                  "fuzzify", "infer", "defuzzify_centroid", "he_lut", "bbhe_lut", "mmbebhe_lut", "default_lut",
-                 "identity_lut"):
+                 "identity_lut", "LUT_COMPILERS", "lut_compilers"):
         assert name not in ck.__all__ and not hasattr(ck, name), name
+    # one compile path: no split-method compiler type, group compile or CLI name list beside it
+    for module, name in ((ck.histeq, "_SplitCompiler"), (ck.methods, "LUT_COMPILERS"), (ck.methods, "lut_compilers"),
+                         (ck.methods, "_compile_group"), (ck.cli, "METHOD_NAMES")):
+        assert not hasattr(module, name), name
     # single measures are fields of `evaluate(a, b)`
     for name in ("mse", "psnr", "entropy", "ambe"):
         assert name not in ck.__all__ and not hasattr(ck, name), name

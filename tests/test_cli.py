@@ -27,8 +27,8 @@ from contrastkit import (
     load_pgm,
     save_pgm,
 )
-from contrastkit import LUT_COMPILERS, cli
-from contrastkit.cli import _SYNTH_BLOCK, METHOD_NAMES, generate_uniform_image, main
+from contrastkit import METHODS, cli, histeq
+from contrastkit.cli import _REPORT_GROUP, _SYNTH_BLOCK, generate_uniform_image, main
 
 from bruteforce import splitmix64
 from conftest import config_json
@@ -161,10 +161,10 @@ def test_enhance_invalid_fuzzy_config_values_exit_2(tmp_path, capsys, edit):
 
 
 def test_enhance_compile_error_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
-    def failing_compiler(counts):
+    def failing_rule(counts, cum):
         raise ValueError("cannot compile this histogram")
 
-    monkeypatch.setitem(LUT_COMPILERS, "he", failing_compiler)
+    monkeypatch.setitem(histeq._SPLIT_RULES, "he", failing_rule)
     src = write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
     dst = tmp_path / "out.pgm"
     assert main(["enhance", src, str(dst), "--method", "he"]) == 2
@@ -279,10 +279,10 @@ def test_report_skips_an_undecodable_input_whole(tmp_path, capsys):
 
 
 def test_report_compile_error_exits_2_without_output(tmp_path, capsys, monkeypatch):
-    def failing_compiler(counts):
+    def failing_rule(counts, cum):
         raise ValueError("boom")
 
-    monkeypatch.setitem(LUT_COMPILERS, "mmbebhe", failing_compiler)
+    monkeypatch.setitem(histeq._SPLIT_RULES, "mmbebhe", failing_rule)
     srcs = [write_pgm(tmp_path / f"{i}.pgm", FOUR_LEVELS) for i in range(2)]
     out = tmp_path / "report.csv"
     assert main(["report", *srcs, "--methods", "he,mmbebhe", "--output", str(out)]) == 2
@@ -301,16 +301,28 @@ def test_report_compiles_a_fuzzy_config_once(tmp_path, monkeypatch):
     monkeypatch.setattr("contrastkit.fuzzy.fuzzy_lut", counting_fuzzy_lut)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config_json(default_config(histogram(FOUR_LEVELS))))  # no input's own default
-    imgs = [generate_uniform_image(6, 5, 20 * i, 90 + 20 * i, i) for i in range(3)]
+    # two report groups, the second holding an undecodable input and one good one
+    imgs = [generate_uniform_image(6, 5, 20 * (i % 8), 90 + 20 * (i % 8), i) for i in range(_REPORT_GROUP + 1)]
     srcs = [write_pgm(tmp_path / f"{i}.pgm", img) for i, img in enumerate(imgs)]
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5\n4 4\n255\n" + bytes(3))  # a short raster
+    options = ["--methods", "fuzzy,he", "--fuzzy-config", str(cfg)]
     out = tmp_path / "r.csv"
-    argv = ["report", *srcs, "--methods", "fuzzy,he", "--fuzzy-config", str(cfg), "--output", str(out)]
-    assert main(argv) == 0
+    argv = ["report", *srcs[:_REPORT_GROUP], str(bad), srcs[-1], *options, "--output", str(out)]
+    assert main(argv) == 3
     assert len(calls) == 1
     expected = fuzzy_lut(FuzzyConfig.from_json(cfg.read_text()))
     rows = out.read_text().splitlines()[1::2]
+    assert len(rows) == len(imgs)
     for img, row in zip(imgs, rows):
         assert row.split(",", 2)[2] == cli._SCORES % astuple(evaluate(img, apply_lut(img, expected)))
+    # each input's rows are those of its own report, byte for byte
+    singles = []
+    for src in srcs:
+        single = tmp_path / "single.csv"
+        assert main(["report", src, *options, "--output", str(single)]) == 0
+        singles.append(single.read_bytes().split(b"\n", 1)[1])
+    assert out.read_bytes() == b"image,method,mse,psnr,entropy,ambe\n" + b"".join(singles)
 
 
 def test_report_deterministic_bytes(tmp_path):
@@ -401,9 +413,9 @@ def test_report_builds_one_histogram_per_input(tmp_path, monkeypatch):
     out = tmp_path / "r.csv"
     assert main(["report", *srcs, "--methods", "he,bbhe,mmbebhe,fuzzy", "--output", str(out)]) == 0
     assert calls == [64, 72, 80]
-    for method in METHOD_NAMES:
+    for method in METHODS:
         assert main(["enhance", srcs[0], str(tmp_path / "o.pgm"), "--method", method]) == 0
-    assert calls == [64, 72, 80] + [64] * len(METHOD_NAMES)
+    assert calls == [64, 72, 80] + [64] * len(METHODS)
     assert built == []
     histogram(GrayImage(np.zeros((2, 2), dtype=np.uint8)))  # the public wrapper still builds one
     assert len(built) == 1

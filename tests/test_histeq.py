@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contrastkit import (
-    LUT_COMPILERS,
+    METHODS,
     FuzzyConfig,
     GrayImage,
     Histogram,
@@ -149,7 +149,7 @@ def test_equalize_four_levels():
     assert enhance(FOUR_LEVELS, "he").pixels.ravel().tolist() == [64, 128, 191, 255]
 
 
-@pytest.mark.parametrize("method", list(LUT_COMPILERS))
+@pytest.mark.parametrize("method", list(METHODS))
 @given(gray_images())
 def test_enhance_is_lut_expressible(method, img):
     assert enhance(img, method) == apply_lut(img, compile_lut(histogram(img), method))
@@ -180,7 +180,7 @@ def test_equalized_cdf_tracks_linear_ramp(img):
 @given(gray_images())
 def test_pixel_count_preserved_by_all_methods(img):
     n = img.size
-    for method in LUT_COMPILERS:
+    for method in METHODS:
         out = enhance(img, method)
         assert (out.width, out.height) == (img.width, img.height)
         assert histogram(out).total == n

@@ -1,27 +1,30 @@
-"""The registry's one shape: each method compiles a (k x 256) stack of
-histogram counts to a (k x 256) stack of maps, and a report scores every
-(method, image) row of a group in one pass."""
+"""The one compile path: `compile_maps` compiles a (k x 256) stack of
+histogram counts to an (m x k x 256) stack of the maps of m methods, and a
+report scores every (method, image) row of a group in one pass."""
 
 import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contrastkit import (
-    LUT_COMPILERS,
+    METHODS,
     FuzzyConfig,
     GrayImage,
     IntensityLut,
     MembershipFunction,
     apply_lut,
+    compile_lut,
+    compile_maps,
     evaluate,
+    fuzzy_lut,
     histogram,
 )
 from contrastkit import enhance, histeq, metrics
 from contrastkit.cli import _REPORT_GROUP, generate_uniform_image
-from contrastkit.methods import _compile_group, lut_compilers
 
 import bruteforce
 from conftest import gray_images, low_contrast_images
@@ -93,10 +96,10 @@ def image_groups(draw):
 @settings(max_examples=80, deadline=None)
 def test_a_stacked_compile_equals_the_per_histogram_oracles(imgs):
     counts = np.array([histogram(img).counts for img in imgs])
-    compilers = {**LUT_COMPILERS, "custom": lut_compilers(CUSTOM)["fuzzy"]}
-    maps = np.array([compilers[m](counts) for m in compilers])
+    # every method in one call, and `fuzzy` once more by a custom config
+    maps = np.concatenate([compile_maps(METHODS, counts), compile_maps(["fuzzy"], counts, fuzzy_lut(CUSTOM))])
     assert maps.dtype == np.uint8
-    for method, stack in zip(compilers, maps):
+    for method, stack in zip([*METHODS, "custom"], maps):
         assert stack.tolist() == [oracle_map(method, img) for img in imgs], method
     # every (method, image) row scored in one pass, as `report` does
     reports = metrics._evaluate_maps(counts, maps)
@@ -117,7 +120,8 @@ def _bits(scores):
 def test_each_split_rule_gives_every_row_its_threshold(imgs):
     counts = np.array([histogram(img).counts for img in imgs])
     cum = counts.cumsum(axis=1)
-    assert list(histeq._SPLIT_RULES) == list(LUT_COMPILERS)[:3]
+    assert METHODS == ("he", "bbhe", "mmbebhe", "fuzzy")  # the CLI's order
+    assert list(histeq._SPLIT_RULES) == list(METHODS)[:3]
     thresholds = {name: rule(counts, cum) for name, rule in histeq._SPLIT_RULES.items()}
     assert all(t.shape == (len(imgs),) for t in thresholds.values())
     assert thresholds["he"].tolist() == [255] * len(imgs)
@@ -157,7 +161,7 @@ def test_split_maps_fills_every_row_as_the_oracle_does(rows, size):
 
 def test_the_tie_goes_to_the_smaller_threshold():
     counts = histogram(image_of(TIE)).counts[None]
-    assert LUT_COMPILERS["mmbebhe"](counts).tolist() == [bruteforce.segment_map(counts[0].tolist(), 216)]
+    assert compile_maps(["mmbebhe"], counts)[0].tolist() == [bruteforce.segment_map(counts[0].tolist(), 216)]
 
 
 def _peak_bytes(fn, *args):
@@ -183,11 +187,23 @@ def test_a_report_group_keeps_each_temporary_within_its_bound():
     counts[rows, 4 * rows] = 665
     counts[:, 255] = 756954 + rows
     counts[1::2] = 1  # and rows occupying all 256 levels, which do the same
-    assert _peak_bytes(LUT_COMPILERS["mmbebhe"], counts) < 4 * 2**20
-    # the group pass of all three split methods fills 3 x 64 rows in one
-    # `_split_maps` pass, whose (rows x 256) temporaries each hold 49,152 int64
-    split = list(histeq._SPLIT_RULES)
-    assert _peak_bytes(_compile_group, LUT_COMPILERS, split, counts) < 4 * 2**20
-    maps = np.array([LUT_COMPILERS[m](counts) for m in LUT_COMPILERS])
-    assert _compile_group(LUT_COMPILERS, split, counts).tolist() == maps[:3].tolist()
+    assert _peak_bytes(compile_maps, ["mmbebhe"], counts) < 4 * 2**20
+    # the group compile of all four methods fills the 3 x 64 rows of the split
+    # methods in one `_split_maps` pass, whose (rows x 256) temporaries each
+    # hold 49,152 int64
+    assert _peak_bytes(compile_maps, METHODS, counts) < 4 * 2**20
+    maps = compile_maps(METHODS, counts)
     assert _peak_bytes(metrics._evaluate_maps, counts, maps) < 4 * 2**20
+
+
+def test_an_unknown_method_is_a_key_error():
+    # a name that is not a split method does not fall through to `fuzzy`
+    img = image_of(TIE)
+    for compile_unknown in (
+        lambda: enhance(img, "bogus"),
+        lambda: compile_lut(histogram(img), "bogus"),
+        lambda: compile_maps(["bogus"], histogram(img).counts[None]),
+        lambda: compile_maps(["fuzzy", "bogus"], histogram(img).counts[None]),
+    ):
+        with pytest.raises(KeyError, match="bogus"):
+            compile_unknown()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from contrastkit import (
-    LUT_COMPILERS,
+    METHODS,
     FuzzyConfig,
     GrayImage,
     Histogram,
@@ -295,7 +295,7 @@ def assert_scores_match(img, lut):
     assert bits(evaluate_luts(histogram(img), [lut])[0]) == bits(expected)
 
 
-METHOD_NAMES = sorted(LUT_COMPILERS)
+METHOD_NAMES = sorted(METHODS)
 
 
 @given(gray_images(max_side=24) | low_contrast_images(), st.sampled_from(METHOD_NAMES))
