@@ -118,6 +118,27 @@ class GrayImage:
         )
 
 
+def _checked_counts(counts, ndim: int) -> np.ndarray:
+    """`counts` as int64, checked to be the integer level counts of one
+    histogram (`ndim` 1, shape 256) or of k (`ndim` 2, k x 256), none
+    negative and each total from 1 to `MAX_TOTAL`; else `ValueError`."""
+    arr = np.asarray(counts)
+    if not np.issubdtype(arr.dtype, np.integer):  # the int64 cast would truncate them
+        raise ValueError(f"counts must be integers, got dtype {arr.dtype}")
+    if arr.ndim != ndim or arr.shape[-1:] != (LEVELS,):
+        per_row = " per row" if ndim == 2 else ""
+        raise ValueError(f"counts must have {LEVELS} bins{per_row}, got shape {arr.shape}")
+    if arr.min(initial=0) < 0:
+        raise ValueError("counts must be non-negative")
+    # bins are bounded before the int64 cast, which would wrap a uint64
+    # count past 2**63; below the bound the int64 sums are exact
+    if arr.max(initial=0) > MAX_TOTAL or (totals := arr.sum(axis=-1, dtype=np.int64)).max(initial=0) > MAX_TOTAL:
+        raise ValueError(_TOO_MANY_PIXELS)
+    if not totals.all():
+        raise ValueError("empty histogram: counts must not all be zero")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Histogram:
     """Per-level pixel counts (256 bins) with derived statistics.
@@ -132,23 +153,10 @@ class Histogram:
     level_sum: int = field(init=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.counts)
-        if not np.issubdtype(arr.dtype, np.integer):  # the int64 cast would truncate them
-            raise ValueError(f"counts must be integers, got dtype {arr.dtype}")
-        if arr.shape != (LEVELS,):
-            raise ValueError(f"counts must have {LEVELS} bins, got shape {arr.shape}")
-        if arr.min() < 0:
-            raise ValueError("counts must be non-negative")
-        # bins are bounded before the int64 cast, which would wrap a uint64
-        # count past 2**63; below the bound the int64 sum is exact
-        if arr.max() > MAX_TOTAL or (total := int(arr.sum(dtype=np.int64))) > MAX_TOTAL:
-            raise ValueError(_TOO_MANY_PIXELS)
-        if total == 0:
-            raise ValueError("empty histogram: counts must not all be zero")
-        arr = np.array(arr, dtype=np.int64, order="C")  # a copy the caller cannot touch
+        arr = np.array(_checked_counts(self.counts, 1), order="C")  # a copy the caller cannot touch
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "total", int(arr.sum()))
         object.__setattr__(self, "level_sum", int(_LEVEL_VALUES @ arr))
 
     def probabilities(self) -> np.ndarray:

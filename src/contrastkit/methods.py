@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fuzzy, histeq
 from .histeq import IntensityLut, apply_lut
-from .image import GrayImage, Histogram, _level_counts
+from .image import GrayImage, Histogram, _checked_counts, _level_counts
 
 # in the order of the CLI usage text
 METHODS = (*histeq._SPLIT_RULES, "fuzzy")
@@ -29,7 +29,9 @@ def compile_maps(names: Sequence[str], counts: np.ndarray, custom_fuzzy: Intensi
     `METHODS`, for the level counts `counts` (k x 256) of k histograms. The
     split methods share one cumsum and one `histeq._split_maps` pass over
     all their thresholds. `fuzzy` maps each histogram by its default config,
-    or every one by `custom_fuzzy`, the LUT of a custom config, if given."""
+    or every one by `custom_fuzzy`, the LUT of a custom config, if given.
+    Counts `Histogram` would refuse, or not of shape (k x 256), raise `ValueError`."""
+    counts = _checked_counts(counts, 2)
     maps = {}
     split = [name for name in names if name != "fuzzy"]
     if split:

@@ -238,6 +238,30 @@ def test_report_constant_image_degenerate_rows(tmp_path):
     assert float(rows["mmbebhe"][2]) == 0.0
 
 
+def test_report_rows_equal_metrics_of_each_enhance_output(tmp_path, capsys, monkeypatch):
+    # `report` scores from the level counts alone and `metrics` compares the
+    # enhanced image pixel by pixel: each row prints the same four fields.
+    # One group of 4 inputs, a full-range, a constant and a P2 one among
+    # them, and a repeated method. Each `enhance` writes the library's bytes
+    monkeypatch.chdir(tmp_path)
+    for argv in ("in.pgm --width 64 --height 48 --lo 90 --hi 140 --seed 3",
+                 "c.pgm --width 50 --height 20 --lo 0 --hi 255 --seed 5",
+                 "d.pgm --width 30 --height 30 --lo 128 --hi 128 --seed 6"):
+        assert main(["synth", *argv.split()]) == 0
+    assert main(["enhance", "in.pgm", "out.pgm", "--method", "mmbebhe", "--format", "P2"]) == 0
+    inputs, methods = ["in.pgm", "out.pgm", "c.pgm", "d.pgm"], ["mmbebhe", "he", "fuzzy", "he", "bbhe"]
+    assert main(["report", *inputs, "--methods", ",".join(methods), "--output", "four.csv"]) == 0
+    rows = [line.split(",", 2) for line in (tmp_path / "four.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [[image, m] for image in inputs for m in methods]
+    for image, method, scores in rows:
+        assert main(["enhance", image, "e.pgm", "--method", method]) == 0
+        library = save_pgm(enhance(load_pgm((tmp_path / image).read_bytes()), method), "P5")
+        assert (tmp_path / "e.pgm").read_bytes() == library
+        capsys.readouterr()
+        assert main(["metrics", image, "e.pgm"]) == 0
+        assert capsys.readouterr().out == f"mse,psnr,entropy,ambe\n{scores}\n", (image, method)
+
+
 def test_report_empty_methods_is_usage_error(tmp_path, capsys):
     src = write_pgm(tmp_path / "a.pgm", FOUR_LEVELS)
     assert main(["report", src, "--methods", "", "--output", str(tmp_path / "r.csv")]) == 1
@@ -774,6 +798,23 @@ def test_input_path_is_used_as_typed(tmp_path, capsys, monkeypatch, argv, code, 
         assert [row.split(",")[:2] for row in rows] == [["in.pgm", "he"]]
     else:
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_an_input_read_from_a_pipe_scores_as_the_file_does(tmp_path, capsys):
+    # a pipe's st_size is 0: the input is read whole, not by its size
+    src = write_pgm(tmp_path / "in.pgm", generate_uniform_image(64, 48, 90, 140, 3))
+    dst = write_pgm(tmp_path / "out.pgm", enhance(load_pgm((tmp_path / "in.pgm").read_bytes()), "bbhe"))
+    assert main(["metrics", src, dst]) == 0
+    expected = capsys.readouterr().out
+    r, w = os.pipe()
+    with os.fdopen(w, "wb") as writer:  # 3,085 bytes, within any pipe's buffer
+        writer.write((tmp_path / "in.pgm").read_bytes())
+    try:
+        assert main(["metrics", f"/dev/fd/{r}", dst]) == 0
+    finally:
+        os.close(r)
+    assert capsys.readouterr().out == expected
 
 
 def test_dev_null_is_a_valid_output(tmp_path, capsys):

@@ -1,5 +1,9 @@
 """Tier-1 gate on the golden CLI outputs in tests/golden/manifest.json, and
-on the comparison table tests/golden/report.csv."""
+on the comparison table tests/golden/report.csv.
+
+Like tests/test_readme.py, it checks whichever `contrastkit` is imported:
+the source tree with `PYTHONPATH=src`, the installed package without, where
+every default fuzzy case reads the package's own `fuzzy_default.bin`."""
 
 import csv
 import hashlib

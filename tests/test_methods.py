@@ -207,3 +207,44 @@ def test_an_unknown_method_is_a_key_error():
     ):
         with pytest.raises(KeyError, match="bogus"):
             compile_unknown()
+
+
+def _stack(*rows, dtype=np.int64):
+    """A (k x 256) stack of `dtype` whose row i holds `rows[i]` (level -> count)."""
+    counts = np.zeros((len(rows), 256), dtype=dtype)
+    for row, levels in zip(counts, rows):
+        row[list(levels)] = list(levels.values())
+    return counts
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        # an empty row once divided by zero in BBHE's rule, and mapped fuzzy to [42, 43, ...]
+        (_stack(TIE, {}), "^empty histogram: counts must not all be zero$"),
+        # a row of -1s once mapped BBHE to [129, 2, 131, 4, ...], which is not monotone
+        (np.full((1, 256), -1), "^counts must be non-negative$"),
+        (_stack(TIE).astype(np.float64), "^counts must be integers, got dtype float64$"),
+        (_stack(TIE)[0], r"^counts must have 256 bins per row, got shape \(256,\)$"),
+        (_stack(TIE)[None], r"^counts must have 256 bins per row, got shape \(1, 1, 256\)$"),
+        (_stack(TIE)[:, :255], r"^counts must have 256 bins per row, got shape \(1, 255\)$"),
+        (_stack(TIE, {3: 2**46, 250: 2**46, 7: 1}), r"^histogram total exceeds 140737488355328 \(2\*\*47\)"),
+        # a uint64 count past 2**63, which the int64 cast would wrap negative
+        (_stack({5: 2**63}, dtype=np.uint64), r"^histogram total exceeds 140737488355328 \(2\*\*47\)"),
+    ],
+    ids=["empty row", "negative", "float", "1-D", "3-D", "255 bins", "over 2**47", "uint64 past 2**63"],
+)
+def test_compile_maps_rejects_a_stack_that_is_not_histograms(counts, message):
+    # every name list takes the same check, the fuzzy-only ones too
+    for names, custom in ((METHODS, None), (["fuzzy"], None), (["fuzzy"], fuzzy_lut(CUSTOM))):
+        with pytest.raises(ValueError, match=message):
+            compile_maps(names, counts, custom)
+
+
+def test_compile_maps_takes_any_integer_stack_and_an_empty_one():
+    counts = _stack(TIE, {0: 3, 255: 1}, FLAT)
+    expected = compile_maps(METHODS, counts)
+    for dtype in (np.uint8, np.int32, np.uint64):
+        assert np.array_equal(compile_maps(METHODS, counts.astype(dtype)), expected), dtype
+    assert np.array_equal(compile_maps(METHODS, counts.tolist()), expected)
+    assert compile_maps(METHODS, np.zeros((0, 256), dtype=np.int64)).shape == (4, 0, 256)
