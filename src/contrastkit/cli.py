@@ -30,7 +30,7 @@ import numpy as np
 
 from . import fuzzy as fz
 from . import metrics
-from .image import GrayImage, _level_counts, histogram, load_pgm, save_pgm
+from .image import _BLOCK, LEVELS, GrayImage, _level_counts, histogram, load_pgm, save_pgm
 from .methods import METHODS, compile_maps, enhance
 
 EXIT_OK = 0
@@ -42,15 +42,11 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_MUL2 = np.uint64(0x94D049BB133111EB)
-# elements per generator block: bounds each uint64 temporary to 512 KiB
-_SYNTH_BLOCK = 1 << 16
 # largest image `synth` writes, 16384 x 16384: checked before any allocation
 SYNTH_MAX_PIXELS = 1 << 28
-# inputs that `report` compiles and scores together: with at most the four
-# methods, its (inputs x methods x 256) scoring stack holds at most 2**16
-# elements (512 KiB of int64), and each temporary of the one compile pass
-# of its three split methods holds 3 x 64 x 256 = 49,152, under that bound
-_REPORT_GROUP = 64
+# inputs that `report` compiles and scores together: its (inputs x methods
+# x 256) stacks hold at most `_BLOCK` elements
+_REPORT_GROUP = _BLOCK // (len(METHODS) * LEVELS)
 
 
 def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int) -> GrayImage:
@@ -67,11 +63,11 @@ def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int)
     span = np.uint64(hi - lo + 1)
     flat = np.empty(count, dtype=np.uint8)
     # i * gamma for i = 1..block; the block from `start` adds seed + start * gamma
-    steps = np.arange(1, min(count, _SYNTH_BLOCK) + 1, dtype=np.uint64)
+    steps = np.arange(1, min(count, _BLOCK) + 1, dtype=np.uint64)
     steps *= np.uint64(_SPLITMIX_GAMMA)
     z, q = np.empty_like(steps), np.empty_like(steps)  # reused by every block
-    for start in range(0, count, _SYNTH_BLOCK):
-        n = min(_SYNTH_BLOCK, count - start)
+    for start in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - start)
         zb, qb = z[:n], q[:n]
         np.add(steps[:n], np.uint64((seed + start * _SPLITMIX_GAMMA) & _MASK64), out=zb)
         zb ^= np.right_shift(zb, np.uint64(30), out=qb)

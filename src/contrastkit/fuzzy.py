@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .histeq import _IDENTITY, IntensityLut
-from .image import LEVELS, MAX_LEVEL, Histogram
+from .image import _BLOCK, LEVELS, MAX_LEVEL, Histogram
 
 # Dynamic ranges narrower than this admit no meaningful input triangles;
 # `_default_maps` then falls back to the identity mapping.
@@ -93,9 +93,9 @@ class FuzzyConfig:
             raise ValueError("expected exactly three input and three output sets")
         object.__setattr__(self, "input_sets", tuple(self.input_sets))
         object.__setattr__(self, "output_sets", tuple(self.output_sets))
-        r = self.resolution  # at most 2**16, so no LUT-compile temporary exceeds 2**16 floats
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 2 <= r <= 65536:
-            raise ValueError(f"resolution must be an integer in [2, 65536], got {r!r}")
+        r = self.resolution  # at most `_BLOCK`, as is every LUT-compile temporary
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 2 <= r <= _BLOCK:
+            raise ValueError(f"resolution must be an integer in [2, {_BLOCK}], got {r!r}")
         object.__setattr__(self, "resolution", int(r))
 
     @classmethod
@@ -171,7 +171,7 @@ def _centroids(agg: np.ndarray, grid: np.ndarray, fallback: np.ndarray) -> np.nd
 
 def fuzzy_lut(cfg: FuzzyConfig) -> IntensityLut:
     """Compile the pipeline into a LUT: fuzzify, infer, and defuzzify all
-    gray levels at once, in blocks of at most 2**16 aggregate samples."""
+    gray levels at once, in blocks of at most `_BLOCK` aggregate samples."""
     levels = np.arange(LEVELS, dtype=np.float64)
     # (256, 3) memberships, each in [0, 1]: no activation needs clipping
     plane = np.column_stack([mf.sample(levels) for mf in cfg.input_sets])
@@ -180,7 +180,7 @@ def fuzzy_lut(cfg: FuzzyConfig) -> IntensityLut:
     grid = np.linspace(0.0, float(MAX_LEVEL), cfg.resolution)
     out_sets = [mf.sample(grid) for mf in cfg.output_sets]
     out = np.arange(LEVELS)
-    rows = max(1, 2**16 // cfg.resolution)
+    rows = max(1, _BLOCK // cfg.resolution)
     for start in range(0, len(active), rows):
         block = active[start : start + rows]
         out[block] = _centroids(_aggregate(plane[block], out_sets), grid, block)

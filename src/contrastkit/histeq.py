@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import _LEVEL_VALUES, LEVELS, MAX_LEVEL, GrayImage, Histogram, _frozen_levels
+from .image import _BLOCK, _LEVEL_VALUES, LEVELS, MAX_LEVEL, GrayImage, Histogram, _frozen_levels
 
 @dataclass(frozen=True, eq=False)
 class IntensityLut:
@@ -125,8 +125,8 @@ def _split_maps(cum: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 _BOUND_SLACK = 0.5 + 2.0**-35
 
 # (input, threshold) pairs per block of the exact re-check: its (pairs x
-# occupied levels) temporaries hold at most 2**16 elements (512 KiB).
-_PAIR_BLOCK = (1 << 16) // LEVELS
+# occupied levels) temporaries hold at most `_BLOCK` elements.
+_PAIR_BLOCK = _BLOCK // LEVELS
 # the re-check's score of a dropped threshold: above any exact error
 _NEVER_BEST = 1 << 62
 

@@ -25,8 +25,8 @@ _TOO_MANY_PIXELS = (
     f"histogram total exceeds {MAX_TOTAL} (2**47) pixels, "
     "past which the integer kernels overflow int64"
 )
-# pixels per bincount block: bounds its intp temporary to 512 KiB
-_HIST_BLOCK = 1 << 16
+# elements per temporary of every blocked pass: 512 KiB of 8-byte ones
+_BLOCK = 1 << 16
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\n\r]*")
@@ -171,17 +171,14 @@ class Histogram:
 
 def _level_counts(pixels: np.ndarray) -> np.ndarray:
     """The (256,) int64 level counts of the uint8 `pixels`, the one counting
-    kernel: an image of up to `_HIST_BLOCK` pixels takes one `bincount`, a
-    larger one is counted block by block, so the extra memory is bounded at
-    any image size. More than `MAX_TOTAL` pixels raise `ValueError`."""
+    kernel: counted `_BLOCK` pixels at a time, so the extra memory is bounded
+    at any image size. More than `MAX_TOTAL` pixels raise `ValueError`."""
     if pixels.size > MAX_TOTAL:
         raise ValueError(_TOO_MANY_PIXELS)
     flat = pixels.ravel()  # a view: image pixels are C-contiguous
-    if flat.size <= _HIST_BLOCK:  # bincount's intp is int32 on some platforms
-        return np.bincount(flat, minlength=LEVELS).astype(np.int64, copy=False)
-    counts = np.zeros(LEVELS, dtype=np.int64)
-    for start in range(0, flat.size, _HIST_BLOCK):
-        counts += np.bincount(flat[start : start + _HIST_BLOCK], minlength=LEVELS)
+    counts = np.zeros(LEVELS, dtype=np.int64)  # bincount's intp is int32 on some platforms
+    for start in range(0, flat.size, _BLOCK):
+        counts += np.bincount(flat[start : start + _BLOCK], minlength=LEVELS)
     return counts
 
 
@@ -334,8 +331,8 @@ def save_pgm(img: GrayImage, format: str = "P5") -> bytes:
     # keep lines within Netpbm's 70-character guideline: at most 17 samples
     col = np.arange(img.width)
     line_end = np.where((col % 17 == 16) | (col == img.width - 1), LEVELS, 0).astype(np.uint16)
-    # each block of about _HIST_BLOCK pixels gathers its padded tokens, then drops the padding
-    rows = max(1, _HIST_BLOCK // img.width)
+    # each block of about _BLOCK pixels gathers its padded tokens, then drops the padding
+    rows = max(1, _BLOCK // img.width)
     blocks = [
         _P2_WORDS.take(img.pixels[top : top + rows] + line_end).tobytes().translate(None, b"\0")
         for top in range(0, img.height, rows)

@@ -43,7 +43,7 @@ def compile_maps(names: Sequence[str], counts: np.ndarray, custom_fuzzy: Intensi
         maps["fuzzy"] = np.broadcast_to(custom_fuzzy.map, counts.shape)
     elif "fuzzy" in names:
         maps["fuzzy"] = fuzzy._default_maps(counts)
-    return np.array([maps[name] for name in names])
+    return np.array([maps[name] for name in names], dtype=np.uint8).reshape(len(names), *counts.shape)
 
 
 def enhance(img: GrayImage, method: str, fuzzy_config: fuzzy.FuzzyConfig | None = None) -> GrayImage:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .histeq import IntensityLut
-from .image import _HIST_BLOCK, _LEVEL_VALUES, LEVELS, GrayImage, Histogram, _level_counts
+from .image import _BLOCK, _LEVEL_VALUES, LEVELS, GrayImage, Histogram, _level_counts
 
 PSNR_PEAK_SQ = 255.0 * 255.0
 
@@ -73,8 +73,8 @@ def evaluate(original: GrayImage, processed: GrayImage) -> MetricsReport:
         )
     a, b = original.pixels.ravel(), processed.pixels.ravel()
     sq_err = 0  # exact integer squares, block by block: the extra memory is bounded
-    for start in range(0, a.size, _HIST_BLOCK):
-        diff = a[start : start + _HIST_BLOCK].astype(np.int64) - b[start : start + _HIST_BLOCK]
+    for start in range(0, a.size, _BLOCK):
+        diff = a[start : start + _BLOCK].astype(np.int64) - b[start : start + _BLOCK]
         sq_err += int(diff @ diff)
     after = _level_counts(processed.pixels)
     in_sum = original.pixels.sum(dtype=np.int64)  # exact: at most 255 * 2**47

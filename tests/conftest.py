@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -32,6 +33,18 @@ def low_contrast_images(draw, min_span=2, max_span=56):
         )
     )
     return GrayImage.from_flat(w, h, vals)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while `fn(*args)` runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def config_json(cfg) -> str:

@@ -28,10 +28,11 @@ from contrastkit import (
     save_pgm,
 )
 from contrastkit import METHODS, cli, histeq
-from contrastkit.cli import _REPORT_GROUP, _SYNTH_BLOCK, generate_uniform_image, main
+from contrastkit.cli import _REPORT_GROUP, generate_uniform_image, main
+from contrastkit.image import _BLOCK
 
 from bruteforce import splitmix64
-from conftest import config_json
+from conftest import config_json, traced_peak
 
 FOUR_LEVELS = GrayImage.from_flat(2, 2, [0, 64, 128, 255])
 
@@ -595,17 +596,24 @@ def test_generator_is_platform_stable():
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 + 5, -1])
 def test_generator_matches_scalar_splitmix64(seed):
     # pixel counts straddle the generator's block size
-    shapes = [(255, 257), (256, 256), (_SYNTH_BLOCK + 1, 1), (3 * _SYNTH_BLOCK + 5, 1)]
+    shapes = [(255, 257), (256, 256), (_BLOCK + 1, 1), (3 * _BLOCK + 5, 1)]
     assert [w * h for w, h in shapes] == [
-        _SYNTH_BLOCK - 1, _SYNTH_BLOCK, _SYNTH_BLOCK + 1, 3 * _SYNTH_BLOCK + 5
+        _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5
     ]
-    stream = list(islice(splitmix64(seed), 3 * _SYNTH_BLOCK + 5))
+    stream = list(islice(splitmix64(seed), 3 * _BLOCK + 5))
     for width, height in shapes:
         # spans 1 and 256, and spans that are not powers of two
         for lo, hi in [(77, 77), (0, 255), (10, 12), (100, 156), (0, 254)]:
             img = generate_uniform_image(width, height, lo, hi, seed)
             expected = [lo + x % (hi - lo + 1) for x in stream[: width * height]]
             assert img.pixels.ravel().tolist() == expected, (width, height, lo, hi)
+
+
+@pytest.mark.parametrize("width, height", [(1024, 1024), (2048, 2048), (4096, 1024)])
+def test_generator_memory_is_bounded(width, height):
+    # the image itself and a few uint64 block buffers of `_BLOCK` elements
+    # each, at any number of blocks
+    assert traced_peak(generate_uniform_image, width, height, 0, 255, 7) < width * height + 4 * 8 * _BLOCK
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,10 +21,11 @@ from contrastkit import (
 )
 from contrastkit import fuzzy
 from contrastkit.fuzzy import _aggregate, _centroids
+from contrastkit.image import _BLOCK
 
 import bruteforce
 import fuzzy_table
-from conftest import config_json, low_contrast_images
+from conftest import config_json, low_contrast_images, traced_peak
 
 TWO_LEVEL = GrayImage.from_flat(2, 1, [100, 150])
 
@@ -595,12 +595,8 @@ def test_fuzzy_lut_matches_per_level_composition_on_a_near_half_config():
 
 
 def test_fuzzy_lut_memory_is_bounded_at_max_resolution():
-    cfg = FuzzyConfig(default_config(histogram(TWO_LEVEL)).input_sets, full_range_outputs(), 65536)
-    tracemalloc.start()
-    try:
-        lut = fuzzy_lut(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    cfg = FuzzyConfig(default_config(histogram(TWO_LEVEL)).input_sets, full_range_outputs(), _BLOCK)
+    # one level's row of `_BLOCK` aggregate samples at a time
+    assert traced_peak(fuzzy_lut, cfg) < 8 * 2**20
+    lut = fuzzy_lut(cfg)
     assert lut.map[100] < 100 < 150 < lut.map[150]

@@ -1,6 +1,5 @@
 import re
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,10 +15,10 @@ from contrastkit import (
     load_pgm,
     save_pgm,
 )
-from contrastkit.image import _HIST_BLOCK, MAX_TOTAL, _level_counts
+from contrastkit.image import _BLOCK, MAX_TOTAL, _level_counts
 
 from bruteforce import PGM_WHITESPACE, encode_p2, p2_raster_samples, pgm_header, tally_histogram
-from conftest import gray_images, pixel_arrays
+from conftest import gray_images, pixel_arrays, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +209,9 @@ def test_load_p5_does_not_alias_a_mutable_buffer():
     assert img.pixels.ravel().tolist() == [1, 2, 3, 4]
 
 
-def _traced_peak(fn, *args):
-    """Peak bytes traced while `fn(*args)` runs, above what was live before."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_load_p5_views_the_file_bytes():
     data = b"P5\n2048 2048\n255\n" + bytes(range(256)) * (2048 * 2048 // 256)
-    assert _traced_peak(load_pgm, data) < 64 * 1024
+    assert traced_peak(load_pgm, data) < 64 * 1024
 
 
 def test_load_p2_memory_is_bounded():
@@ -236,7 +223,7 @@ def test_load_p2_memory_is_bounded():
     padded = np.c_[digits, np.full(levels.size, ord(" "))].astype(np.uint8).tobytes()
     for data in (save_pgm(GrayImage(pixels), "P2"), b"P2 1024 1024 255\n" + padded):
         # uint8 place values over the raster, int64 only per token end
-        assert _traced_peak(load_pgm, data) <= 9 * len(data)
+        assert traced_peak(load_pgm, data) <= 9 * len(data)
     assert np.array_equal(load_pgm(data).pixels.ravel(), levels)
 
 
@@ -447,7 +434,7 @@ def test_header_decoder_matches_token_scanner(header):
 def test_whitespace_padded_header_decodes_in_constant_memory():
     pad = b" \t" * 700_000  # 4.2 MB in all
     data = b"P5" + pad + b"2" + pad + b"2" + pad + b"255\n\x01\x02\x03\x04"
-    assert _traced_peak(load_pgm, data) < 1024 * 1024
+    assert traced_peak(load_pgm, data) < 1024 * 1024
 
 
 def test_a_million_header_comments_decode_in_linear_time():
@@ -529,8 +516,8 @@ def test_save_p2_matches_reference_encoder(arr):
 @pytest.mark.parametrize(
     "shape",
     [
-        (1, _HIST_BLOCK + 3),  # one row wider than a block
-        (_HIST_BLOCK + 3, 1),  # three rows into a second block
+        (1, _BLOCK + 3),  # one row wider than a block
+        (_BLOCK + 3, 1),  # three rows into a second block
         (1000, 100),  # 655 rows per block: the last block is short
     ],
 )
@@ -544,12 +531,12 @@ def test_save_p2_memory_is_bounded():
     img = GrayImage(np.random.default_rng(5).integers(0, 256, (2048, 2048), dtype=np.uint8))
     size = len(save_pgm(img, "P2"))
     # the encoded blocks and their join; no full-size temporary besides
-    assert _traced_peak(save_pgm, img, "P2") <= 2.2 * size
+    assert traced_peak(save_pgm, img, "P2") <= 2.2 * size
 
 
 def test_save_p5_copies_the_raster_once():
     img = GrayImage(np.zeros((2048, 2048), dtype=np.uint8))
-    assert _traced_peak(save_pgm, img, "P5") <= 1.1 * img.size
+    assert traced_peak(save_pgm, img, "P5") <= 1.1 * img.size
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +571,9 @@ def test_histogram_matches_naive_tally(arr):
         (1, 1),
         (255, 257),  # one pixel short of a block
         (64, 1024),  # exactly one block
-        (1, _HIST_BLOCK),  # the largest image counted in one call
-        (_HIST_BLOCK + 1, 1),  # one pixel into a second block
-        (1, 3 * _HIST_BLOCK + 5),
+        (1, _BLOCK),  # exactly one block in one row
+        (_BLOCK + 1, 1),  # one pixel into a second block
+        (1, 3 * _BLOCK + 5),
     ],
 )
 def test_histogram_block_edges(shape):
@@ -595,7 +582,7 @@ def test_histogram_block_edges(shape):
     hist = histogram(GrayImage(arr))
     assert hist.counts.tolist() == tally_histogram(arr.ravel())
     assert hist.total == arr.size
-    counts = _level_counts(arr)  # int64 on both the one-call and the blocked path
+    counts = _level_counts(arr)  # int64 at any block count
     assert counts.dtype == np.int64 and counts.shape == (256,)
     assert np.array_equal(counts, hist.counts)
 
@@ -613,7 +600,7 @@ def test_level_counts_rejects_more_than_max_total_pixels():
 
 def test_histogram_memory_is_bounded():
     img = GrayImage(np.zeros((2048, 2048), dtype=np.uint8))
-    assert _traced_peak(histogram, img) < 1024 * 1024
+    assert traced_peak(histogram, img) < 1024 * 1024
 
 
 def test_mean_constant():

@@ -2,7 +2,6 @@
 histogram counts to an (m x k x 256) stack of the maps of m methods, and a
 report scores every (method, image) row of a group in one pass."""
 
-import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -27,7 +26,7 @@ from contrastkit import enhance, histeq, metrics
 from contrastkit.cli import _REPORT_GROUP, generate_uniform_image
 
 import bruteforce
-from conftest import gray_images, low_contrast_images
+from conftest import gray_images, low_contrast_images, traced_peak
 
 # a custom config whose LUT depends on no histogram
 CUSTOM = FuzzyConfig(
@@ -164,36 +163,25 @@ def test_the_tie_goes_to_the_smaller_threshold():
     assert compile_maps(["mmbebhe"], counts)[0].tolist() == [bruteforce.segment_map(counts[0].tolist(), 216)]
 
 
-def _peak_bytes(fn, *args):
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_a_report_group_keeps_each_temporary_within_its_bound():
     # two occupied levels per row, one of them heavy at 255: every one of a
     # row's 256 thresholds passes the bound pass, so the exact re-check
     # scores 256 pairs a row, over the levels occupied in any row of the
     # group. The odd rows occupy all 256 levels, so its (pairs x levels)
     # temporaries would hold 2**22 int64 (32 MiB) at once; in blocks each
-    # holds at most 2**16 (512 KiB), and a few live together
+    # holds at most `_BLOCK`, and a few live together
     counts = np.zeros((_REPORT_GROUP, 256), dtype=np.int64)
     rows = np.arange(_REPORT_GROUP)
     counts[rows, 4 * rows] = 665
     counts[:, 255] = 756954 + rows
     counts[1::2] = 1  # and rows occupying all 256 levels, which do the same
-    assert _peak_bytes(compile_maps, ["mmbebhe"], counts) < 4 * 2**20
+    assert traced_peak(compile_maps, ["mmbebhe"], counts) < 4 * 2**20
     # the group compile of all four methods fills the 3 x 64 rows of the split
     # methods in one `_split_maps` pass, whose (rows x 256) temporaries each
     # hold 49,152 int64
-    assert _peak_bytes(compile_maps, METHODS, counts) < 4 * 2**20
+    assert traced_peak(compile_maps, METHODS, counts) < 4 * 2**20
     maps = compile_maps(METHODS, counts)
-    assert _peak_bytes(metrics._evaluate_maps, counts, maps) < 4 * 2**20
+    assert traced_peak(metrics._evaluate_maps, counts, maps) < 4 * 2**20
 
 
 def test_an_unknown_method_is_a_key_error():
@@ -248,3 +236,7 @@ def test_compile_maps_takes_any_integer_stack_and_an_empty_one():
         assert np.array_equal(compile_maps(METHODS, counts.astype(dtype)), expected), dtype
     assert np.array_equal(compile_maps(METHODS, counts.tolist()), expected)
     assert compile_maps(METHODS, np.zeros((0, 256), dtype=np.int64)).shape == (4, 0, 256)
+    # and no method: an empty uint8 stack of the same shape
+    for stack in (counts, np.zeros((0, 256), dtype=np.int64)):
+        maps = compile_maps([], stack)
+        assert maps.dtype == np.uint8 and maps.shape == (0, len(stack), 256)

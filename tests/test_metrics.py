@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,10 +23,10 @@ from contrastkit import (
     histogram,
 )
 from contrastkit.cli import generate_uniform_image
-from contrastkit.image import _HIST_BLOCK
+from contrastkit.image import _BLOCK
 
 import bruteforce
-from conftest import gray_images, low_contrast_images, pixel_arrays
+from conftest import gray_images, low_contrast_images, pixel_arrays, traced_peak
 
 
 def img_of(*values):
@@ -65,7 +64,7 @@ def test_mse_maximal():
     assert evaluate(img_of(0, 255), img_of(255, 0)).mse == 65025.0
 
 
-@pytest.mark.parametrize("count", [_HIST_BLOCK - 1, _HIST_BLOCK, _HIST_BLOCK + 1, 3 * _HIST_BLOCK + 5])
+@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
 def test_mse_is_the_exact_mean_across_block_edges(count):
     a = generate_uniform_image(count, 1, 0, 255, 1)
     b = generate_uniform_image(count, 1, 0, 255, 2)
@@ -79,14 +78,9 @@ def test_evaluate_memory_is_bounded_at_2048_squared():
     diff = a.pixels.astype(np.int64) - b.pixels
     expected_mse = int((diff * diff).sum()) / a.size
     del diff
-    tracemalloc.start()
-    try:
-        report = evaluate(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.mse == expected_mse
-    assert peak < 4 * 2**20  # the pixels alone are 8 MiB
+    assert evaluate(a, b).mse == expected_mse
+    # the pixels alone are 8 MiB; each squared-error block holds `_BLOCK` int64
+    assert traced_peak(evaluate, a, b) < 4 * 2**20
 
 
 def test_evaluate_lut_exact_at_the_histogram_total_bound():
