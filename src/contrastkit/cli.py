@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import os
@@ -134,8 +133,9 @@ def _write_output(path: str, data: bytes) -> None:
             mode = os.stat(path).st_mode  # of the file that `open` would reach
         except FileNotFoundError:
             mode = None  # a new file, or the missing target of a dangling link
-        # the file a link leads to is replaced; a new path is taken as the kernel reads it
-        target = os.path.realpath(path) if mode is not None or os.path.islink(path) else path
+        # the file a link leads to is replaced; any other path is taken as the
+        # kernel reads it, so its folder is the one `open` reaches
+        target = os.path.realpath(path) if os.path.islink(path) else path
         folder = os.path.dirname(target) or "."
         in_place = mode is not None and not (stat.S_ISREG(mode) and os.access(path, os.W_OK))
         if in_place or not os.access(folder, os.W_OK | os.X_OK):
@@ -168,7 +168,7 @@ def cmd_enhance(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     report = metrics.evaluate(_read_image(args.original), _read_image(args.processed))
     print("mse,psnr,entropy,ambe")
-    print(_SCORES % dataclasses.astuple(report))
+    print(_SCORES % report)
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ toward the full scale. `_default_maps` maps an image whose range is
 narrower than `MIN_USEFUL_SPAN` by the identity. Otherwise it is the
 identity outside the range [lo, hi] and, inside, the table of the width
 hi - lo in `fuzzy_default.bin`: exact integer centroids that
-tests/fuzzy_table.py rebuilds, so nothing is sampled at run time.
+tests/golden/regen.py rebuilds, so nothing is sampled at run time.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Golden outputs of the contrastkit CLI: run every case and compare, or
-rewrite the manifest.
+"""Build every checked-in generated file and compare it, or rewrite it:
+the golden outputs of the contrastkit CLI and the default fuzzy LUT table.
 
 Each case is one `contrastkit.cli.main(argv)` call in a scratch directory,
 with relative paths so that messages do not depend on where it runs. The
@@ -9,8 +9,15 @@ a few hand-written P2 files and hand-written headers that probe the PGM
 header grammar. The `report corpus` CSV is also kept in readable form as
 report.csv, the paper's comparison table.
 
+Inside an image's intensity range [lo, hi] the default-config fuzzy LUT
+depends only on the span width w = hi - lo; outside it is the identity.
+src/contrastkit/fuzzy_default.bin holds, for each width w in 2..255, the
+w + 1 outputs of levels lo..hi, starting at byte w(w + 1)/2 - 3: 32,893
+bytes in all. Each table is `bruteforce.fuzzy_default_map(0, w)[: w + 1]`,
+which rounds the exact centroid in integer arithmetic.
+
     python tests/golden/regen.py           # compare; exit 1 on any difference
-    python tests/golden/regen.py --write   # rewrite manifest.json and report.csv
+    python tests/golden/regen.py --write   # rewrite fuzzy_default.bin, manifest.json and report.csv
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from pathlib import Path
 
 MANIFEST = Path(__file__).with_name("manifest.json")
 REPORT = Path(__file__).with_name("report.csv")
+TABLE = Path(__file__).resolve().parents[2] / "src" / "contrastkit" / "fuzzy_default.bin"
 METHODS = ("he", "bbhe", "mmbebhe", "fuzzy")
 
 # name -> (width, height, lo, hi, seed): spans 0, 1, 2, 56 and 255
@@ -184,6 +192,13 @@ def cases() -> list[tuple[str, list[str], list[str]]]:
     return out
 
 
+def table_bytes() -> bytes:
+    """The default fuzzy LUT table from the exact oracle, widths 2..255 in order."""
+    import bruteforce
+
+    return bytes(v for w in range(2, 256) for v in bruteforce.fuzzy_default_map(0, w)[: w + 1])
+
+
 def _digest(path: Path) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
 
@@ -225,25 +240,29 @@ def main(argv: list[str] | None = None) -> int:
     import tempfile
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--write", action="store_true", help="rewrite manifest.json and report.csv from this run"
-    )
+    parser.add_argument("--write", action="store_true", help="rewrite every generated file from this run")
     args = parser.parse_args(argv)
+    table = table_bytes()
+    if args.write:  # first, as the default fuzzy cases read it
+        TABLE.write_bytes(table)
     with tempfile.TemporaryDirectory() as tmp:
-        text = dumps(run_cases(Path(tmp)))
-        table = (Path(tmp) / "report.csv").read_bytes()
+        manifest = dumps(run_cases(Path(tmp))).encode("utf-8")
+        files = {TABLE: table, MANIFEST: manifest, REPORT: (Path(tmp) / "report.csv").read_bytes()}
+    names = ", ".join(path.name for path in files)
     if args.write:
-        MANIFEST.write_text(text, encoding="utf-8")
-        REPORT.write_bytes(table)
-        print(f"wrote {MANIFEST} and {REPORT}")
+        for path, data in files.items():
+            path.write_bytes(data)
+        print(f"wrote {names}")
         return 0
-    if MANIFEST.read_text(encoding="utf-8") != text or REPORT.read_bytes() != table:
-        print("golden outputs differ from manifest.json or report.csv", file=sys.stderr)
+    differ = [path.name for path, data in files.items() if not path.is_file() or path.read_bytes() != data]
+    if differ:
+        print(f"this run differs from {', '.join(differ)}", file=sys.stderr)
         return 1
-    print("golden outputs match manifest.json and report.csv")
+    print(f"{names} match this run")
     return 0
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+    root = Path(__file__).resolve().parents[2]
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]  # the package and the exact oracles
     sys.exit(main())

@@ -6,7 +6,6 @@ import json
 import os
 import stat
 import sys
-from dataclasses import astuple
 from itertools import islice
 
 import numpy as np
@@ -340,7 +339,7 @@ def test_report_compiles_a_fuzzy_config_once(tmp_path, monkeypatch):
     rows = out.read_text().splitlines()[1::2]
     assert len(rows) == len(imgs)
     for img, row in zip(imgs, rows):
-        assert row.split(",", 2)[2] == cli._SCORES % astuple(evaluate(img, apply_lut(img, expected)))
+        assert row.split(",", 2)[2] == cli._SCORES % tuple(evaluate(img, apply_lut(img, expected)))
     # each input's rows are those of its own report, byte for byte
     singles = []
     for src in srcs:
@@ -397,7 +396,7 @@ def test_report_rows_match_a_csv_writer_reference(tmp_path):
     writer.writerow(["image", "method", "mse", "psnr", "entropy", "ambe"])
     for src, img in zip(srcs, imgs):
         for m in methods:
-            writer.writerow([src, m, *(f"{v:.4f}" for v in astuple(evaluate(img, enhance(img, m))))])
+            writer.writerow([src, m, *(f"{v:.4f}" for v in evaluate(img, enhance(img, m)))])
     assert out.read_bytes() == text.getvalue().encode("utf-8")
     assert f"{srcs[3]},he,0.0000,inf,-0.0000,0.0000\n" in out.read_text()
 
@@ -844,6 +843,28 @@ def test_output_symlink_is_written_through(tmp_path):
     assert link.is_symlink() and os.readlink(link) == os.path.join("real", "image.pgm")
     assert load_pgm(target.read_bytes()) == generate_uniform_image(4, 3, 100, 156, 5)
     assert sorted(os.listdir(tmp_path / "real")) == ["image.pgm"]
+
+
+@pytest.mark.parametrize(
+    "output, reached",
+    [("dirlink/image.pgm", "a/real/image.pgm"), ("dirlink/../out.pgm", "a/out.pgm")],
+    ids=["symlinked-folder", "dotdot-after-link"],
+)
+def test_output_through_a_symlinked_folder_replaces_the_file_open_reaches(tmp_path, monkeypatch, output, reached):
+    # the kernel takes "dirlink/.." as the parent of a/real, a, not as the
+    # folder that holds the link
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a" / "real").mkdir(parents=True)
+    olds = ["a/real/image.pgm", "a/out.pgm", "out.pgm"]
+    for name in olds:
+        (tmp_path / name).write_bytes(b"old output")
+    (tmp_path / "dirlink").symlink_to(os.path.join("a", "real"))
+    assert main(["synth", output, "--width", "4", "--height", "3", "--seed", "5"]) == 0
+    assert os.readlink("dirlink") == os.path.join("a", "real")
+    assert load_pgm((tmp_path / reached).read_bytes()) == generate_uniform_image(4, 3, 100, 156, 5)
+    assert [(tmp_path / name).read_bytes() for name in olds if name != reached] == [b"old output"] * 2
+    listing = [sorted(os.listdir(folder)) for folder in (".", "a", "a/real")]
+    assert listing == [["a", "dirlink", "out.pgm"], ["out.pgm", "real"], ["image.pgm"]]
 
 
 def test_dangling_output_symlink_creates_its_target(tmp_path):

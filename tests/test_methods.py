@@ -2,7 +2,6 @@
 histogram counts to an (m x k x 256) stack of the maps of m methods, and a
 report scores every (method, image) row of a group in one pass."""
 
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -104,7 +103,7 @@ def test_a_stacked_compile_equals_the_per_histogram_oracles(imgs):
     reports = metrics._evaluate_maps(counts, maps)
     expected = [evaluate(img, apply_lut(img, IntensityLut(m)))
                 for stack in maps for img, m in zip(imgs, stack)]
-    assert list(map(_bits, reports)) == [_bits(astuple(rep)) for rep in expected]
+    assert list(map(_bits, reports)) == [_bits(tuple(rep)) for rep in expected]
 
 
 def _bits(scores):

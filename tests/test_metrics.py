@@ -14,13 +14,16 @@ from contrastkit import (
     Histogram,
     IntensityLut,
     MembershipFunction,
+    MetricsReport,
     apply_lut,
     compile_lut,
+    compile_maps,
     enhance,
     evaluate,
     evaluate_luts,
     fuzzy_lut,
     histogram,
+    metrics,
 )
 from contrastkit.cli import generate_uniform_image
 from contrastkit.image import _BLOCK
@@ -393,3 +396,18 @@ def test_evaluate_luts_sums_each_entropy_over_its_own_row():
 def test_evaluate_luts_of_no_luts_is_no_reports():
     assert evaluate_luts(histogram(img_of(3, 7)), []) == []
     assert evaluate_luts(histogram(img_of(3, 7)), ()) == []
+
+
+def test_every_scoring_path_returns_the_one_score_type():
+    assert MetricsReport._fields == ("mse", "psnr", "entropy", "ambe")
+    img = generate_uniform_image(9, 7, 40, 90, 3)
+    hist = histogram(img)
+    counts, lut = hist.counts[None], compile_lut(hist, "he")
+    reports = [
+        evaluate(img, apply_lut(img, lut)),
+        *evaluate_luts(hist, [lut]),
+        *metrics._evaluate_maps(counts, compile_maps(METHODS, counts)),
+    ]
+    assert [type(rep) for rep in reports] == [MetricsReport] * (2 + len(METHODS))
+    # a stack of no maps scores to no reports
+    assert metrics._evaluate_maps(counts, compile_maps([], counts)) == []
