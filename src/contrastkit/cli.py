@@ -9,8 +9,9 @@ Subcommands:
   synth      write a reproducible pseudo-random low-contrast test image
 
 Exit codes: 0 success, 1 usage error, 2 I/O or decode error, 3 partial
-batch failure. All numeric CSV output uses 4 decimal places and a literal
-`inf` for the PSNR of a zero MSE; identical invocations produce
+batch failure. Scores in CSV output have 4 decimal places and a literal
+`inf` for the PSNR of a zero MSE; `histogram` writes each probability at
+full precision, as Python's shortest repr. Identical invocations produce
 byte-identical files. Every path is used as typed: an input is read whole
 in one raw read, and `report` keeps only each input's 256 level counts.
 """
@@ -30,7 +31,7 @@ import numpy as np
 from . import fuzzy as fz
 from . import metrics
 from .image import _BLOCK, LEVELS, GrayImage, _level_counts, histogram, load_pgm, save_pgm
-from .methods import METHODS, compile_maps, enhance
+from .methods import METHODS, _compile_maps, enhance
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -199,7 +200,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not paths:
             continue
         stack = np.array(counts)
-        scores = metrics._evaluate_maps(stack, compile_maps(distinct, stack, custom_fuzzy))
+        scores = metrics._evaluate_maps(stack, _compile_maps(distinct, stack, custom_fuzzy))
         for i, path in enumerate(paths):  # method j's scores of input i are at j * len(paths) + i
             field = _csv_field(path)
             rows += [_REPORT_ROW % (field, m, *scores[distinct.index(m) * len(paths) + i]) for m in methods]
@@ -281,8 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     try:
-        args = parser.parse_args(argv)
+        # one parse by the command's own parser; the top-level parser parses
+        # only an argv that names no command or leaves arguments unrecognized
+        command = commands.get(argv[0]) if argv else None
+        args, extras = command.parse_known_args(argv[1:]) if command else (None, None)
+        if args is None or extras:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -7,7 +7,8 @@ Each kind of input has one entry point over it: an image goes to
 `fuzzy.fuzzy_lut`. Enhancing compiles one image's level counts and applies
 the map (`apply_lut`); scoring compiles a batch of images in one call and
 scores it with `metrics._evaluate_maps` in one pass, with no pixel pass.
-Both take the counts from `image._level_counts` and build no `Histogram`.
+Both take the counts from `image._level_counts`, build no `Histogram` and
+compile with `_compile_maps`, which skips `compile_maps`'s check of them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,12 @@ def compile_maps(names: Sequence[str], counts: np.ndarray, custom_fuzzy: Intensi
     all their thresholds. `fuzzy` maps each histogram by its default config,
     or every one by `custom_fuzzy`, the LUT of a custom config, if given.
     Counts `Histogram` would refuse, or not of shape (k x 256), raise `ValueError`."""
-    counts = _checked_counts(counts, 2)
+    return _compile_maps(names, _checked_counts(counts, 2), custom_fuzzy)
+
+
+def _compile_maps(names: Sequence[str], counts: np.ndarray, custom_fuzzy: IntensityLut | None = None) -> np.ndarray:
+    """`compile_maps` of counts already checked: the int64 (k x 256) stack
+    of `_level_counts` or `Histogram` counts, which meet every rule."""
     maps = {}
     split = [name for name in names if name != "fuzzy"]
     if split:
@@ -51,9 +57,9 @@ def enhance(img: GrayImage, method: str, fuzzy_config: fuzzy.FuzzyConfig | None 
     counts applied to every pixel. Given a `fuzzy_config`, `fuzzy` applies
     that config's LUT instead of the image's default."""
     custom = fuzzy.fuzzy_lut(fuzzy_config) if fuzzy_config is not None and method == "fuzzy" else None
-    return apply_lut(img, IntensityLut(compile_maps([method], _level_counts(img.pixels)[None], custom)[0, 0]))
+    return apply_lut(img, IntensityLut(_compile_maps([method], _level_counts(img.pixels)[None], custom)[0, 0]))
 
 
 def compile_lut(hist: Histogram, method: str) -> IntensityLut:
     """The LUT that `method`, a name in `METHODS`, compiles for `hist`."""
-    return IntensityLut(compile_maps([method], hist.counts[None])[0, 0])
+    return IntensityLut(_compile_maps([method], hist.counts[None])[0, 0])

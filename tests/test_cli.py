@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import errno
@@ -27,7 +28,7 @@ from contrastkit import (
     save_pgm,
 )
 from contrastkit import METHODS, cli, histeq
-from contrastkit.cli import _REPORT_GROUP, generate_uniform_image, main
+from contrastkit.cli import _REPORT_GROUP, build_parser, generate_uniform_image, main
 from contrastkit.image import _BLOCK
 
 from bruteforce import splitmix64
@@ -584,6 +585,59 @@ def test_unknown_command_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "enhance" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enhance", "in.pgm", "out.pgm", "--method", "fuzzy", "--format", "P2"],
+        ["metrics", "a.pgm", "b.pgm"],
+        ["report", "a.pgm", "b.pgm", "--methods", "he,fuzzy", "--output", "r.csv", "--fuzzy-config", "c.json"],
+        ["histogram", "in.pgm", "h.csv"],
+        ["synth", "s.pgm", "--width", "4", "--height", "3", "--seed", "-1"],
+        ["-h"],
+        ["synth", "-h"],
+        [],
+        ["frobnicate"],
+        ["enhance", "in.pgm", "out.pgm"],
+        ["enhance", "in.pgm", "out.pgm", "--method", "clahe"],
+        ["synth", "s.pgm", "--width", "x", "--height", "3"],
+        ["enhance", "in.pgm", "out.pgm", "--meth", "he"],
+        ["enhance", "a", "b", "--method", "he", "extra"],
+        ["metrics", "a", "b", "c"],
+        ["report", "a.pgm", "--methods", "he", "--output", "r.csv", "--bogus"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no argv",
+)
+def test_main_parses_as_the_top_level_parser_does(monkeypatch, capsys, argv):
+    # main hands a command's arguments to that command's own parser; what it
+    # prints and returns, and the namespace a command gets, stay the top level's
+    commands = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = []
+    for command in commands.values():
+        monkeypatch.setitem(command._defaults, "func", lambda args: parsed.append(vars(args)) or 0)
+    got = (main(list(argv)), *capsys.readouterr())
+    try:
+        expected_args = vars(build_parser().parse_args(list(argv)))
+        code = 0
+    except SystemExit as exc:
+        expected_args, code = None, exc.code
+    assert got == (code, *capsys.readouterr())
+    if expected_args is None:
+        assert parsed == []
+    else:
+        del expected_args["command"]
+        assert parsed == [expected_args]
+
+
+def test_main_reads_sys_argv_when_given_no_argv(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "s.pgm"
+    monkeypatch.setattr(sys, "argv", ["contrastkit", "synth", str(out), "--width", "4", "--height", "3"])
+    assert main() == 0
+    assert out.read_bytes() == save_pgm(generate_uniform_image(4, 3, 100, 156, 0), "P5")
+    monkeypatch.setattr(sys, "argv", ["contrastkit"])
+    assert main() == 1
+    assert "the following arguments are required: command" in capsys.readouterr().err
 
 
 def test_generator_is_platform_stable():

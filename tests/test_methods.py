@@ -21,8 +21,8 @@ from contrastkit import (
     fuzzy_lut,
     histogram,
 )
-from contrastkit import enhance, histeq, metrics
-from contrastkit.cli import _REPORT_GROUP, generate_uniform_image
+from contrastkit import enhance, histeq, methods, metrics
+from contrastkit.cli import _REPORT_GROUP, generate_uniform_image, main
 
 import bruteforce
 from conftest import gray_images, low_contrast_images, traced_peak
@@ -239,3 +239,26 @@ def test_compile_maps_takes_any_integer_stack_and_an_empty_one():
     for stack in (counts, np.zeros((0, 256), dtype=np.int64)):
         maps = compile_maps([], stack)
         assert maps.dtype == np.uint8 and maps.shape == (0, len(stack), 256)
+
+
+def test_counts_are_checked_once_where_they_enter_the_library(tmp_path, monkeypatch):
+    checked, calls = methods._checked_counts, []
+
+    def counted(counts, ndim):
+        calls.append(ndim)
+        return checked(counts, ndim)
+
+    monkeypatch.setattr(methods, "_checked_counts", counted)
+    compile_maps(METHODS, _stack(TIE, FLAT))
+    assert calls == [2]
+    # counts that `_level_counts` or a `Histogram` made are not checked again
+    calls.clear()
+    hist = histogram(SOURCE)
+    for method in METHODS:
+        enhance(SOURCE, method)
+        compile_lut(hist, method)
+    enhance(SOURCE, "fuzzy", CUSTOM)
+    src, out = str(tmp_path / "in.pgm"), str(tmp_path / "r.csv")
+    assert main(["synth", src, "--width", "16", "--height", "12", "--seed", "3"]) == 0
+    assert main(["report", src, src, "--methods", ",".join(METHODS), "--output", out]) == 0
+    assert calls == []
