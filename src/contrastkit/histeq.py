@@ -1,20 +1,20 @@
 """Global histogram equalization and its brightness-preserving variants.
 
-Every method compiles a histogram to a 256-entry lookup table, which is
-then applied per pixel or scored from the histogram alone. HE, BBHE and
-MMBEBHE are one bi-equalization, `_split_maps`: levels up to a split t
-equalize onto [0, t], the rest onto [t + 1, 255]. It works on a stack,
-the cumulative counts of k histograms as a (k x 256) array and their k
-thresholds to their k maps as a (k x 256) uint8 array, filled in one
-stacked pass of `_split_values`, the exact integer kernel that MMBEBHE's
-search also scores with; `methods.compile_maps` fills the maps of every
-split method it is asked for in one such pass. The methods differ only
-in the rule that picks t, their entries of `_SPLIT_RULES`: HE splits at
-255, BBHE at the floored mean, and MMBEBHE at the threshold whose output mean is
-nearest the input mean: a float pass over prefix sums bounds every
-threshold's error in O(256), and only its best and the few that can beat
-that best are scored exactly. `mmbebhe_threshold` is that rule on one histogram. All maps
-round in exact integer arithmetic.
+Every method compiles a histogram to a 256-entry lookup table, which is then
+applied per pixel or scored from the histogram alone. HE, BBHE and MMBEBHE
+are one bi-equalization, `_split_maps`: levels up to a split t equalize onto
+[0, t], the rest onto [t + 1, 255]. It maps the (k x 256) cumulative counts
+of k histograms and an (m x k) grid of thresholds, a row per split rule, to
+(m x k x 256) uint8 maps in one broadcast pass of `_split_values`, the exact
+integer kernel that MMBEBHE's search also scores with, and one masked copy
+keeps the identity on an empty side; `methods.compile_maps` fills every
+split method's maps in one such pass. The methods differ only in the rule
+that picks t, their entries of `_SPLIT_RULES`: HE splits at 255, BBHE at the
+floored mean, and MMBEBHE at the threshold whose output mean is nearest the
+input mean: a float pass over prefix sums bounds every threshold's error in
+O(256), and only its best and the few that can beat that best are scored
+exactly. `mmbebhe_threshold` is that rule on one histogram. All maps round
+in exact integer arithmetic.
 
 At one histogram a kernel's cost is its count of NumPy calls, so the
 kernels call ufunc and array methods (`np.add.reduce`, `x.cumsum`) rather
@@ -53,8 +53,12 @@ _IDENTITY.setflags(write=False)
 
 
 def apply_lut(img: GrayImage, lut: IntensityLut) -> GrayImage:
-    """Map each pixel through the LUT; dimensions are unchanged."""
-    pixels = lut.map.take(img.pixels)  # `take` skips the intp cast of the uint8 index
+    """Map each pixel through the LUT; dimensions are unchanged. `take` casts
+    its index to intp, so it maps `_BLOCK` pixels at a time into one array."""
+    pixels = np.empty(img.pixels.shape, dtype=np.uint8)
+    flat, out = img.pixels.ravel(), pixels.ravel()  # views: both are C-contiguous
+    for start in range(0, flat.size, _BLOCK):  # `clip`, which no uint8 index reaches, writes `out` unbuffered
+        lut.map.take(flat[start : start + _BLOCK], out=out[start : start + _BLOCK], mode="clip")
     pixels.setflags(write=False)  # fresh, so the image keeps it without a copy
     return GrayImage(pixels)
 
@@ -79,28 +83,23 @@ def _split_values(
 
 
 def _split_maps(cum: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Bi-equalization maps (k x 256 uint8) of the k histograms whose
-    cumulative counts are the rows of `cum`, each split at its entry of
-    `thresholds` (k,).
+    """Bi-equalization maps (m x k x 256 uint8) of the k histograms whose
+    cumulative counts are the rows of `cum`, split at the (m x k) grid
+    `thresholds` of m split rules; a (k,) vector gives (k x 256) maps.
 
     Levels <= t, the boundary level included, equalize onto [0, t] and
     levels > t onto [t + 1, 255], so every map is non-decreasing; at t = 255
-    each level at which the CDF has reached 1 maps to 255. An empty side
-    keeps the identity. Each side divides by one integer, rounding half up
-    in exact integers as floor((num + floor(den / 2)) / den), in one
-    `_split_values` pass over every row.
+    each level at which the CDF has reached 1 maps to 255. One masked copy
+    keeps the identity on an empty side. Each side divides by one integer,
+    rounding half up in exact integers as floor((num + floor(den / 2)) /
+    den), in one `_split_values` pass that broadcasts the grid over `cum`.
     """
-    t = thresholds[:, None]
-    low = cum[np.arange(len(cum)), thresholds][:, None]
+    t = thresholds[..., None]
+    low = cum[np.arange(len(cum)), thresholds][..., None]
     high = cum[:, -1:] - low
     out = _split_values(cum, _LEVEL_VALUES, t, low, high).astype(np.uint8)
-    # an empty side keeps the identity; at t = 255 the upper side holds no level
-    for r in ((low == 0) | (high == 0) & (t < MAX_LEVEL)).nonzero()[0].tolist():
-        start = int(thresholds[r]) + 1  # of the upper side
-        if not low[r]:
-            out[r, :start] = _IDENTITY[:start]
-        if not high[r]:
-            out[r, start:] = _IDENTITY[start:]
+    # an empty side keeps the identity; at t = 255 no level lies above t
+    np.copyto(out, _IDENTITY, where=np.where(_LEVEL_VALUES <= t, low == 0, high == 0))
     return out
 
 

@@ -42,9 +42,8 @@ def _compile_maps(names: Sequence[str], counts: np.ndarray, custom_fuzzy: Intens
     split = [name for name in names if name != "fuzzy"]
     if split:
         cum = counts.cumsum(axis=1)
-        thresholds = np.concatenate([histeq._SPLIT_RULES[name](counts, cum) for name in split])
-        stack = histeq._split_maps(np.concatenate([cum] * len(split)), thresholds)
-        maps = dict(zip(split, stack.reshape(len(split), *counts.shape)))
+        thresholds = np.array([histeq._SPLIT_RULES[name](counts, cum) for name in split])
+        maps = dict(zip(split, histeq._split_maps(cum, thresholds)))
     if custom_fuzzy is not None:
         maps["fuzzy"] = np.broadcast_to(custom_fuzzy.map, counts.shape)
     elif "fuzzy" in names:
@@ -56,8 +55,9 @@ def enhance(img: GrayImage, method: str, fuzzy_config: fuzzy.FuzzyConfig | None 
     """`img` enhanced by `method`, a name in `METHODS`: the LUT of its level
     counts applied to every pixel. Given a `fuzzy_config`, `fuzzy` applies
     that config's LUT instead of the image's default."""
-    custom = fuzzy.fuzzy_lut(fuzzy_config) if fuzzy_config is not None and method == "fuzzy" else None
-    return apply_lut(img, IntensityLut(_compile_maps([method], _level_counts(img.pixels)[None], custom)[0, 0]))
+    if fuzzy_config is not None and method == "fuzzy":
+        return apply_lut(img, fuzzy.fuzzy_lut(fuzzy_config))  # a config's LUT needs no counts
+    return apply_lut(img, IntensityLut(_compile_maps([method], _level_counts(img.pixels)[None])[0, 0]))
 
 
 def compile_lut(hist: Histogram, method: str) -> IntensityLut:

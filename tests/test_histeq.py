@@ -23,10 +23,10 @@ from contrastkit import (
 )
 from contrastkit.cli import generate_uniform_image
 from contrastkit.histeq import _unrounded_out_sums
-from contrastkit.image import MAX_TOTAL
+from contrastkit.image import _BLOCK, MAX_TOTAL
 
 import bruteforce
-from conftest import gray_images
+from conftest import gray_images, traced_peak
 
 
 FOUR_LEVELS = GrayImage.from_flat(2, 2, [0, 64, 128, 255])
@@ -138,6 +138,21 @@ def test_apply_constant_lut_zeroes_image():
 def test_apply_he_lut_four_levels():
     out = apply_lut(FOUR_LEVELS, compile_lut(histogram(FOUR_LEVELS), "he"))
     assert out.pixels.ravel().tolist() == [64, 128, 191, 255]
+
+
+def test_apply_lut_keeps_its_extra_memory_within_a_block():
+    # `take` casts its index to intp, 8 bytes a pixel, so only one block of
+    # the index may be live at a time
+    img = GrayImage(np.random.default_rng(7).integers(0, 256, (2048, 2048), dtype=np.uint8))
+    lut = compile_lut(histogram(img), "mmbebhe")
+    bound = img.size + 16 * _BLOCK  # the output raster and two blocks of int64
+    assert traced_peak(apply_lut, img, lut) < bound
+    for method in METHODS:
+        assert traced_peak(enhance, img, method) < bound
+    # a raster that ends in a partial block maps every pixel
+    for shape in [(2048, 2048), (257, 300)]:
+        pixels = img.pixels[: shape[0], : shape[1]]
+        assert np.array_equal(apply_lut(GrayImage(pixels), lut).pixels, lut.map[pixels])
 
 
 def test_equalize_constant_image_goes_white():

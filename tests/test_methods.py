@@ -151,10 +151,18 @@ def test_split_maps_fills_every_row_as_the_oracle_does(rows, size):
     counts = np.zeros((size, 256), dtype=np.int64)
     for row, (levels, _) in zip(counts, picked):
         row[list(levels)] = list(levels.values())
+    cum = counts.cumsum(axis=1)
     thresholds = np.array([t for _, t in picked])
-    maps = histeq._split_maps(counts.cumsum(axis=1), thresholds)
+    maps = histeq._split_maps(cum, thresholds)
     assert maps.dtype == np.uint8 and maps.shape == (size, 256)
     assert maps.tolist() == [bruteforce.segment_map(c, t) for c, t in zip(counts.tolist(), thresholds.tolist())]
+    # a grid of 3 split rules over the one `cum`: the drawn thresholds, each
+    # row's neighbour's, and HE's 255
+    grid = np.array([thresholds, np.roll(thresholds, 1), np.full(size, 255)])
+    maps = histeq._split_maps(cum, grid)
+    assert maps.dtype == np.uint8 and maps.shape == (3, size, 256)
+    for (j, i), t in np.ndenumerate(grid):
+        assert maps[j, i].tolist() == bruteforce.segment_map(counts[i].tolist(), int(t)), (j, i)
 
 
 def test_the_tie_goes_to_the_smaller_threshold():
@@ -181,6 +189,19 @@ def test_a_report_group_keeps_each_temporary_within_its_bound():
     assert traced_peak(compile_maps, METHODS, counts) < 4 * 2**20
     maps = compile_maps(METHODS, counts)
     assert traced_peak(metrics._evaluate_maps, counts, maps) < 4 * 2**20
+
+
+def test_enhance_with_a_fuzzy_config_counts_no_pixels(monkeypatch):
+    # a config's LUT depends on no histogram, so the image is not counted
+    calls, original = [], methods._level_counts
+    monkeypatch.setattr(methods, "_level_counts", lambda pixels: calls.append(pixels.size) or original(pixels))
+    before = SOURCE.pixels.copy()
+    out = enhance(SOURCE, "fuzzy", CUSTOM)
+    assert calls == []
+    assert np.array_equal(SOURCE.pixels, before)
+    assert out.pixels.tolist() == [[CUSTOM_MAP[v] for v in row] for row in before.tolist()]
+    enhance(SOURCE, "fuzzy")  # the default config is the image's own, from its counts
+    assert calls == [SOURCE.size]
 
 
 def test_an_unknown_method_is_a_key_error():
