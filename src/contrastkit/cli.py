@@ -14,12 +14,13 @@ batch failure. Scores in CSV output have 4 decimal places and a literal
 full precision, as Python's shortest repr. Identical invocations produce
 byte-identical files. Every path is used as typed: an input is read whole
 in one raw read, and `report` keeps only each input's 256 level counts.
+`report` quotes a path holding a comma, a quote, an LF or a CR. A
+`--fuzzy-config` is checked whatever the methods, and `fuzzy` applies it.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import os
@@ -30,6 +31,7 @@ import numpy as np
 
 from . import fuzzy as fz
 from . import metrics
+from .histeq import IntensityLut, apply_lut
 from .image import _BLOCK, LEVELS, GrayImage, _level_counts, histogram, load_pgm, save_pgm
 from .methods import METHODS, _compile_maps, enhance
 
@@ -97,11 +99,9 @@ _REPORT_ROW = f"%s,%s,{_SCORES}\n"
 
 
 def _csv_field(text: str) -> str:
-    """`text` as one field of a CSV row, quoted as a `csv.writer` with
-    minimal quoting quotes it, so a plain path stays bare."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text])
-    return buf.getvalue()[:-1]
+    """`text` as one CSV field: quoted, its quotes doubled, if it holds a
+    comma, a quote, an LF or a CR, so a CSV reader reads it back whole."""
+    return '"%s"' % text.replace('"', '""') if any(c in text for c in ',"\n\r') else text
 
 
 def _read_file(path: str) -> bytes:
@@ -115,10 +115,11 @@ def _read_image(path: str) -> GrayImage:
     return load_pgm(_read_file(path))
 
 
-def _load_fuzzy_config(path: str | None) -> fz.FuzzyConfig | None:
-    if path is None:
-        return None
-    return fz.FuzzyConfig.from_json(_read_file(path).decode("ascii"))
+def _fuzzy_config_lut(path: str | None, methods: list[str]) -> IntensityLut | None:
+    """The LUT, which depends on no histogram, of the fuzzy config at `path` if
+    `methods` holds `fuzzy`, else None; a given config is checked either way."""
+    cfg = None if path is None else fz.FuzzyConfig.from_json(_read_file(path).decode("ascii"))
+    return fz.fuzzy_lut(cfg) if cfg is not None and "fuzzy" in methods else None
 
 
 def _write_output(path: str, data: bytes) -> None:
@@ -160,7 +161,8 @@ def _write_output(path: str, data: bytes) -> None:
 
 def cmd_enhance(args: argparse.Namespace) -> int:
     img = _read_image(args.input)
-    out = enhance(img, args.method, _load_fuzzy_config(args.fuzzy_config))
+    lut = _fuzzy_config_lut(args.fuzzy_config, [args.method])
+    out = enhance(img, args.method) if lut is None else apply_lut(img, lut)
     _write_output(args.output, save_pgm(out, args.format))
     print(f"{args.method}: {img.width}x{img.height} {args.input} -> {args.output}")
     return EXIT_OK
@@ -180,10 +182,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}")
-    cfg = _load_fuzzy_config(args.fuzzy_config)
-    # its LUT depends on no histogram: compiled once for every group
-    custom_fuzzy = fz.fuzzy_lut(cfg) if cfg is not None and "fuzzy" in methods else None
+    lut = _fuzzy_config_lut(args.fuzzy_config, methods)  # once for every group
     distinct = list(dict.fromkeys(methods))  # each compiled and scored once
+    compiled = distinct if lut is None else [m for m in distinct if m != "fuzzy"]
 
     rows = ["image,method,mse,psnr,entropy,ambe\n"]
     failed = False
@@ -200,7 +201,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not paths:
             continue
         stack = np.array(counts)
-        scores = metrics._evaluate_maps(stack, _compile_maps(distinct, stack, custom_fuzzy))
+        maps = _compile_maps(compiled, stack)
+        if lut is not None:  # the config's row, in place of the default fuzzy maps
+            maps = np.insert(maps, distinct.index("fuzzy"), lut.map, axis=0)
+        scores = metrics._evaluate_maps(stack, maps)
         for i, path in enumerate(paths):  # method j's scores of input i are at j * len(paths) + i
             field = _csv_field(path)
             rows += [_REPORT_ROW % (field, m, *scores[distinct.index(m) * len(paths) + i]) for m in methods]

@@ -5,6 +5,7 @@ lines as they complete.
 """
 
 import functools
+import inspect
 import math
 import time
 
@@ -243,6 +244,10 @@ def test_public_names_resolve_and_enhance_is_the_one_entry_point():
     for module, name in ((ck.histeq, "_SplitCompiler"), (ck.methods, "LUT_COMPILERS"), (ck.methods, "lut_compilers"),
                          (ck.methods, "_compile_group"), (ck.cli, "METHOD_NAMES")):
         assert not hasattr(module, name), name
+    # a fuzzy config enters only through `fuzzy_lut`: the compile path takes no config or LUT
+    assert list(inspect.signature(ck.enhance).parameters) == ["img", "method"]
+    for compile_stack in (ck.compile_maps, ck.methods._compile_maps):
+        assert list(inspect.signature(compile_stack).parameters) == ["names", "counts"]
     # single measures are fields of `evaluate(a, b)`
     for name in ("mse", "psnr", "entropy", "ambe"):
         assert name not in ck.__all__ and not hasattr(ck, name), name

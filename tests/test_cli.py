@@ -27,11 +27,11 @@ from contrastkit import (
     load_pgm,
     save_pgm,
 )
-from contrastkit import METHODS, cli, histeq
+from contrastkit import METHODS, cli, histeq, methods
 from contrastkit.cli import _REPORT_GROUP, build_parser, generate_uniform_image, main
 from contrastkit.image import _BLOCK
 
-from bruteforce import splitmix64
+from bruteforce import fuzzy_per_level_map, splitmix64
 from conftest import config_json, traced_peak
 
 FOUR_LEVELS = GrayImage.from_flat(2, 2, [0, 64, 128, 255])
@@ -121,6 +121,26 @@ def test_enhance_with_custom_fuzzy_config(tmp_path):
     assert main(["enhance", src, str(dst), "--method", "fuzzy", "--fuzzy-config", str(cfg_path)]) == 0
     expected = apply_lut(img, fuzzy_lut(FuzzyConfig.from_json(cfg_path.read_text())))
     assert load_pgm(dst.read_bytes()) == expected
+
+
+def test_enhance_with_a_fuzzy_config_counts_no_pixels(tmp_path, monkeypatch):
+    # a config's LUT depends on no histogram, so the image is not counted
+    calls, original = [], methods._level_counts
+    monkeypatch.setattr(methods, "_level_counts", lambda pixels: calls.append(pixels.size) or original(pixels))
+    img = generate_uniform_image(16, 16, 100, 156, 7)
+    src, dst = write_pgm(tmp_path / "in.pgm", img), tmp_path / "out.pgm"
+    before = (tmp_path / "in.pgm").read_bytes()
+    cfg = default_config(histogram(FOUR_LEVELS))  # no input's own default
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(config_json(cfg))
+    assert main(["enhance", src, str(dst), "--method", "fuzzy", "--fuzzy-config", str(cfg_path)]) == 0
+    assert calls == []
+    assert (tmp_path / "in.pgm").read_bytes() == before
+    lut = fuzzy_per_level_map(cfg)
+    assert load_pgm(dst.read_bytes()).pixels.tolist() == [[lut[v] for v in row] for row in img.pixels.tolist()]
+    # the default config is the image's own, from its counts
+    assert main(["enhance", src, str(dst), "--method", "fuzzy"]) == 0
+    assert calls == [img.size]
 
 
 def test_enhance_bad_fuzzy_config_exits_2(tmp_path, capsys):
@@ -324,6 +344,9 @@ def test_report_compiles_a_fuzzy_config_once(tmp_path, monkeypatch):
         return original(cfg)
 
     monkeypatch.setattr("contrastkit.fuzzy.fuzzy_lut", counting_fuzzy_lut)
+    # the config's row stands in for the default maps, which are never computed
+    default_maps = []
+    monkeypatch.setattr("contrastkit.fuzzy._default_maps", lambda counts: default_maps.append(counts))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config_json(default_config(histogram(FOUR_LEVELS))))  # no input's own default
     # two report groups, the second holding an undecodable input and one good one
@@ -336,6 +359,7 @@ def test_report_compiles_a_fuzzy_config_once(tmp_path, monkeypatch):
     argv = ["report", *srcs[:_REPORT_GROUP], str(bad), srcs[-1], *options, "--output", str(out)]
     assert main(argv) == 3
     assert len(calls) == 1
+    assert default_maps == []
     expected = fuzzy_lut(FuzzyConfig.from_json(cfg.read_text()))
     rows = out.read_text().splitlines()[1::2]
     assert len(rows) == len(imgs)
@@ -380,11 +404,23 @@ def test_report_quotes_paths_with_commas(tmp_path):
     assert out.read_text().splitlines()[2].startswith(f"{plain},he,")  # no quotes when not needed
 
 
+def test_report_paths_read_back_whole_through_a_csv_reader(tmp_path):
+    # a CR, alone or in a CRLF, once went bare and split its row in two
+    names = ["a\rb.pgm", "c\r\nd.pgm", "e\nf.pgm", "g,h.pgm", 'say "hi".pgm', "plain.pgm"]
+    srcs = [write_pgm(tmp_path / name, FOUR_LEVELS) for name in names]
+    out = tmp_path / "r.csv"
+    assert main(["report", *srcs, "--methods", "he,fuzzy", "--output", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_bytes().decode("utf-8"), newline="")))
+    assert [len(row) for row in rows] == [6] * (1 + 2 * len(srcs))
+    assert [row[:2] for row in rows[1:]] == [[src, m] for src in srcs for m in ("he", "fuzzy")]
+
+
 def test_report_rows_match_a_csv_writer_reference(tmp_path):
     # each row is one format of its scores, and its path one field quoted
-    # by the `csv` module's rule: the bytes are those of a `csv.writer`
-    # with every score formatted alone. An image all at 255 keeps HE's
-    # identity, an MSE of 0, so its PSNR is `inf` and its entropy -0.0
+    # where it holds a comma, a quote, an LF or a CR. No path here holds a
+    # CR, which `csv.writer` leaves bare, so the bytes are those of a
+    # `csv.writer` with every score formatted alone. An image all at 255
+    # keeps HE's identity, an MSE of 0, so its PSNR is `inf` and its entropy -0.0
     imgs = [generate_uniform_image(9, 7, 40 + 30 * i, 90 + 40 * i, i) for i in range(3)]
     imgs.append(GrayImage(np.full((2, 3), 255, dtype=np.uint8)))
     names = ['say "hi".pgm', "a,b.pgm", "two\nlines.pgm", "plain.pgm"]

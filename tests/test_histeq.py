@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 
 from contrastkit import (
     METHODS,
-    FuzzyConfig,
     GrayImage,
     Histogram,
     IntensityLut,
-    MembershipFunction,
     apply_lut,
     compile_lut,
     enhance,
     evaluate,
-    fuzzy_lut,
     histogram,
     mmbebhe_threshold,
 )
@@ -168,17 +165,6 @@ def test_equalize_four_levels():
 @given(gray_images())
 def test_enhance_is_lut_expressible(method, img):
     assert enhance(img, method) == apply_lut(img, compile_lut(histogram(img), method))
-
-
-@given(gray_images())
-def test_enhance_fuzzy_applies_a_given_config(img):
-    # fixed sets, unlike any image's default config
-    cfg = FuzzyConfig(
-        (MembershipFunction(0, 0, 100), MembershipFunction(50, 120, 200), MembershipFunction(150, 255, 255)),
-        (MembershipFunction(0, 0, 90), MembershipFunction(60, 128, 200), MembershipFunction(160, 255, 255)),
-        resolution=64,
-    )
-    assert enhance(img, "fuzzy", cfg) == apply_lut(img, fuzzy_lut(cfg))
 
 
 @given(gray_images())

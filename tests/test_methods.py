@@ -25,7 +25,7 @@ from contrastkit import enhance, histeq, methods, metrics
 from contrastkit.cli import _REPORT_GROUP, generate_uniform_image, main
 
 import bruteforce
-from conftest import gray_images, low_contrast_images, traced_peak
+from conftest import config_json, gray_images, low_contrast_images, traced_peak
 
 # a custom config whose LUT depends on no histogram
 CUSTOM = FuzzyConfig(
@@ -94,8 +94,10 @@ def image_groups(draw):
 @settings(max_examples=80, deadline=None)
 def test_a_stacked_compile_equals_the_per_histogram_oracles(imgs):
     counts = np.array([histogram(img).counts for img in imgs])
-    # every method in one call, and `fuzzy` once more by a custom config
-    maps = np.concatenate([compile_maps(METHODS, counts), compile_maps(["fuzzy"], counts, fuzzy_lut(CUSTOM))])
+    # every method in one call, and `fuzzy` once more by a custom config,
+    # whose one LUT maps every histogram, as `report --fuzzy-config` stacks it
+    custom = np.broadcast_to(fuzzy_lut(CUSTOM).map, counts.shape)
+    maps = np.concatenate([compile_maps(METHODS, counts), custom[None]])
     assert maps.dtype == np.uint8
     for method, stack in zip([*METHODS, "custom"], maps):
         assert stack.tolist() == [oracle_map(method, img) for img in imgs], method
@@ -191,19 +193,6 @@ def test_a_report_group_keeps_each_temporary_within_its_bound():
     assert traced_peak(metrics._evaluate_maps, counts, maps) < 4 * 2**20
 
 
-def test_enhance_with_a_fuzzy_config_counts_no_pixels(monkeypatch):
-    # a config's LUT depends on no histogram, so the image is not counted
-    calls, original = [], methods._level_counts
-    monkeypatch.setattr(methods, "_level_counts", lambda pixels: calls.append(pixels.size) or original(pixels))
-    before = SOURCE.pixels.copy()
-    out = enhance(SOURCE, "fuzzy", CUSTOM)
-    assert calls == []
-    assert np.array_equal(SOURCE.pixels, before)
-    assert out.pixels.tolist() == [[CUSTOM_MAP[v] for v in row] for row in before.tolist()]
-    enhance(SOURCE, "fuzzy")  # the default config is the image's own, from its counts
-    assert calls == [SOURCE.size]
-
-
 def test_an_unknown_method_is_a_key_error():
     # a name that is not a split method does not fall through to `fuzzy`
     img = image_of(TIE)
@@ -215,6 +204,24 @@ def test_an_unknown_method_is_a_key_error():
     ):
         with pytest.raises(KeyError, match="bogus"):
             compile_unknown()
+
+
+def test_a_repeated_name_runs_its_split_rule_once(monkeypatch):
+    # `_compile_maps` reaches each rule through the `_SPLIT_RULES` dict, so
+    # the entry is wrapped there; rebinding a module name does not reach it
+    calls, rule = [], histeq._SPLIT_RULES["mmbebhe"]
+
+    def counted(counts, cum):
+        calls.append(len(counts))
+        return rule(counts, cum)
+
+    monkeypatch.setitem(histeq._SPLIT_RULES, "mmbebhe", counted)
+    counts = _stack(TIE, FLAT)
+    maps = compile_maps(["mmbebhe"] * 3, counts)
+    assert calls == [2]
+    assert maps.shape == (3, 2, 256)
+    assert all(np.array_equal(stack, maps[0]) for stack in maps)
+    assert maps[0, 0].tolist() == bruteforce.segment_map(counts[0].tolist(), 216)
 
 
 def _stack(*rows, dtype=np.int64):
@@ -243,10 +250,10 @@ def _stack(*rows, dtype=np.int64):
     ids=["empty row", "negative", "float", "1-D", "3-D", "255 bins", "over 2**47", "uint64 past 2**63"],
 )
 def test_compile_maps_rejects_a_stack_that_is_not_histograms(counts, message):
-    # every name list takes the same check, the fuzzy-only ones too
-    for names, custom in ((METHODS, None), (["fuzzy"], None), (["fuzzy"], fuzzy_lut(CUSTOM))):
+    # every name list takes the same check, the fuzzy-only one too
+    for names in (METHODS, ["fuzzy"]):
         with pytest.raises(ValueError, match=message):
-            compile_maps(names, counts, custom)
+            compile_maps(names, counts)
 
 
 def test_compile_maps_takes_any_integer_stack_and_an_empty_one():
@@ -278,8 +285,10 @@ def test_counts_are_checked_once_where_they_enter_the_library(tmp_path, monkeypa
     for method in METHODS:
         enhance(SOURCE, method)
         compile_lut(hist, method)
-    enhance(SOURCE, "fuzzy", CUSTOM)
     src, out = str(tmp_path / "in.pgm"), str(tmp_path / "r.csv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config_json(CUSTOM))
     assert main(["synth", src, "--width", "16", "--height", "12", "--seed", "3"]) == 0
+    assert main(["enhance", src, str(tmp_path / "e.pgm"), "--method", "fuzzy", "--fuzzy-config", str(cfg)]) == 0
     assert main(["report", src, src, "--methods", ",".join(METHODS), "--output", out]) == 0
     assert calls == []
