@@ -12,14 +12,11 @@ from .fuzzy import (
     default_config,
     fuzzy_lut,
 )
-from .histeq import (
-    IntensityLut,
-    apply_lut,
-    mmbebhe_threshold,
-)
+from .histeq import apply_lut, mmbebhe_threshold
 from .image import (
     GrayImage,
     Histogram,
+    IntensityLut,
     PgmDecodeError,
     histogram,
     load_pgm,

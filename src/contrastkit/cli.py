@@ -31,8 +31,8 @@ import numpy as np
 
 from . import fuzzy as fz
 from . import metrics
-from .histeq import IntensityLut, apply_lut
-from .image import _BLOCK, LEVELS, GrayImage, _level_counts, histogram, load_pgm, save_pgm
+from .histeq import apply_lut
+from .image import _BLOCK, LEVELS, GrayImage, IntensityLut, _level_counts, histogram, load_pgm, save_pgm
 from .methods import METHODS, _compile_maps, enhance
 
 EXIT_OK = 0

@@ -35,8 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .histeq import _IDENTITY, IntensityLut
-from .image import _BLOCK, LEVELS, MAX_LEVEL, Histogram
+from .image import _BLOCK, _IDENTITY, LEVELS, MAX_LEVEL, Histogram, IntensityLut
 
 # Dynamic ranges narrower than this admit no meaningful input triangles;
 # `_default_maps` then falls back to the identity mapping.

@@ -1,20 +1,20 @@
 """Global histogram equalization and its brightness-preserving variants.
 
-Every method compiles a histogram to a 256-entry lookup table, which is then
-applied per pixel or scored from the histogram alone. HE, BBHE and MMBEBHE
-are one bi-equalization, `_split_maps`: levels up to a split t equalize onto
-[0, t], the rest onto [t + 1, 255]. It maps the (k x 256) cumulative counts
-of k histograms and an (m x k) grid of thresholds, a row per split rule, to
-(m x k x 256) uint8 maps in one broadcast pass of `_split_values`, the exact
-integer kernel that MMBEBHE's search also scores with, and one masked copy
-keeps the identity on an empty side; `methods.compile_maps` fills every
-split method's maps in one such pass. The methods differ only in the rule
-that picks t, their entries of `_SPLIT_RULES`: HE splits at 255, BBHE at the
-floored mean, and MMBEBHE at the threshold whose output mean is nearest the
-input mean: a float pass over prefix sums bounds every threshold's error in
-O(256), and only its best and the few that can beat that best are scored
-exactly. `mmbebhe_threshold` is that rule on one histogram. All maps round
-in exact integer arithmetic.
+Every method compiles a histogram to a 256-entry lookup table, an
+`image.IntensityLut`, which `apply_lut` applies per pixel or `metrics` scores
+from the histogram alone. HE, BBHE and MMBEBHE are one bi-equalization,
+`_split_maps`: levels up to a split t equalize onto [0, t], the rest onto
+[t + 1, 255]. It maps the (k x 256) cumulative counts of k histograms and an
+(m x k) grid of thresholds, a row per split rule, to (m x k x 256) uint8
+maps in one broadcast pass of `_split_values`, the exact integer kernel that
+MMBEBHE's search also scores with, and one masked copy keeps the identity on
+an empty side; `methods.compile_maps` fills every split method's maps in one
+such pass. The methods differ only in the rule that picks t, their entries of
+`_SPLIT_RULES`: HE splits at 255, BBHE at the floored mean, and MMBEBHE at
+the threshold whose output mean is nearest the input mean: a float pass over
+prefix sums bounds every threshold's error in O(256), and only its best and
+the few that can beat that best are scored exactly. `mmbebhe_threshold` is
+that rule on one histogram. All maps round in exact integer arithmetic.
 
 At one histogram a kernel's cost is its count of NumPy calls, so the
 kernels call ufunc and array methods (`np.add.reduce`, `x.cumsum`) rather
@@ -23,33 +23,9 @@ than the `np.*` wrappers, whose Python dispatch costs as much as the work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .image import _BLOCK, _LEVEL_VALUES, LEVELS, MAX_LEVEL, GrayImage, Histogram, _frozen_levels
-
-@dataclass(frozen=True, eq=False)
-class IntensityLut:
-    """A gray-level -> gray-level mapping: the compiled form of a method."""
-
-    map: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.map)
-        if arr.shape != (LEVELS,):
-            raise ValueError(f"LUT must have {LEVELS} entries, got shape {arr.shape}")
-        object.__setattr__(self, "map", _frozen_levels(arr, "LUT entries"))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntensityLut):
-            return NotImplemented
-        return bool(np.array_equal(self.map, other.map))
-
-
-# every level mapped to itself
-_IDENTITY = np.arange(LEVELS, dtype=np.uint8)
-_IDENTITY.setflags(write=False)
+from .image import _BLOCK, _IDENTITY, _LEVEL_VALUES, LEVELS, MAX_LEVEL, GrayImage, Histogram, IntensityLut
 
 
 def apply_lut(img: GrayImage, lut: IntensityLut) -> GrayImage:

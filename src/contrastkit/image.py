@@ -1,4 +1,7 @@
-"""Grayscale image container, histogram statistics, and a PGM (P2/P5) codec.
+"""The value types `GrayImage`, `Histogram` and `IntensityLut`, and a PGM
+(P2/P5) codec. Each value type is immutable, keeps one read-only array, a
+copy unless nothing else can write it (`_frozen_levels`), and compares equal
+by that array (`_Value`).
 
 Images are 8-bit: 256 gray levels, values 0..255. Files with maxval < 255
 are accepted and their samples kept as-is (no rescaling); saving always
@@ -11,7 +14,7 @@ in a `Histogram`; `report`, `enhance` and `evaluate` keep the counts alone.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,10 +61,20 @@ class PgmDecodeError(ValueError):
     """Raised when a byte stream is not a decodable P2/P5 PGM file."""
 
 
+def _unshared(arr: np.ndarray) -> bool:
+    """Whether nothing but `arr` can write its memory: it and each array it
+    views are read-only, down to an owner of its memory or a `bytes` object."""
+    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        if arr.flags.owndata:
+            return True
+        arr = arr.base
+    return isinstance(arr, bytes)
+
+
 def _frozen_levels(values, what: str) -> np.ndarray:
     """`values`, checked to be integers in [0, 255], as a read-only C-contiguous
-    uint8 array. A writable input is copied, so the caller's array is neither
-    frozen nor aliased; a read-only uint8 one is kept as it is."""
+    uint8 array: the input itself if uint8, C-contiguous and `_unshared`, else
+    a copy, so the caller's array is neither frozen nor aliased."""
     arr = np.asarray(values)
     if arr.dtype != np.uint8:
         if not np.issubdtype(arr.dtype, np.integer):
@@ -69,14 +82,25 @@ def _frozen_levels(values, what: str) -> np.ndarray:
         if arr.min() < 0 or arr.max() > MAX_LEVEL:
             raise ValueError(f"{what} must lie in [0, 255]")
         arr = arr.astype(np.uint8, order="C")
-    elif arr.flags.writeable or not arr.flags.c_contiguous:
+    elif not (arr.flags.c_contiguous and _unshared(arr)):
         arr = np.array(arr, order="C")
     arr.setflags(write=False)
     return arr
 
 
+class _Value:
+    """Base of the value types, frozen dataclasses whose first field is their
+    one array: two are equal when of one type and with equal arrays and shapes."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        name = fields(self)[0].name
+        return bool(np.array_equal(getattr(self, name), getattr(other, name)))
+
+
 @dataclass(frozen=True, eq=False)
-class GrayImage:
+class GrayImage(_Value):
     """Immutable 8-bit grayscale image backed by a (height, width) array."""
 
     pixels: np.ndarray
@@ -110,13 +134,6 @@ class GrayImage:
         """Total pixel count."""
         return self.pixels.size
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GrayImage):
-            return NotImplemented
-        return self.pixels.shape == other.pixels.shape and bool(
-            np.array_equal(self.pixels, other.pixels)
-        )
-
 
 def _checked_counts(counts, ndim: int) -> np.ndarray:
     """`counts` as int64, checked to be the integer level counts of one
@@ -140,7 +157,7 @@ def _checked_counts(counts, ndim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Histogram:
+class Histogram(_Value):
     """Per-level pixel counts (256 bins) with derived statistics.
 
     Counts are integers with a total from 1 to `MAX_TOTAL`. `level_sum` is
@@ -163,10 +180,22 @@ class Histogram:
         """Occurrence probability of each level (counts / total)."""
         return self.counts / self.total
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        return bool(np.array_equal(self.counts, other.counts))
+
+@dataclass(frozen=True, eq=False)
+class IntensityLut(_Value):
+    """A gray-level -> gray-level mapping: the compiled form of a method."""
+
+    map: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.map)
+        if arr.shape != (LEVELS,):
+            raise ValueError(f"LUT must have {LEVELS} entries, got shape {arr.shape}")
+        object.__setattr__(self, "map", _frozen_levels(arr, "LUT entries"))
+
+
+_IDENTITY = np.arange(LEVELS, dtype=np.uint8)  # every level mapped to itself
+_IDENTITY.setflags(write=False)
 
 
 def _level_counts(pixels: np.ndarray) -> np.ndarray:

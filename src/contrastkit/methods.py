@@ -19,8 +19,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import fuzzy, histeq
-from .histeq import IntensityLut, apply_lut
-from .image import GrayImage, Histogram, _checked_counts, _level_counts
+from .histeq import apply_lut
+from .image import GrayImage, Histogram, IntensityLut, _checked_counts, _level_counts
 
 # in the order of the CLI usage text
 METHODS = (*histeq._SPLIT_RULES, "fuzzy")

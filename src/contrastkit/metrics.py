@@ -22,8 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .histeq import IntensityLut
-from .image import _BLOCK, _LEVEL_VALUES, LEVELS, GrayImage, Histogram, _level_counts
+from .image import _BLOCK, _LEVEL_VALUES, LEVELS, GrayImage, Histogram, IntensityLut, _level_counts
 
 PSNR_PEAK_SQ = 255.0 * 255.0
 

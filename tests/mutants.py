@@ -7,11 +7,13 @@ ids) that must fail on the mutated copy. `run` copies `src/`, `tests/` and
 `pyproject.toml` to a temporary folder, applies one mutant there and runs
 `pytest -x -q` on its tests against that copy. A mutant is killed only when
 pytest exits 1, with tests failing; a collection or usage error does not
-count. An old text that does not match exactly one place raises, so a
-refactor that moves a rule updates its mutant here rather than skipping it.
+count. An old text that does not match exactly one place, or a test file
+that does not exist, raises (`anchored_text`), so a refactor that moves a
+rule updates its mutant here rather than skipping it.
 
-`tests/test_mutants.py` runs every mutant as a `slow` test. To run some or
-all of them from the repository root:
+`tests/test_mutants.py` checks every mutant's anchor in the default run,
+and runs every mutant as a `slow` test. To run some or all of them from
+the repository root:
 
     python tests/mutants.py [NAME ...]
 """
@@ -95,6 +97,27 @@ MUTANTS = (
         ("tests/test_metrics.py",),
     ),
     Mutant(
+        "value_keeps_a_read_only_view_of_a_writable_array",
+        "src/contrastkit/image.py",
+        "    elif not (arr.flags.c_contiguous and _unshared(arr)):\n",
+        "    elif arr.flags.writeable or not arr.flags.c_contiguous:\n",
+        ("tests/test_image.py", "tests/test_histeq.py"),
+    ),
+    Mutant(
+        "comment_ends_only_at_lf",
+        "src/contrastkit/image.py",
+        '_COMMENT = re.compile(rb"#[^\\n\\r]*")',
+        '_COMMENT = re.compile(rb"#[^\\n]*")',
+        ("tests/test_image.py",),
+    ),
+    Mutant(
+        "total_bound_of_2_47_exclusive",
+        "src/contrastkit/image.py",
+        "(totals := arr.sum(axis=-1, dtype=np.int64)).max(initial=0) > MAX_TOTAL",
+        "(totals := arr.sum(axis=-1, dtype=np.int64)).max(initial=0) >= MAX_TOTAL",
+        ("tests/test_image.py",),
+    ),
+    Mutant(
         "p2_trailing_data_accepted",
         "src/contrastkit/image.py",
         '        raise PgmDecodeError("trailing data after ASCII raster")\n',
@@ -160,14 +183,24 @@ MUTANTS = (
 )
 
 
-def run(mutant: Mutant, root: Path = ROOT) -> tuple[int, str]:
-    """pytest's exit code and output for `mutant.tests` on a copy of `root`
-    with `mutant` applied. Raises `ValueError` if `mutant.old` does not occur
-    exactly once in `mutant.file`."""
+def anchored_text(mutant: Mutant, root: Path = ROOT) -> str:
+    """The text of `mutant.file` under `root`. Raises `ValueError` if
+    `mutant.old` does not occur there exactly once, or if a test path that
+    `mutant.tests` names does not exist."""
+    missing = [t for t in mutant.tests if not (root / t.split("::")[0]).is_file()]
+    if missing:
+        raise ValueError(f"{mutant.name}: no test file {', '.join(missing)}")
     text = (root / mutant.file).read_text(encoding="utf-8")
     found = text.count(mutant.old)
     if found != 1:
         raise ValueError(f"{mutant.name}: old text occurs {found} times in {mutant.file}, not once")
+    return text
+
+
+def run(mutant: Mutant, root: Path = ROOT) -> tuple[int, str]:
+    """pytest's exit code and output for `mutant.tests` on a copy of `root`
+    with `mutant` applied. Raises `ValueError` as `anchored_text` does."""
+    text = anchored_text(mutant, root)
     with tempfile.TemporaryDirectory(prefix="contrastkit-mutant-") as tmp:
         copy = Path(tmp)
         for folder in ("src", "tests"):

@@ -114,7 +114,7 @@ def test_enhance_all_methods_run(tmp_path):
 def test_enhance_with_custom_fuzzy_config(tmp_path):
     img = generate_uniform_image(8, 8, 100, 150, 11)
     src = write_pgm(tmp_path / "in.pgm", img)
-    cfg = default_config(histogram(img))
+    cfg = default_config(histogram(FOUR_LEVELS))  # no input's own default
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(config_json(cfg))
     dst = tmp_path / "out.pgm"

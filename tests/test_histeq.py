@@ -49,8 +49,11 @@ def test_lut_validation():
 def test_lut_neither_aliases_nor_freezes_a_writable_map():
     m = np.arange(256, dtype=np.uint8)
     lut = IntensityLut(m)
+    view = m[:]
+    view.setflags(write=False)  # read-only, but its base is not
+    lut_of_view = IntensityLut(view)
     m[0] = 9  # raised while the LUT froze the caller's array
-    assert lut.map[0] == 0
+    assert lut.map[0] == 0 and lut_of_view.map[0] == 0
     assert not lut.map.flags.writeable
 
 

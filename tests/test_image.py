@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from contrastkit import (
     GrayImage,
     Histogram,
+    IntensityLut,
     PgmDecodeError,
     histogram,
     load_pgm,
@@ -59,8 +60,13 @@ def test_image_rejects_bad_shapes():
 def test_image_equality():
     a = GrayImage.from_flat(2, 2, [1, 2, 3, 4])
     assert a == GrayImage.from_flat(2, 2, [1, 2, 3, 4])
-    assert a != GrayImage.from_flat(4, 1, [1, 2, 3, 4])
+    assert a != GrayImage.from_flat(4, 1, [1, 2, 3, 4])  # the same pixels, another shape
     assert a != GrayImage.from_flat(2, 2, [1, 2, 3, 5])
+    # values of different types differ, even over equal arrays
+    levels = np.arange(256, dtype=np.uint8)
+    assert GrayImage(levels[None]) != IntensityLut(levels)
+    assert Histogram(levels) != IntensityLut(levels) and IntensityLut(levels) != Histogram(levels)
+    assert Histogram(levels) == Histogram(levels.astype(np.int64))
 
 
 def test_histogram_rejects_bad_counts():
@@ -122,11 +128,20 @@ def test_histogram_rejects_an_empty_count_vector():
 def test_image_neither_aliases_nor_freezes_a_writable_array():
     a = np.zeros((2, 3), dtype=np.uint8)
     img = GrayImage(a[:])
+    view = a[:]
+    view.setflags(write=False)  # read-only, but its base is not
+    img_of_view = GrayImage(view)
     a[0, 0] = 9
-    assert img.pixels[0, 0] == 0
+    assert img.pixels[0, 0] == 0 and img_of_view.pixels[0, 0] == 0
     assert a.flags.writeable and not img.pixels.flags.writeable
     converted = GrayImage(np.zeros((3, 4), dtype=np.int64).T)  # an F-ordered input
     assert converted.pixels.dtype == np.uint8 and converted.pixels.flags.c_contiguous
+
+
+def test_image_keeps_a_read_only_array_that_owns_its_memory():
+    owner = np.zeros((2, 3), dtype=np.uint8)
+    owner.setflags(write=False)
+    assert GrayImage(owner).pixels is owner
 
 
 def test_histogram_neither_aliases_nor_freezes_its_counts():
