@@ -61,6 +61,8 @@ def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int)
     """
     if not (0 <= lo <= hi <= 255):
         raise ValueError(f"need 0 <= lo <= hi <= 255, got lo={lo} hi={hi}")
+    if width < 1 or height < 1:  # checked here, as `GrayImage._adopt` checks nothing
+        raise ValueError(f"image dimensions must be >= 1, got {(height, width)}")
     count = width * height
     span = np.uint64(hi - lo + 1)
     flat = np.empty(count, dtype=np.uint8)
@@ -84,8 +86,7 @@ def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int)
         zb -= qb
         flat[start : start + n] = zb
     flat += lo
-    flat.setflags(write=False)  # fresh, so the image keeps it without a copy
-    return GrayImage.from_flat(width, height, flat)
+    return GrayImage._adopt(flat.reshape(height, width))
 
 
 class UsageError(Exception):

@@ -35,8 +35,7 @@ def apply_lut(img: GrayImage, lut: IntensityLut) -> GrayImage:
     flat, out = img.pixels.ravel(), pixels.ravel()  # views: both are C-contiguous
     for start in range(0, flat.size, _BLOCK):  # `clip`, which no uint8 index reaches, writes `out` unbuffered
         lut.map.take(flat[start : start + _BLOCK], out=out[start : start + _BLOCK], mode="clip")
-    pixels.setflags(write=False)  # fresh, so the image keeps it without a copy
-    return GrayImage(pixels)
+    return GrayImage._adopt(pixels)
 
 
 def _split_values(

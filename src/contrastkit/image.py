@@ -1,7 +1,7 @@
 """The value types `GrayImage`, `Histogram` and `IntensityLut`, and a PGM
-(P2/P5) codec. Each value type is immutable, keeps one read-only array, a
-copy unless nothing else can write it (`_frozen_levels`), and compares equal
-by that array (`_Value`).
+(P2/P5) codec. Each value type is immutable, keeps one read-only array and
+compares equal by that array (`_Value`). A constructor copies every array
+it is given; only the library's own fresh arrays are kept, by `_adopt`.
 
 Images are 8-bit: 256 gray levels, values 0..255. Files with maxval < 255
 are accepted and their samples kept as-is (no rescaling); saving always
@@ -61,29 +61,16 @@ class PgmDecodeError(ValueError):
     """Raised when a byte stream is not a decodable P2/P5 PGM file."""
 
 
-def _unshared(arr: np.ndarray) -> bool:
-    """Whether nothing but `arr` can write its memory: it and each array it
-    views are read-only, down to an owner of its memory or a `bytes` object."""
-    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
-        if arr.flags.owndata:
-            return True
-        arr = arr.base
-    return isinstance(arr, bytes)
-
-
 def _frozen_levels(values, what: str) -> np.ndarray:
     """`values`, checked to be integers in [0, 255], as a read-only C-contiguous
-    uint8 array: the input itself if uint8, C-contiguous and `_unshared`, else
-    a copy, so the caller's array is neither frozen nor aliased."""
+    uint8 copy, so the caller's array is neither frozen nor aliased."""
     arr = np.asarray(values)
     if arr.dtype != np.uint8:
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
         if arr.min() < 0 or arr.max() > MAX_LEVEL:
             raise ValueError(f"{what} must lie in [0, 255]")
-        arr = arr.astype(np.uint8, order="C")
-    elif not (arr.flags.c_contiguous and _unshared(arr)):
-        arr = np.array(arr, order="C")
+    arr = arr.astype(np.uint8, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -97,6 +84,15 @@ class _Value:
             return NotImplemented
         name = fields(self)[0].name
         return bool(np.array_equal(getattr(self, name), getattr(other, name)))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray):
+        """A value that keeps `arr` as its one array, frozen but neither checked
+        nor copied: only for a valid array the library made and holds alone."""
+        arr.setflags(write=False)
+        value = object.__new__(cls)
+        object.__setattr__(value, fields(cls)[0].name, arr)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,9 +337,8 @@ def load_pgm(data: bytes) -> GrayImage:
         raise PgmDecodeError(
             f"pixel sample {int(samples.max())} exceeds declared maxval {maxval}"
         )
-    samples = samples.astype(np.uint8, copy=False)  # P2's uint16 samples become a fresh array
-    samples.setflags(write=False)  # so the image keeps it without a copy
-    return GrayImage.from_flat(width, height, samples)
+    # P2's uint16 samples become a fresh array; P5's stay a read-only view of the file's bytes
+    return GrayImage._adopt(samples.astype(np.uint8, copy=False).reshape(height, width))
 
 
 def save_pgm(img: GrayImage, format: str = "P5") -> bytes:

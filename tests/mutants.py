@@ -97,11 +97,31 @@ MUTANTS = (
         ("tests/test_metrics.py",),
     ),
     Mutant(
-        "value_keeps_a_read_only_view_of_a_writable_array",
+        "value_keeps_a_read_only_owner",
         "src/contrastkit/image.py",
-        "    elif not (arr.flags.c_contiguous and _unshared(arr)):\n",
-        "    elif arr.flags.writeable or not arr.flags.c_contiguous:\n",
-        ("tests/test_image.py", "tests/test_histeq.py"),
+        '    arr = arr.astype(np.uint8, order="C")\n',
+        '    arr = arr.astype(np.uint8, order="C", copy=arr.flags.writeable)\n',
+        (
+            "tests/test_image.py::test_image_copies_a_read_only_owner_that_is_made_writable_again",
+            "tests/test_histeq.py::test_lut_copies_a_read_only_owner_that_is_made_writable_again",
+        ),
+    ),
+    Mutant(
+        "value_keeps_a_writable_array",
+        "src/contrastkit/image.py",
+        '    arr = arr.astype(np.uint8, order="C")\n',
+        '    arr = arr.astype(np.uint8, order="C", copy=False)\n',
+        (
+            "tests/test_image.py::test_image_neither_aliases_nor_freezes_a_writable_array",
+            "tests/test_histeq.py::test_lut_neither_aliases_nor_freezes_a_writable_map",
+        ),
+    ),
+    Mutant(
+        "adopt_leaves_the_array_writable",
+        "src/contrastkit/image.py",
+        "        arr.setflags(write=False)\n        value = object.__new__(cls)\n",
+        "        value = object.__new__(cls)\n",
+        ("tests/test_histeq.py::test_every_image_the_library_makes_is_read_only",),
     ),
     Mutant(
         "comment_ends_only_at_lf",

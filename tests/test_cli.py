@@ -682,6 +682,13 @@ def test_generator_is_platform_stable():
     assert img.pixels.ravel().tolist() == [175, 244, 79, 236]
 
 
+@pytest.mark.parametrize("width, height", [(0, 5), (5, 0), (0, 0)])
+def test_generator_rejects_an_empty_image(width, height):
+    with pytest.raises(ValueError) as exc:
+        generate_uniform_image(width, height, 0, 255, 0)
+    assert str(exc.value) == f"image dimensions must be >= 1, got {(height, width)}"
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 + 5, -1])
 def test_generator_matches_scalar_splitmix64(seed):
     # pixel counts straddle the generator's block size

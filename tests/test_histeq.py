@@ -16,7 +16,9 @@ from contrastkit import (
     enhance,
     evaluate,
     histogram,
+    load_pgm,
     mmbebhe_threshold,
+    save_pgm,
 )
 from contrastkit.cli import generate_uniform_image
 from contrastkit.histeq import _unrounded_out_sums
@@ -55,6 +57,28 @@ def test_lut_neither_aliases_nor_freezes_a_writable_map():
     m[0] = 9  # raised while the LUT froze the caller's array
     assert lut.map[0] == 0 and lut_of_view.map[0] == 0
     assert not lut.map.flags.writeable
+
+
+@pytest.mark.parametrize("view", [False, True])
+def test_lut_copies_a_read_only_owner_that_is_made_writable_again(view):
+    owner = np.arange(256, dtype=np.uint8)
+    owner.setflags(write=False)
+    lut = IntensityLut(owner[:] if view else owner)
+    owner.setflags(write=True)  # NumPy lets the owner's holder undo its freeze
+    owner[0] = 9
+    assert lut.map[0] == 0 and not lut.map.flags.writeable
+
+
+def test_every_image_the_library_makes_is_read_only():
+    img = generate_uniform_image(5, 3, 90, 160, 7)
+    made = [
+        img,
+        load_pgm(save_pgm(img, "P2")),
+        load_pgm(save_pgm(img, "P5")),
+        apply_lut(img, IntensityLut(np.arange(256))),
+        *(enhance(img, method) for method in METHODS),
+    ]
+    assert not any(out.pixels.flags.writeable for out in made)
 
 
 def test_apply_lut_result_owns_its_pixels():

@@ -138,10 +138,14 @@ def test_image_neither_aliases_nor_freezes_a_writable_array():
     assert converted.pixels.dtype == np.uint8 and converted.pixels.flags.c_contiguous
 
 
-def test_image_keeps_a_read_only_array_that_owns_its_memory():
+@pytest.mark.parametrize("view", [False, True])
+def test_image_copies_a_read_only_owner_that_is_made_writable_again(view):
     owner = np.zeros((2, 3), dtype=np.uint8)
     owner.setflags(write=False)
-    assert GrayImage(owner).pixels is owner
+    img = GrayImage(owner[:] if view else owner)
+    owner.setflags(write=True)  # NumPy lets the owner's holder undo its freeze
+    owner[0, 0] = 9
+    assert img.pixels[0, 0] == 0 and not img.pixels.flags.writeable
 
 
 def test_histogram_neither_aliases_nor_freezes_its_counts():
