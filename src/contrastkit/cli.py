@@ -32,7 +32,7 @@ import numpy as np
 from . import fuzzy as fz
 from . import metrics
 from .histeq import apply_lut
-from .image import _BLOCK, LEVELS, GrayImage, IntensityLut, _level_counts, histogram, load_pgm, save_pgm
+from .image import _BLOCK, LEVELS, GrayImage, IntensityLut, _level_counts, _pgm_chunks, histogram, load_pgm
 from .methods import METHODS, _compile_maps, enhance
 
 EXIT_OK = 0
@@ -66,12 +66,14 @@ def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int)
     count = width * height
     span = np.uint64(hi - lo + 1)
     flat = np.empty(count, dtype=np.uint8)
+    # outputs per block: the three uint64 temporaries share one `_BLOCK` of 8-byte elements
+    block = _BLOCK // 4
     # i * gamma for i = 1..block; the block from `start` adds seed + start * gamma
-    steps = np.arange(1, min(count, _BLOCK) + 1, dtype=np.uint64)
+    steps = np.arange(1, min(count, block) + 1, dtype=np.uint64)
     steps *= np.uint64(_SPLITMIX_GAMMA)
     z, q = np.empty_like(steps), np.empty_like(steps)  # reused by every block
-    for start in range(0, count, _BLOCK):
-        n = min(_BLOCK, count - start)
+    for start in range(0, count, block):
+        n = min(block, count - start)
         zb, qb = z[:n], q[:n]
         np.add(steps[:n], np.uint64((seed + start * _SPLITMIX_GAMMA) & _MASK64), out=zb)
         zb ^= np.right_shift(zb, np.uint64(30), out=qb)
@@ -123,13 +125,14 @@ def _fuzzy_config_lut(path: str | None, methods: list[str]) -> IntensityLut | No
     return fz.fuzzy_lut(cfg) if cfg is not None and "fuzzy" in methods else None
 
 
-def _write_output(path: str, data: bytes) -> None:
-    """Replace the file at `path` (through a symlink) with `data` whole, via a
-    new file renamed over it, so a failed write leaves the old file intact; an
-    existing file keeps its permission bits. What is not a writable regular
-    file once links are followed (/dev/null, /dev/stdout on a pipe, a read-only
-    file) or lies in an unwritable folder is written in place, as a plain
-    write would. `path` is used as given, so "out.pgm/" names a folder, and
+def _write_output(path: str, chunks) -> None:
+    """Replace the file at `path` (through a symlink) with the byte chunks of
+    `chunks`, each written as it comes, via a new file renamed over it, so a
+    failed write or encode leaves the old file intact; an existing file keeps
+    its permission bits. What is not a writable regular file once links are
+    followed (/dev/null, /dev/stdout on a pipe, a read-only file) or lies in an
+    unwritable folder is written in place, as a plain write would, once every
+    chunk is made. `path` is used as given, so "out.pgm/" names a folder, and
     errors name it as given."""
     try:
         try:
@@ -142,8 +145,10 @@ def _write_output(path: str, data: bytes) -> None:
         folder = os.path.dirname(target) or "."
         in_place = mode is not None and not (stat.S_ISREG(mode) and os.access(path, os.W_OK))
         if in_place or not os.access(folder, os.W_OK | os.X_OK):
+            chunks = list(chunks)  # all made before `open` truncates the file
             with open(path, "wb") as f:
-                f.write(data)
+                for chunk in chunks:
+                    f.write(chunk)
             return
         temp = os.path.join(folder, f".contrastkit-{os.urandom(4).hex()}.tmp")
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies
@@ -151,7 +156,8 @@ def _write_output(path: str, data: bytes) -> None:
             with open(fd, "wb") as f:
                 if mode is not None:  # before any byte is written
                     os.fchmod(fd, stat.S_IMODE(mode))
-                f.write(data)
+                for chunk in chunks:
+                    f.write(chunk)
             os.replace(temp, target)
         except BaseException:
             os.unlink(temp)
@@ -164,7 +170,7 @@ def cmd_enhance(args: argparse.Namespace) -> int:
     img = _read_image(args.input)
     lut = _fuzzy_config_lut(args.fuzzy_config, [args.method])
     out = enhance(img, args.method) if lut is None else apply_lut(img, lut)
-    _write_output(args.output, save_pgm(out, args.format))
+    _write_output(args.output, _pgm_chunks(out, args.format))
     print(f"{args.method}: {img.width}x{img.height} {args.input} -> {args.output}")
     return EXIT_OK
 
@@ -210,7 +216,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             field = _csv_field(path)
             rows += [_REPORT_ROW % (field, m, *scores[distinct.index(m) * len(paths) + i]) for m in methods]
     # an undecodable argv path comes back as the bytes it was given
-    _write_output(args.output, "".join(rows).encode("utf-8", "surrogateescape"))
+    _write_output(args.output, ["".join(rows).encode("utf-8", "surrogateescape")])
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
@@ -218,7 +224,7 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     hist = histogram(_read_image(args.input))
     pairs = zip(hist.counts, hist.probabilities())
     rows = [f"{level},{int(n)},{float(p)!r}\n" for level, (n, p) in enumerate(pairs)]
-    _write_output(args.output, "".join(["level,count,probability\n", *rows]).encode("ascii"))
+    _write_output(args.output, ["".join(["level,count,probability\n", *rows]).encode("ascii")])
     return EXIT_OK
 
 
@@ -232,7 +238,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.width * args.height > SYNTH_MAX_PIXELS:
         raise UsageError(f"width x height must not exceed {SYNTH_MAX_PIXELS} pixels")
     img = generate_uniform_image(args.width, args.height, args.lo, args.hi, args.seed)
-    _write_output(args.output, save_pgm(img, "P5"))
+    _write_output(args.output, _pgm_chunks(img, "P5"))
     print(f"synth: {args.width}x{args.height} [{args.lo},{args.hi}] seed={args.seed} -> {args.output}")
     return EXIT_OK
 

@@ -341,24 +341,41 @@ def load_pgm(data: bytes) -> GrayImage:
     return GrayImage._adopt(samples.astype(np.uint8, copy=False).reshape(height, width))
 
 
+def _pgm_chunks(img: GrayImage, format: str):
+    """The bytes of `save_pgm(img, format)` in order, each made when it is
+    asked for: the header, then the P5 raster itself, a flat read-only view
+    of the image, or the P2 raster one block at a time.
+
+    A P2 block holds at most `_BLOCK // 4` samples, whole rows or column
+    chunks of a row wider than that; it gathers its padded tokens, then
+    drops the padding. Its temporaries, 22 bytes a sample, share one
+    `_BLOCK` of 8-byte elements.
+    """
+    if format not in ("P2", "P5"):
+        raise ValueError(f"format must be 'P2' or 'P5', got {format!r}")
+    yield f"{format}\n{img.width} {img.height}\n{MAX_LEVEL}\n".encode("ascii")
+    if format == "P5":
+        yield img.pixels.reshape(-1)
+        return
+    height, width = img.pixels.shape
+    block = _BLOCK // 4
+    # lines of at most 17 samples keep within Netpbm's 70-character guideline;
+    # a wide row's chunks are whole lines, so each takes the same line ends
+    cols = width if width <= block else block - block % 17
+    rows = block // cols
+    line_ends = np.where(np.arange(cols) % 17 == 16, LEVELS, 0).astype(np.uint16)
+    for top in range(0, height, rows):
+        for left in range(0, width, cols):
+            words = img.pixels[top : top + rows, left : left + cols] + line_ends[: width - left]
+            if left + cols >= width:
+                words[:, -1] |= LEVELS  # each row's last sample ends its line
+            yield _P2_WORDS.take(words).tobytes().translate(None, b"\0")
+
+
 def save_pgm(img: GrayImage, format: str = "P5") -> bytes:
     """Encode an image as PGM bytes; `format` is "P5" (binary) or "P2" (ASCII).
 
     Always writes maxval 255. load_pgm(save_pgm(img)) reproduces `img`
     exactly for either format.
     """
-    if format not in ("P2", "P5"):
-        raise ValueError(f"format must be 'P2' or 'P5', got {format!r}")
-    header = f"{format}\n{img.width} {img.height}\n{MAX_LEVEL}\n".encode("ascii")
-    if format == "P5":
-        return b"".join((header, img.pixels))  # the raster is copied once
-    # keep lines within Netpbm's 70-character guideline: at most 17 samples
-    col = np.arange(img.width)
-    line_end = np.where((col % 17 == 16) | (col == img.width - 1), LEVELS, 0).astype(np.uint16)
-    # each block of about _BLOCK pixels gathers its padded tokens, then drops the padding
-    rows = max(1, _BLOCK // img.width)
-    blocks = [
-        _P2_WORDS.take(img.pixels[top : top + rows] + line_end).tobytes().translate(None, b"\0")
-        for top in range(0, img.height, rows)
-    ]
-    return b"".join([header, *blocks])
+    return b"".join(_pgm_chunks(img, format))

@@ -41,11 +41,11 @@ def _reports(sq_errs: np.ndarray, in_sums: np.ndarray, after: np.ndarray) -> lis
     counts (so the pixel count and output level sum) of an image with
     squared error `sq_errs[r]` and input level sum `in_sums[r]`, all int64."""
     ns, out_sums = np.add.reduce(after, axis=1), after @ _LEVEL_VALUES
-    # p * log2(p) of each count, 0 where it is 0, elementwise over the
-    # stack; each row sums all 256 of its terms, so a sum does not depend on
-    # how many rows the stack holds
+    # p * log2(p) of each count, 0 where it is 0 (as log2 of 1), elementwise
+    # over the stack; each row sums all 256 of its terms, so a sum does not
+    # depend on how many rows the stack holds
     p = after / ns[:, None]
-    terms = np.log2(p, out=np.zeros(p.shape), where=after > 0)
+    terms = np.log2(np.where(after > 0, p, 1.0))
     terms *= p
     entropies = np.add.reduce(terms, axis=1).tolist()
     scores = []

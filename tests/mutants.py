@@ -152,11 +152,32 @@ MUTANTS = (
         ("tests/test_image.py",),
     ),
     Mutant(
+        "p2_block_spans_a_whole_wide_row",
+        "src/contrastkit/image.py",
+        "    cols = width if width <= block else block - block % 17\n    rows = block // cols\n",
+        "    cols = width\n    rows = max(1, block // cols)\n",
+        ("tests/test_image.py::test_save_p2_memory_is_bounded",),
+    ),
+    Mutant(
         "synth_masks_in_place_of_the_modulo",
         "src/contrastkit/cli.py",
         "        np.floor_divide(zb, span, out=qb)\n        qb *= span\n        zb -= qb\n",
         "        zb &= span - np.uint64(1)\n",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "synth_blocks_of_a_full_block",
+        "src/contrastkit/cli.py",
+        "    block = _BLOCK // 4\n",
+        "    block = _BLOCK\n",
+        ("tests/test_cli.py::test_synth_writes_its_image_as_it_is_generated",),
+    ),
+    Mutant(
+        "stream_drops_its_last_chunk",
+        "src/contrastkit/cli.py",
+        "            chunks = list(chunks)  # all made before `open` truncates the file\n",
+        "            chunks = list(chunks)[:-1]\n",
+        ("tests/test_cli.py::test_a_multi_block_p2_output_streams_into_a_pipe_whole",),
     ),
     Mutant(
         "csv_path_unquoted",

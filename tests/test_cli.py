@@ -7,6 +7,7 @@ import json
 import os
 import stat
 import sys
+import threading
 from itertools import islice
 
 import numpy as np
@@ -712,6 +713,26 @@ def test_generator_memory_is_bounded(width, height):
     assert traced_peak(generate_uniform_image, width, height, 0, 255, 7) < width * height + 4 * 8 * _BLOCK
 
 
+@pytest.mark.parametrize("fmt", ["P5", "P2"])
+def test_enhance_writes_its_output_as_it_is_encoded(tmp_path, fmt):
+    # the input file, which the decoded image views, the output raster and
+    # at most 1 MiB besides: no copy of the whole output is made
+    img = generate_uniform_image(2048, 2048, 60, 190, 3)
+    src, dst = write_pgm(tmp_path / "in.pgm", img), tmp_path / "out.pgm"
+    build_parser()  # once per process: not a cost of the write
+    peak = traced_peak(main, ["enhance", src, str(dst), "--method", "he", "--format", fmt])
+    assert peak <= os.path.getsize(src) + img.size + (1 << 20)
+    assert dst.read_bytes() == save_pgm(enhance(img, "he"), fmt)
+
+
+def test_synth_writes_its_image_as_it_is_generated(tmp_path):
+    # the raster and the generator's temporaries, which share one block
+    dst = tmp_path / "out.pgm"
+    build_parser()
+    assert traced_peak(main, ["synth", str(dst), "--width", "2048", "--height", "2048"]) <= 2048 * 2048 + 8 * _BLOCK
+    assert dst.read_bytes() == save_pgm(generate_uniform_image(2048, 2048, 100, 156, 0), "P5")
+
+
 # ---------------------------------------------------------------------------
 # one error boundary: every failure is an exit code, never a traceback
 # ---------------------------------------------------------------------------
@@ -1014,6 +1035,24 @@ def test_output_link_to_a_pipe_is_written_into_the_pipe(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_multi_block_p2_output_streams_into_a_pipe_whole(tmp_path):
+    # six P2 blocks, far more than a pipe holds: read as they are written
+    img = generate_uniform_image(300, 300, 60, 190, 4)
+    src = write_pgm(tmp_path / "in.pgm", img)
+    r, w = os.pipe()
+    with os.fdopen(r, "rb") as reader:
+        received = []
+        thread = threading.Thread(target=lambda: received.append(reader.read()), daemon=True)
+        thread.start()
+        try:
+            assert main(["enhance", src, f"/proc/self/fd/{w}", "--method", "bbhe", "--format", "P2"]) == 0
+        finally:
+            os.close(w)
+            thread.join(timeout=60)
+    assert not thread.is_alive() and received == [save_pgm(enhance(img, "bbhe"), "P2")]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_output_link_to_an_open_file_fills_that_file(tmp_path):
     # /dev/stdout when stdout is redirected to a file
     src = write_pgm(tmp_path / "in.pgm", FOUR_LEVELS)
@@ -1052,4 +1091,5 @@ def test_replacement_of_a_private_output_is_never_wider(tmp_path, monkeypatch):
         assert main(["synth", str(dst), "--width", "2", "--height", "2"]) == 0
     finally:
         os.umask(umask)
-    assert seen == [0o600] and stat.S_IMODE(dst.stat().st_mode) == 0o600
+    # one write per chunk of the output, each to a file already private
+    assert seen and set(seen) == {0o600} and stat.S_IMODE(dst.stat().st_mode) == 0o600

@@ -547,10 +547,23 @@ def test_save_p2_block_edges(shape):
 
 
 def test_save_p2_memory_is_bounded():
-    img = GrayImage(np.random.default_rng(5).integers(0, 256, (2048, 2048), dtype=np.uint8))
-    size = len(save_pgm(img, "P2"))
-    # the encoded blocks and their join; no full-size temporary besides
-    assert traced_peak(save_pgm, img, "P2") <= 2.2 * size
+    # a row wider than a block is encoded in column chunks, not as one block
+    for shape in [(2048, 2048), (1, 1 << 22)]:
+        img = GrayImage(np.random.default_rng(5).integers(0, 256, shape, dtype=np.uint8))
+        size = len(save_pgm(img, "P2"))
+        # the encoded blocks and their join; no full-size temporary besides
+        assert traced_peak(save_pgm, img, "P2") <= 2.2 * size, shape
+
+
+def test_save_p2_layout_of_a_row_wider_than_a_block():
+    width = _BLOCK + 5
+    arr = np.random.default_rng(9).integers(0, 256, (2, width), dtype=np.uint8)
+    lines = save_pgm(GrayImage(arr), "P2").split(b"\n")[3:]
+    assert lines.pop() == b""  # every line ends in LF
+    # 17 samples a line, and each row's last sample ends its line
+    per_row = [17] * (width // 17) + [width % 17]
+    assert [len(line.split(b" ")) for line in lines] == per_row * 2
+    assert [int(t) for line in lines for t in line.split(b" ")] == arr.ravel().tolist()
 
 
 def test_save_p5_copies_the_raster_once():

@@ -197,6 +197,29 @@ def test_entropy_invariant_under_level_permutation(img, rnd):
     assert entropy(relabeled) == pytest.approx(entropy(img), abs=1e-12)
 
 
+def level_count_stacks():
+    """(k x 256) int64 output counts, mostly empty levels, each row with a pixel."""
+    stacks = hnp.arrays(
+        np.int64,
+        st.tuples(st.integers(1, 32), st.just(256)),
+        elements=st.integers(1, 10**6),
+        fill=st.just(0),
+    )
+    return stacks.map(lambda a: a + (np.arange(256) == 0) * (a.sum(axis=1, keepdims=True) == 0))
+
+
+@given(level_count_stacks())
+def test_entropies_equal_the_masked_log2_bit_for_bit(after):
+    # the reference: log2 taken only where a level has pixels, 0 elsewhere
+    p = after / np.add.reduce(after, axis=1)[:, None]
+    terms = np.log2(p, out=np.zeros(p.shape), where=after > 0)
+    terms *= p
+    expected = (-np.add.reduce(terms, axis=1)).tolist()
+    zeros = np.zeros(len(after), dtype=np.int64)
+    got = [report.entropy for report in metrics._reports(zeros, zeros, after)]
+    assert [e.hex() for e in got] == [e.hex() for e in expected]
+
+
 # ---------------------------------------------------------------------------
 # AMBE
 # ---------------------------------------------------------------------------
