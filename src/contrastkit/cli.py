@@ -8,14 +8,14 @@ Subcommands:
   histogram  dump an image's 256-bin histogram as CSV
   synth      write a reproducible pseudo-random low-contrast test image
 
-Exit codes: 0 success, 1 usage error, 2 I/O or decode error, 3 partial
-batch failure. Scores in CSV output have 4 decimal places and a literal
-`inf` for the PSNR of a zero MSE; `histogram` writes each probability at
-full precision, as Python's shortest repr. Identical invocations produce
-byte-identical files. Every path is used as typed: an input is read whole
-in one raw read, and `report` keeps only each input's 256 level counts.
-`report` quotes a path holding a comma, a quote, an LF or a CR. A
-`--fuzzy-config` is checked whatever the methods, and `fuzzy` applies it.
+Exit codes: 0 success, 1 usage error, 2 I/O or decode error, 3 partial batch
+failure. Scores in CSV output have 4 decimal places and a literal `inf` for
+the PSNR of a zero MSE; `histogram` writes each probability at full precision,
+as Python's shortest repr. Identical invocations produce byte-identical files.
+Only `metrics` and `--help` print to stdout. Every path is used as typed: an
+input is read whole in one raw read, and `report` keeps only each input's 256
+level counts. `report` quotes a path holding a comma, a quote, an LF or a CR.
+A `--fuzzy-config` is checked whatever the methods, and `fuzzy` applies it.
 """
 
 from __future__ import annotations
@@ -131,9 +131,9 @@ def _write_output(path: str, chunks) -> None:
     failed write or encode leaves the old file intact; an existing file keeps
     its permission bits. What is not a writable regular file once links are
     followed (/dev/null, /dev/stdout on a pipe, a read-only file) or lies in an
-    unwritable folder is written in place, as a plain write would, once every
-    chunk is made. `path` is used as given, so "out.pgm/" names a folder, and
-    errors name it as given."""
+    unwritable folder is written in place: a regular file once every chunk is
+    made, a pipe or a device each chunk as it comes. `path` is used as given,
+    so "out.pgm/" names a folder, and errors name it as given."""
     try:
         try:
             mode = os.stat(path).st_mode  # of the file that `open` would reach
@@ -145,7 +145,8 @@ def _write_output(path: str, chunks) -> None:
         folder = os.path.dirname(target) or "."
         in_place = mode is not None and not (stat.S_ISREG(mode) and os.access(path, os.W_OK))
         if in_place or not os.access(folder, os.W_OK | os.X_OK):
-            chunks = list(chunks)  # all made before `open` truncates the file
+            if stat.S_ISREG(mode or 0):  # a pipe or a device holds nothing to truncate
+                chunks = list(chunks)  # all made before `open` truncates the file
             with open(path, "wb") as f:
                 for chunk in chunks:
                     f.write(chunk)
@@ -171,7 +172,6 @@ def cmd_enhance(args: argparse.Namespace) -> int:
     lut = _fuzzy_config_lut(args.fuzzy_config, [args.method])
     out = enhance(img, args.method) if lut is None else apply_lut(img, lut)
     _write_output(args.output, _pgm_chunks(out, args.format))
-    print(f"{args.method}: {img.width}x{img.height} {args.input} -> {args.output}")
     return EXIT_OK
 
 
@@ -239,7 +239,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise UsageError(f"width x height must not exceed {SYNTH_MAX_PIXELS} pixels")
     img = generate_uniform_image(args.width, args.height, args.lo, args.hi, args.seed)
     _write_output(args.output, _pgm_chunks(img, "P5"))
-    print(f"synth: {args.width}x{args.height} [{args.lo},{args.hi}] seed={args.seed} -> {args.output}")
     return EXIT_OK
 
 

@@ -69,6 +69,13 @@ MUTANTS = (
         ("tests/test_histeq.py",),
     ),
     Mutant(
+        "mmbebhe_recheck_without_slack",
+        "src/contrastkit/histeq.py",
+        "_BOUND_SLACK = 0.5 + 2.0**-35\n",
+        "_BOUND_SLACK = 0.0\n",
+        ("tests/test_histeq.py::test_mmbebhe_recheck_keeps_a_tie_whose_float_error_is_above_the_incumbents",),
+    ),
+    Mutant(
         "compile_maps_runs_a_rule_per_occurrence",
         "src/contrastkit/methods.py",
         'split = [name for name in dict.fromkeys(names) if name != "fuzzy"]',
@@ -94,6 +101,13 @@ MUTANTS = (
         "src/contrastkit/metrics.py",
         "abs(in_sum / n - out_sum / n)",
         "(in_sum / n - out_sum / n)",
+        ("tests/test_metrics.py",),
+    ),
+    Mutant(
+        "zero_mse_given_a_finite_psnr",
+        "src/contrastkit/metrics.py",
+        "psnr = math.inf if sq_err == 0 else",
+        "psnr = 100.0 if sq_err == 0 else",
         ("tests/test_metrics.py",),
     ),
     Mutant(
@@ -124,6 +138,14 @@ MUTANTS = (
         ("tests/test_histeq.py::test_every_image_the_library_makes_is_read_only",),
     ),
     Mutant(
+        "float_values_truncated",
+        "src/contrastkit/image.py",
+        "        if not np.issubdtype(arr.dtype, np.integer):\n"
+        '            raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")\n',
+        "",
+        ("tests/test_image.py::test_levels_reject_non_integer_values",),
+    ),
+    Mutant(
         "comment_ends_only_at_lf",
         "src/contrastkit/image.py",
         '_COMMENT = re.compile(rb"#[^\\n\\r]*")',
@@ -135,6 +157,20 @@ MUTANTS = (
         "src/contrastkit/image.py",
         "(totals := arr.sum(axis=-1, dtype=np.int64)).max(initial=0) > MAX_TOTAL",
         "(totals := arr.sum(axis=-1, dtype=np.int64)).max(initial=0) >= MAX_TOTAL",
+        ("tests/test_image.py",),
+    ),
+    Mutant(
+        "maxval_above_255_accepted",
+        "src/contrastkit/image.py",
+        "    if maxval > MAX_LEVEL:\n",
+        "    if False:\n",
+        ("tests/test_image.py",),
+    ),
+    Mutant(
+        "p5_raster_without_whitespace_after_maxval",
+        "src/contrastkit/image.py",
+        "        if not data[pos : pos + 1].isspace():\n",
+        "        if False:\n",
         ("tests/test_image.py",),
     ),
     Mutant(
@@ -159,6 +195,14 @@ MUTANTS = (
         ("tests/test_image.py::test_save_p2_memory_is_bounded",),
     ),
     Mutant(
+        "synth_bounds_unchecked",
+        "src/contrastkit/cli.py",
+        "    if not (0 <= lo <= hi <= 255):\n"
+        '        raise ValueError(f"need 0 <= lo <= hi <= 255, got lo={lo} hi={hi}")\n',
+        "",
+        ("tests/test_cli.py::test_generator_rejects_bounds_outside_0_lo_hi_255",),
+    ),
+    Mutant(
         "synth_masks_in_place_of_the_modulo",
         "src/contrastkit/cli.py",
         "        np.floor_divide(zb, span, out=qb)\n        qb *= span\n        zb -= qb\n",
@@ -175,9 +219,37 @@ MUTANTS = (
     Mutant(
         "stream_drops_its_last_chunk",
         "src/contrastkit/cli.py",
-        "            chunks = list(chunks)  # all made before `open` truncates the file\n",
-        "            chunks = list(chunks)[:-1]\n",
+        '            with open(path, "wb") as f:\n                for chunk in chunks:\n',
+        '            with open(path, "wb") as f:\n                for chunk in list(chunks)[:-1]:\n',
         ("tests/test_cli.py::test_a_multi_block_p2_output_streams_into_a_pipe_whole",),
+    ),
+    Mutant(
+        "stream_copied_whole",
+        "src/contrastkit/cli.py",
+        "            if stat.S_ISREG(mode or 0):  # a pipe or a device holds nothing to truncate\n",
+        "            if True:\n",
+        ("tests/test_cli.py::test_enhance_writes_its_output_as_it_is_encoded",),
+    ),
+    Mutant(
+        "status_line_on_stdout",
+        "src/contrastkit/cli.py",
+        "    _write_output(args.output, _pgm_chunks(out, args.format))\n",
+        "    _write_output(args.output, _pgm_chunks(out, args.format))\n"
+        '    print(f"{args.method}: {img.width}x{img.height} {args.input} -> {args.output}")\n',
+        (
+            "tests/test_cli.py::test_enhance_he",
+            "tests/test_cli.py::test_an_output_to_dev_stdout_on_a_pipe_is_the_image_alone",
+        ),
+    ),
+    Mutant(
+        "permission_bits_not_kept",
+        "src/contrastkit/cli.py",
+        "os.fchmod(fd, stat.S_IMODE(mode))",
+        "pass",
+        (
+            "tests/test_cli.py::test_new_output_mode_follows_umask_and_old_mode_is_kept",
+            "tests/test_cli.py::test_replacement_of_a_private_output_is_never_wider",
+        ),
     ),
     Mutant(
         "csv_path_unquoted",

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import stat
+import subprocess
 import sys
 import threading
 from itertools import islice
@@ -53,8 +54,7 @@ def test_enhance_he(tmp_path, capsys):
     dst = tmp_path / "out.pgm"
     assert main(["enhance", src, str(dst), "--method", "he"]) == 0
     assert load_pgm(dst.read_bytes()).pixels.ravel().tolist() == [64, 128, 191, 255]
-    out = capsys.readouterr().out
-    assert "he" in out and "2x2" in out
+    assert capsys.readouterr() == ("", "")  # stdout carries only a result, and `enhance`'s is the file
 
 
 def test_enhance_fuzzy_constant_is_identity(tmp_path):
@@ -690,6 +690,15 @@ def test_generator_rejects_an_empty_image(width, height):
     assert str(exc.value) == f"image dimensions must be >= 1, got {(height, width)}"
 
 
+@pytest.mark.parametrize("lo, hi", [(10, 9), (-1, 5), (0, 256)])
+def test_generator_rejects_bounds_outside_0_lo_hi_255(lo, hi):
+    # unchecked, lo > hi gives a span of 0, whose modulo divides by zero and
+    # still returns pixels, and a bound outside [0, 255] does not fit uint8
+    with pytest.raises(ValueError) as exc:
+        generate_uniform_image(2, 2, lo, hi, 0)
+    assert str(exc.value) == f"need 0 <= lo <= hi <= 255, got lo={lo} hi={hi}"
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 + 5, -1])
 def test_generator_matches_scalar_splitmix64(seed):
     # pixel counts straddle the generator's block size
@@ -713,16 +722,22 @@ def test_generator_memory_is_bounded(width, height):
     assert traced_peak(generate_uniform_image, width, height, 0, 255, 7) < width * height + 4 * 8 * _BLOCK
 
 
-@pytest.mark.parametrize("fmt", ["P5", "P2"])
-def test_enhance_writes_its_output_as_it_is_encoded(tmp_path, fmt):
+@pytest.mark.parametrize(
+    "fmt, device",
+    [("P5", False), ("P2", False), ("P5", True), ("P2", True)],
+    ids=["P5", "P2", "P5-devnull", "P2-devnull"],
+)
+def test_enhance_writes_its_output_as_it_is_encoded(tmp_path, fmt, device):
     # the input file, which the decoded image views, the output raster and
-    # at most 1 MiB besides: no copy of the whole output is made
+    # at most 1 MiB besides: no copy of the whole output is made, whether it
+    # replaces a file or goes into a device, which is written in place
     img = generate_uniform_image(2048, 2048, 60, 190, 3)
     src, dst = write_pgm(tmp_path / "in.pgm", img), tmp_path / "out.pgm"
     build_parser()  # once per process: not a cost of the write
-    peak = traced_peak(main, ["enhance", src, str(dst), "--method", "he", "--format", fmt])
+    peak = traced_peak(main, ["enhance", src, os.devnull if device else str(dst), "--method", "he", "--format", fmt])
     assert peak <= os.path.getsize(src) + img.size + (1 << 20)
-    assert dst.read_bytes() == save_pgm(enhance(img, "he"), fmt)
+    if not device:
+        assert dst.read_bytes() == save_pgm(enhance(img, "he"), fmt)
 
 
 def test_synth_writes_its_image_as_it_is_generated(tmp_path):
@@ -995,7 +1010,7 @@ def test_dangling_output_symlink_creates_its_target(tmp_path):
 def test_new_output_mode_follows_umask_and_old_mode_is_kept(tmp_path):
     new, old = tmp_path / "new.pgm", tmp_path / "old.pgm"
     old.write_bytes(b"old output")
-    old.chmod(0o640)
+    old.chmod(0o660)  # not what the umask gives a new file
     umask = os.umask(0o027)
     try:
         for path in (new, old):
@@ -1003,7 +1018,7 @@ def test_new_output_mode_follows_umask_and_old_mode_is_kept(tmp_path):
     finally:
         os.umask(umask)
     assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~0o027
-    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert stat.S_IMODE(old.stat().st_mode) == 0o660
     assert load_pgm(old.read_bytes()).size == 4
 
 
@@ -1050,6 +1065,28 @@ def test_a_multi_block_p2_output_streams_into_a_pipe_whole(tmp_path):
             os.close(w)
             thread.join(timeout=60)
     assert not thread.is_alive() and received == [save_pgm(enhance(img, "bbhe"), "P2")]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /dev/stdout as a link to fd 1")
+def test_an_output_to_dev_stdout_on_a_pipe_is_the_image_alone(tmp_path):
+    # stdout carries only a command's result: written to /dev/stdout, the
+    # image is all the next command in a pipeline reads, byte for byte
+    img = generate_uniform_image(64, 48, 90, 140, 3)
+    write_pgm(tmp_path / "in.pgm", img)
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))  # the contrastkit under test
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+
+    def piped(*argv):
+        argv = [sys.executable, "-m", "contrastkit.cli", *argv]
+        done = subprocess.run(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert (done.returncode, done.stderr) == (0, b"")
+        return done.stdout
+
+    enhanced = piped("enhance", "in.pgm", "/dev/stdout", "--method", "he", "--format", "P2")
+    assert enhanced == save_pgm(enhance(img, "he"), "P2")
+    synth = piped("synth", "/dev/stdout", "--width", "64", "--height", "48", "--lo", "90", "--hi", "140", "--seed", "3")
+    assert synth == save_pgm(img, "P5")
+    assert sorted(os.listdir(tmp_path)) == ["in.pgm"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")

@@ -335,6 +335,16 @@ def test_mmbebhe_threshold_float_tie_regression():
     assert bruteforce.min_mean_error_threshold(pixels) == 216
 
 
+def test_mmbebhe_recheck_keeps_a_tie_whose_float_error_is_above_the_incumbents():
+    # thresholds 59 and 60 both miss the input sum by exactly 6, so 59 wins
+    # the tie; the float pass puts 59 at 6.96 and the incumbent 60 at 5.62,
+    # and only the N/2 slack keeps 59 in the exact re-check
+    pixels = [0, 205, 255] + [56] * 12
+    counts = np.array(bruteforce.tally_histogram(pixels), dtype=np.int64)
+    assert mmbebhe_threshold(Histogram(counts)) == 59
+    assert bruteforce.min_mean_error_threshold(pixels) == 59
+
+
 @given(st.dictionaries(st.integers(0, 255), st.integers(1, 12), min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_mmbebhe_threshold_matches_exact_oracle_on_sparse_histograms(levels):

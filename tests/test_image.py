@@ -48,6 +48,22 @@ def test_image_rejects_out_of_range(values):
         GrayImage.from_flat(2, 2, values)
 
 
+@pytest.mark.parametrize(
+    "make, values, message",
+    [
+        (GrayImage, np.array([[0.5, 1.9]]), "pixel values must be integers, got dtype float64"),
+        (IntensityLut, np.full(256, 1.9), "LUT entries must be integers, got dtype float64"),
+    ],
+    ids=["image", "lut"],
+)
+def test_levels_reject_non_integer_values(make, values, message):
+    # each value lies in [0, 255], so only the dtype check stops a silent
+    # truncation (to [[0, 1]], or a LUT of all 1s)
+    with pytest.raises(ValueError) as exc:
+        make(values)
+    assert str(exc.value) == message
+
+
 def test_image_rejects_bad_shapes():
     with pytest.raises(ValueError):
         GrayImage(np.zeros((0, 4), dtype=np.uint8))
