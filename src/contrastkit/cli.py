@@ -222,7 +222,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_histogram(args: argparse.Namespace) -> int:
     hist = histogram(_read_image(args.input))
-    pairs = zip(hist.counts, hist.probabilities())
+    pairs = zip(hist.counts, hist.counts / hist.total)
     rows = [f"{level},{int(n)},{float(p)!r}\n" for level, (n, p) in enumerate(pairs)]
     _write_output(args.output, ["".join(["level,count,probability\n", *rows]).encode("ascii")])
     return EXIT_OK

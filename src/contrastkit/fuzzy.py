@@ -179,7 +179,7 @@ def fuzzy_lut(cfg: FuzzyConfig) -> IntensityLut:
     grid = np.linspace(0.0, float(MAX_LEVEL), cfg.resolution)
     out_sets = [mf.sample(grid) for mf in cfg.output_sets]
     out = np.arange(LEVELS)
-    rows = max(1, _BLOCK // cfg.resolution)
+    rows = _BLOCK // cfg.resolution  # at least 1: `FuzzyConfig` bounds resolution by `_BLOCK`
     for start in range(0, len(active), rows):
         block = active[start : start + rows]
         out[block] = _centroids(_aggregate(plane[block], out_sets), grid, block)

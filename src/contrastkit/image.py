@@ -109,14 +109,6 @@ class GrayImage(_Value):
             raise ValueError(f"image dimensions must be >= 1, got {arr.shape}")
         object.__setattr__(self, "pixels", _frozen_levels(arr, "pixel values"))
 
-    @classmethod
-    def from_flat(cls, width: int, height: int, values) -> "GrayImage":
-        """Build an image from a row-major flat sequence of intensities."""
-        arr = np.asarray(values)
-        if arr.size != width * height:
-            raise ValueError(f"expected {width * height} values, got {arr.size}")
-        return cls(arr.reshape(height, width))
-
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
@@ -124,11 +116,6 @@ class GrayImage(_Value):
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-    @property
-    def size(self) -> int:
-        """Total pixel count."""
-        return self.pixels.size
 
 
 def _checked_counts(counts, ndim: int) -> np.ndarray:
@@ -157,8 +144,7 @@ class Histogram(_Value):
     """Per-level pixel counts (256 bins) with derived statistics.
 
     Counts are integers with a total from 1 to `MAX_TOTAL`. `level_sum` is
-    the exact integer sum k * w_k and the mean `level_sum / total`;
-    probabilities are computed on demand in double precision.
+    the exact integer sum k * w_k and the mean `level_sum / total`.
     """
 
     counts: np.ndarray
@@ -171,10 +157,6 @@ class Histogram(_Value):
         object.__setattr__(self, "counts", arr)
         object.__setattr__(self, "total", int(arr.sum()))
         object.__setattr__(self, "level_sum", int(_LEVEL_VALUES @ arr))
-
-    def probabilities(self) -> np.ndarray:
-        """Occurrence probability of each level (counts / total)."""
-        return self.counts / self.total
 
 
 @dataclass(frozen=True, eq=False)

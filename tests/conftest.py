@@ -32,7 +32,7 @@ def low_contrast_images(draw, min_span=2, max_span=56):
             lambda v: max(v) - min(v) >= min_span
         )
     )
-    return GrayImage.from_flat(w, h, vals)
+    return GrayImage(np.reshape(vals, (h, w)))
 
 
 def traced_peak(fn, *args):

@@ -73,7 +73,10 @@ MUTANTS = (
         "src/contrastkit/histeq.py",
         "_BOUND_SLACK = 0.5 + 2.0**-35\n",
         "_BOUND_SLACK = 0.0\n",
-        ("tests/test_histeq.py::test_mmbebhe_recheck_keeps_a_tie_whose_float_error_is_above_the_incumbents",),
+        (
+            "tests/test_histeq.py::test_mmbebhe_recheck_keeps_a_tie_whose_float_error_is_above_the_incumbents",
+            "tests/test_methods.py::test_a_stacked_compile_equals_the_per_histogram_oracles",
+        ),
     ),
     Mutant(
         "compile_maps_runs_a_rule_per_occurrence",
@@ -271,6 +274,13 @@ MUTANTS = (
         "    out = enhance(img, args.method) if lut is None else apply_lut(img, lut)\n",
         "    out = enhance(img, args.method)\n",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "histogram_probability_not_over_the_total",
+        "src/contrastkit/cli.py",
+        "zip(hist.counts, hist.counts / hist.total)",
+        "zip(hist.counts, hist.counts / hist.counts.max())",
+        ("tests/test_cli.py::test_histogram_four_levels_and_probability_sum",),
     ),
     Mutant(
         "main_without_its_fallback_for_unrecognized_argv",

@@ -63,8 +63,8 @@ def test_published_mse_psnr_consistency():
         assert abs(via_255 - psnr_val) <= 0.05
     # the library implements the 255^2 formula
     assert ck.metrics.PSNR_PEAK_SQ == 255.0**2
-    a = ck.GrayImage.from_flat(4, 1, [51, 0, 0, 0])
-    b = ck.GrayImage.from_flat(4, 1, [0, 0, 0, 0])
+    a = ck.GrayImage([[51, 0, 0, 0]])
+    b = ck.GrayImage([[0, 0, 0, 0]])
     rep = ck.evaluate(a, b)
     assert rep.psnr == 10 * math.log10(255**2 / rep.mse)
 
@@ -110,11 +110,11 @@ def test_mmbebhe_dominance_and_threshold():
 def test_metric_identities():
     # exact anchors
     assert ck.evaluate(
-        ck.GrayImage.from_flat(2, 1, [0, 255]), ck.GrayImage.from_flat(2, 1, [255, 0])
+        ck.GrayImage([[0, 255]]), ck.GrayImage([[255, 0]])
     ).psnr == 0.0
     assert entropy(ck.GrayImage(np.full((7, 3), 19, dtype=np.uint8))) == 0.0
     assert entropy(
-        ck.GrayImage.from_flat(16, 16, list(range(256)))
+        ck.GrayImage(np.arange(256).reshape(16, 16))
     ) == pytest.approx(8.0, abs=1e-9)
 
     rng = np.random.default_rng(777)
@@ -145,7 +145,7 @@ def test_fuzzy_pipeline_properties():
     # a two-level image fires only the dark rule at its lowest level and
     # only the bright rule at its highest, fully: their LUT entries are
     # the centroids of the full darker and brighter output sets
-    lut = ck.fuzzy_lut(ck.default_config(ck.histogram(ck.GrayImage.from_flat(2, 1, [100, 150]))))
+    lut = ck.fuzzy_lut(ck.default_config(ck.histogram(ck.GrayImage([[100, 150]]))))
     got_dark, got_bright = int(lut.map[100]), int(lut.map[150])
     assert abs(got_dark - 128 / 3) <= 1.0
     assert abs(got_bright - (255 - 128 / 3)) <= 1.0
@@ -254,6 +254,10 @@ def test_public_names_resolve_and_enhance_is_the_one_entry_point():
         assert not hasattr(ck.metrics, name), name
     assert not hasattr(ck.Histogram, "cdf")
     assert not hasattr(ck.Histogram, "mean")
+    # nor other names for `np.reshape`, `pixels.size` and `counts / total`
+    assert not hasattr(ck.GrayImage, "from_flat")
+    assert not hasattr(ck.GrayImage, "size")
+    assert not hasattr(ck.Histogram, "probabilities")
     assert not hasattr(ck.FuzzyConfig, "to_json")  # configs are read, never written
     # `fuzzy_lut` builds its membership plane and grid itself
     for name in ("membership_plane", "sample_grid"):

@@ -36,7 +36,7 @@ from contrastkit.image import _BLOCK
 from bruteforce import fuzzy_per_level_map, splitmix64
 from conftest import config_json, traced_peak
 
-FOUR_LEVELS = GrayImage.from_flat(2, 2, [0, 64, 128, 255])
+FOUR_LEVELS = GrayImage([[0, 64], [128, 255]])
 
 
 def write_pgm(path, img, fmt="P5"):
@@ -141,7 +141,7 @@ def test_enhance_with_a_fuzzy_config_counts_no_pixels(tmp_path, monkeypatch):
     assert load_pgm(dst.read_bytes()).pixels.tolist() == [[lut[v] for v in row] for row in img.pixels.tolist()]
     # the default config is the image's own, from its counts
     assert main(["enhance", src, str(dst), "--method", "fuzzy"]) == 0
-    assert calls == [img.size]
+    assert calls == [img.pixels.size]
 
 
 def test_enhance_bad_fuzzy_config_exits_2(tmp_path, capsys):
@@ -211,8 +211,8 @@ def test_metrics_identical_files(tmp_path, capsys):
 
 
 def test_metrics_known_psnr(tmp_path, capsys):
-    a = write_pgm(tmp_path / "a.pgm", GrayImage.from_flat(4, 1, [51, 0, 0, 0]))
-    b = write_pgm(tmp_path / "b.pgm", GrayImage.from_flat(4, 1, [0, 0, 0, 0]))
+    a = write_pgm(tmp_path / "a.pgm", GrayImage([[51, 0, 0, 0]]))
+    b = write_pgm(tmp_path / "b.pgm", GrayImage([[0, 0, 0, 0]]))
     assert main(["metrics", a, b]) == 0
     row = capsys.readouterr().out.strip().splitlines()[1]
     assert row.split(",")[0] == "650.2500"
@@ -221,7 +221,7 @@ def test_metrics_known_psnr(tmp_path, capsys):
 
 def test_metrics_dimension_mismatch(tmp_path, capsys):
     a = write_pgm(tmp_path / "a.pgm", FOUR_LEVELS)
-    b = write_pgm(tmp_path / "b.pgm", GrayImage.from_flat(3, 3, [0] * 9))
+    b = write_pgm(tmp_path / "b.pgm", GrayImage(np.zeros((3, 3), dtype=np.uint8)))
     assert main(["metrics", a, b]) != 0
     err = capsys.readouterr().err
     assert "2x2" in err and "3x3" in err
@@ -735,7 +735,7 @@ def test_enhance_writes_its_output_as_it_is_encoded(tmp_path, fmt, device):
     src, dst = write_pgm(tmp_path / "in.pgm", img), tmp_path / "out.pgm"
     build_parser()  # once per process: not a cost of the write
     peak = traced_peak(main, ["enhance", src, os.devnull if device else str(dst), "--method", "he", "--format", fmt])
-    assert peak <= os.path.getsize(src) + img.size + (1 << 20)
+    assert peak <= os.path.getsize(src) + img.pixels.size + (1 << 20)
     if not device:
         assert dst.read_bytes() == save_pgm(enhance(img, "he"), fmt)
 
@@ -1019,7 +1019,7 @@ def test_new_output_mode_follows_umask_and_old_mode_is_kept(tmp_path):
         os.umask(umask)
     assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~0o027
     assert stat.S_IMODE(old.stat().st_mode) == 0o660
-    assert load_pgm(old.read_bytes()).size == 4
+    assert load_pgm(old.read_bytes()).pixels.size == 4
 
 
 def test_output_in_an_unwritable_folder_is_written_in_place(tmp_path, monkeypatch):
@@ -1031,7 +1031,7 @@ def test_output_in_an_unwritable_folder_is_written_in_place(tmp_path, monkeypatc
     monkeypatch.setattr(os, "access", lambda p, mode: p != str(tmp_path) and real_access(p, mode))
     monkeypatch.setattr(os, "replace", None)  # the rename path must not run
     assert main(["synth", str(dst), "--width", "2", "--height", "2"]) == 0
-    assert load_pgm(dst.read_bytes()).size == 4
+    assert load_pgm(dst.read_bytes()).pixels.size == 4
     assert sorted(os.listdir(tmp_path)) == ["out.pgm"]
 
 

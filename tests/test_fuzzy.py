@@ -25,7 +25,7 @@ from contrastkit.image import _BLOCK
 import bruteforce
 from conftest import config_json, low_contrast_images, traced_peak
 
-TWO_LEVEL = GrayImage.from_flat(2, 1, [100, 150])
+TWO_LEVEL = GrayImage([[100, 150]])
 
 
 def full_range_outputs():
@@ -88,7 +88,7 @@ def test_sample_agrees_with_grade_and_stays_in_unit_interval(abc, xs):
 
 
 def test_default_config_breakpoints():
-    img = GrayImage.from_flat(2, 1, [50, 200])
+    img = GrayImage([[50, 200]])
     cfg = default_config(histogram(img))
     dark, gray, bright = cfg.input_sets
     assert (dark.a, dark.b, dark.c) == (50.0, 50.0, 125.0)
@@ -99,7 +99,7 @@ def test_default_config_breakpoints():
 
 
 def test_default_config_full_range():
-    img = GrayImage.from_flat(2, 1, [0, 255])
+    img = GrayImage([[0, 255]])
     dark, _, bright = default_config(histogram(img)).input_sets
     assert (dark.a, dark.b, dark.c) == (0.0, 0.0, 127.5)
     assert (bright.a, bright.b, bright.c) == (127.5, 255.0, 255.0)
@@ -108,7 +108,7 @@ def test_default_config_full_range():
 def test_default_config_degenerate_on_flat_images():
     for span, identity in ((0, True), (1, True), (2, False)):
         for lo in range(256 - span):
-            lut = compile_lut(histogram(GrayImage.from_flat(2, 1, [lo, lo + span])), "fuzzy")
+            lut = compile_lut(histogram(GrayImage([[lo, lo + span]])), "fuzzy")
             assert (lut == IntensityLut(np.arange(256))) == identity, (lo, span)
 
 
@@ -118,7 +118,7 @@ def grades(cfg, g):
 
 
 def test_fuzzify_at_anchors():
-    cfg = default_config(histogram(GrayImage.from_flat(2, 1, [50, 200])))
+    cfg = default_config(histogram(GrayImage([[50, 200]])))
     assert grades(cfg, 50) == (1.0, 0.0, 0.0)
     assert grades(cfg, 125) == (0.0, 1.0, 0.0)
     d, g, b = grades(cfg, 87.5)  # halfway between g_min and the midpoint
@@ -128,7 +128,7 @@ def test_fuzzify_at_anchors():
 @given(st.integers(0, 253), st.integers(2, 255), st.data())
 def test_partition_of_unity_on_dynamic_range(g_min, span, data):
     g_max = min(255, g_min + span)
-    img = GrayImage.from_flat(2, 1, [g_min, g_max])
+    img = GrayImage([[g_min, g_max]])
     cfg = default_config(histogram(img))
     g = data.draw(st.integers(g_min, g_max))
     assert sum(grades(cfg, g)) == pytest.approx(1.0, abs=1e-9)
@@ -299,7 +299,7 @@ def test_centroid_lies_within_support(values):
 
 
 def test_fuzzy_lut_degenerate_config_is_identity():
-    img = GrayImage.from_flat(2, 2, [7, 7, 7, 7])
+    img = GrayImage([[7, 7], [7, 7]])
     lut = compile_lut(histogram(img), "fuzzy")
     assert lut.map.tolist() == list(range(256))
 
@@ -381,7 +381,7 @@ def _round_trip_spans():
 
 def test_equal_configs_compile_to_equal_luts():
     for lo, hi in _round_trip_spans():
-        cfg = default_config(histogram(GrayImage.from_flat(2, 1, [lo, hi])))
+        cfg = default_config(histogram(GrayImage([[lo, hi]])))
         restored = FuzzyConfig.from_json(config_json(cfg))
         assert restored == cfg
         assert fuzzy_lut(restored) == fuzzy_lut(cfg), (lo, hi)
@@ -509,7 +509,7 @@ def test_config_resolution_bounds_are_inclusive():
 
 
 def _span_lut(lo, hi):
-    img = GrayImage.from_flat(2, 1, [lo, hi])
+    img = GrayImage([[lo, hi]])
     return compile_lut(histogram(img), "fuzzy").map.tolist()
 
 
@@ -545,7 +545,7 @@ def test_default_lut_matches_the_sampled_compile_at_both_ends_of_every_width():
     mismatched = []
     for width in range(2, 256):
         for lo in (0, 255 - width):
-            hist = histogram(GrayImage.from_flat(2, 1, [lo, lo + width]))
+            hist = histogram(GrayImage([[lo, lo + width]]))
             if compile_lut(hist, "fuzzy") != fuzzy_lut(default_config(hist)):
                 mismatched.append((lo, lo + width))
     assert mismatched == []

@@ -33,7 +33,7 @@ from conftest import gray_images, low_contrast_images, pixel_arrays, traced_peak
 
 
 def img_of(*values):
-    return GrayImage.from_flat(len(values), 1, list(values))
+    return GrayImage([list(values)])
 
 
 def paired_images(max_side=12):
@@ -79,7 +79,7 @@ def test_evaluate_memory_is_bounded_at_2048_squared():
     a = generate_uniform_image(2048, 2048, 0, 255, 3)
     b = generate_uniform_image(2048, 2048, 0, 255, 4)
     diff = a.pixels.astype(np.int64) - b.pixels
-    expected_mse = int((diff * diff).sum()) / a.size
+    expected_mse = int((diff * diff).sum()) / a.pixels.size
     del diff
     assert evaluate(a, b).mse == expected_mse
     # the pixels alone are 8 MiB; each squared-error block holds `_BLOCK` int64
@@ -109,13 +109,13 @@ def test_evaluate_lut_exact_at_the_histogram_total_bound():
 
 def test_mse_dimension_mismatch():
     with pytest.raises(ValueError, match="2x2.*3x3"):
-        evaluate(GrayImage.from_flat(2, 2, [0] * 4), GrayImage.from_flat(3, 3, [0] * 9))
+        evaluate(GrayImage(np.zeros((2, 2), dtype=np.uint8)), GrayImage(np.zeros((3, 3), dtype=np.uint8)))
 
 
 @given(gray_images(max_side=8), st.randoms(use_true_random=False))
 def test_mse_symmetry_and_identity(img, rnd):
-    other = GrayImage.from_flat(
-        img.width, img.height, [rnd.randrange(256) for _ in range(img.size)]
+    other = GrayImage(
+        np.reshape([rnd.randrange(256) for _ in range(img.pixels.size)], img.pixels.shape)
     )
     err = evaluate(img, other).mse
     assert err == evaluate(other, img).mse
@@ -178,7 +178,7 @@ def test_entropy_two_equal_levels_is_one_bit():
 
 
 def test_entropy_uniform_256_levels_is_eight_bits():
-    img = GrayImage.from_flat(16, 16, list(range(256)))
+    img = GrayImage(np.arange(256).reshape(16, 16))
     assert entropy(img) == pytest.approx(8.0, abs=1e-9)
 
 
