@@ -44,11 +44,14 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_MUL2 = np.uint64(0x94D049BB133111EB)
-# largest image `synth` writes, 16384 x 16384: checked before any allocation
-SYNTH_MAX_PIXELS = 1 << 28
+SYNTH_MAX_PIXELS = 1 << 28  # 16384 x 16384, the largest image `synth` writes
 # inputs that `report` compiles and scores together: its (inputs x methods
 # x 256) stacks hold at most `_BLOCK` elements
 _REPORT_GROUP = _BLOCK // (len(METHODS) * LEVELS)
+
+
+class UsageError(ValueError):
+    """A value that a command, or the generator it calls, rejects: exit code 1."""
 
 
 def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int) -> GrayImage:
@@ -57,13 +60,18 @@ def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int)
     Pixels are drawn row-major as lo + (splitmix64 output mod (hi-lo+1)),
     so the same arguments always reproduce the same image on any platform.
     The generator state before output i (1-based) is seed + i * gamma
-    (mod 2**64), which lets each block of outputs be computed at once.
+    (mod 2**64), which lets each block of outputs be computed at once. Before
+    anything is allocated, a `UsageError` (a `ValueError`) rejects, in order:
+    lo > hi, a bound outside [0, 255], a side below 1, over `SYNTH_MAX_PIXELS` pixels.
     """
-    if not (0 <= lo <= hi <= 255):
-        raise ValueError(f"need 0 <= lo <= hi <= 255, got lo={lo} hi={hi}")
+    if lo > hi:
+        raise UsageError(f"lo ({lo}) must not exceed hi ({hi})")
+    if not (0 <= lo and hi <= 255):
+        raise UsageError("lo and hi must lie in [0, 255]")
     if width < 1 or height < 1:  # checked here, as `GrayImage._adopt` checks nothing
-        raise ValueError(f"image dimensions must be >= 1, got {(height, width)}")
-    count = width * height
+        raise UsageError("width and height must be >= 1")
+    if (count := width * height) > SYNTH_MAX_PIXELS:
+        raise UsageError(f"width x height must not exceed {SYNTH_MAX_PIXELS} pixels")
     span = np.uint64(hi - lo + 1)
     flat = np.empty(count, dtype=np.uint8)
     # outputs per block: the three uint64 temporaries share one `_BLOCK` of 8-byte elements
@@ -89,10 +97,6 @@ def generate_uniform_image(width: int, height: int, lo: int, hi: int, seed: int)
         flat[start : start + n] = zb
     flat += lo
     return GrayImage._adopt(flat.reshape(height, width))
-
-
-class UsageError(Exception):
-    """A command-line value the command rejects: exit code 1."""
 
 
 # MSE, PSNR, entropy and AMBE to 4 places; the PSNR of a zero MSE, +inf, is `inf`
@@ -229,14 +233,6 @@ def cmd_histogram(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.lo > args.hi:
-        raise UsageError(f"lo ({args.lo}) must not exceed hi ({args.hi})")
-    if not (0 <= args.lo and args.hi <= 255):
-        raise UsageError("lo and hi must lie in [0, 255]")
-    if args.width < 1 or args.height < 1:
-        raise UsageError("width and height must be >= 1")
-    if args.width * args.height > SYNTH_MAX_PIXELS:
-        raise UsageError(f"width x height must not exceed {SYNTH_MAX_PIXELS} pixels")
     img = generate_uniform_image(args.width, args.height, args.lo, args.hi, args.seed)
     _write_output(args.output, _pgm_chunks(img, "P5"))
     return EXIT_OK
@@ -305,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, OSError, ValueError) as exc:  # PgmDecodeError is a ValueError
+    except (OSError, ValueError) as exc:  # PgmDecodeError and UsageError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_IO
 

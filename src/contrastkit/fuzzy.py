@@ -15,7 +15,7 @@
 
 The public surface is `FuzzyConfig` (of `MembershipFunction` sets),
 `default_config` and `fuzzy_lut`. The `fuzzy` method's image-adaptive
-default is `_default_maps`, which `methods.compile_maps` runs on a stack
+default is `_default_maps`, which `methods._compile_maps` runs on a stack
 of histograms.
 
 The fixed full-range output sets are what stretch a narrow input range

@@ -8,8 +8,9 @@ ids) that must fail on the mutated copy. `run` copies `src/`, `tests/` and
 `pytest -x -q` on its tests against that copy. A mutant is killed only when
 pytest exits 1, with tests failing; a collection or usage error does not
 count. An old text that does not match exactly one place, or a test file
-that does not exist, raises (`anchored_text`), so a refactor that moves a
-rule updates its mutant here rather than skipping it.
+or test function that does not exist, raises (`anchored_text`), so a
+refactor that moves a rule, or renames its test, updates its mutant here
+rather than skipping it.
 
 `tests/test_mutants.py` checks every mutant's anchor in the default run,
 and runs every mutant as a `slow` test. To run some or all of them from
@@ -21,6 +22,7 @@ the repository root:
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -200,10 +202,20 @@ MUTANTS = (
     Mutant(
         "synth_bounds_unchecked",
         "src/contrastkit/cli.py",
-        "    if not (0 <= lo <= hi <= 255):\n"
-        '        raise ValueError(f"need 0 <= lo <= hi <= 255, got lo={lo} hi={hi}")\n',
+        "    if lo > hi:\n"
+        '        raise UsageError(f"lo ({lo}) must not exceed hi ({hi})")\n'
+        "    if not (0 <= lo and hi <= 255):\n"
+        '        raise UsageError("lo and hi must lie in [0, 255]")\n',
         "",
         ("tests/test_cli.py::test_generator_rejects_bounds_outside_0_lo_hi_255",),
+    ),
+    Mutant(
+        "synth_pixel_cap_unchecked",
+        "src/contrastkit/cli.py",
+        "    if (count := width * height) > SYNTH_MAX_PIXELS:\n"
+        '        raise UsageError(f"width x height must not exceed {SYNTH_MAX_PIXELS} pixels")\n',
+        "    count = width * height\n",
+        ("tests/test_cli.py::test_synth_over_pixel_cap_is_usage_error",),
     ),
     Mutant(
         "synth_masks_in_place_of_the_modulo",
@@ -308,11 +320,16 @@ MUTANTS = (
 
 def anchored_text(mutant: Mutant, root: Path = ROOT) -> str:
     """The text of `mutant.file` under `root`. Raises `ValueError` if
-    `mutant.old` does not occur there exactly once, or if a test path that
-    `mutant.tests` names does not exist."""
+    `mutant.old` does not occur there exactly once, if a test path that
+    `mutant.tests` names does not exist, or if a node id's test, less any
+    `[param]`, is not a `def` in its file."""
     missing = [t for t in mutant.tests if not (root / t.split("::")[0]).is_file()]
     if missing:
         raise ValueError(f"{mutant.name}: no test file {', '.join(missing)}")
+    for path, _, test in (t.partition("::") for t in mutant.tests if "::" in t):
+        name = test.split("[")[0]
+        if not re.search(rf"^def {re.escape(name)}\(", (root / path).read_text(encoding="utf-8"), re.M):
+            raise ValueError(f"{mutant.name}: no test {name} in {path}")
     text = (root / mutant.file).read_text(encoding="utf-8")
     found = text.count(mutant.old)
     if found != 1:

@@ -687,16 +687,34 @@ def test_generator_is_platform_stable():
 def test_generator_rejects_an_empty_image(width, height):
     with pytest.raises(ValueError) as exc:
         generate_uniform_image(width, height, 0, 255, 0)
-    assert str(exc.value) == f"image dimensions must be >= 1, got {(height, width)}"
+    assert str(exc.value) == "width and height must be >= 1"
 
 
-@pytest.mark.parametrize("lo, hi", [(10, 9), (-1, 5), (0, 256)])
-def test_generator_rejects_bounds_outside_0_lo_hi_255(lo, hi):
+@pytest.mark.parametrize(
+    "lo, hi, message",
+    [
+        (10, 9, "lo (10) must not exceed hi (9)"),
+        (-1, 5, "lo and hi must lie in [0, 255]"),
+        (0, 256, "lo and hi must lie in [0, 255]"),
+    ],
+    ids=["10-9", "-1-5", "0-256"],
+)
+def test_generator_rejects_bounds_outside_0_lo_hi_255(lo, hi, message):
     # unchecked, lo > hi gives a span of 0, whose modulo divides by zero and
     # still returns pixels, and a bound outside [0, 255] does not fit uint8
     with pytest.raises(ValueError) as exc:
         generate_uniform_image(2, 2, lo, hi, 0)
-    assert str(exc.value) == f"need 0 <= lo <= hi <= 255, got lo={lo} hi={hi}"
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("width, height", [(16385, 16384), (10**9, 10**9)])
+def test_generator_refuses_more_than_the_pixel_cap_before_allocating(width, height):
+    # the library call holds the CLI's cap: 256 MiB or more is never asked for
+    def refused():
+        with pytest.raises(ValueError, match=r"^width x height must not exceed 268435456 pixels$"):
+            generate_uniform_image(width, height, 0, 255, 0)
+
+    assert traced_peak(refused) < 64 * 1024
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 + 5, -1])

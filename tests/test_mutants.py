@@ -17,3 +17,11 @@ def test_mutant_is_anchored(mutant):
 def test_mutant_is_killed(mutant):
     code, output = mutants.run(mutant)
     assert code == 1, f"{mutant.name} survived: pytest exited {code}\n{output}"
+
+
+@pytest.mark.parametrize("test", ["test_generator_rejects_bounds_outside_0_lo_hi", "test_no_such_test[10-9]"])
+def test_an_anchor_names_a_test_function_that_exists(test):
+    # a renamed test would otherwise leave its mutant to "survive" only under `-m slow`
+    mutant = mutants.MUTANTS[0]._replace(tests=(f"tests/test_cli.py::{test}",))
+    with pytest.raises(ValueError, match="no test test_"):
+        mutants.anchored_text(mutant)
